@@ -26,27 +26,7 @@
 //	curl localhost:8077/v1/sweeps/sweep-1
 //	curl localhost:8077/v1/sweeps/sweep-1/results?follow=1
 //
-// Distributed sweeps: one fbdserve becomes the coordinator, any number
-// of others join it as workers; sweeps submitted to the coordinator are
-// leased out across the fleet and survive worker crashes (see
-// internal/cluster).
-//
-//	fbdserve -addr :8090 -coordinator -journal-dir /var/lib/fbdsim
-//	fbdserve -addr :8091 -join http://coord:8090 -journal-dir /var/lib/w1
-//	curl localhost:8090/v1/cluster                   # membership + counters
-//
-// Multi-tenant mode: a -tenants keyfile (one
-// "<name> <key> [weight=N] [rate=R] [burst=B] [max_active=M]" per line)
-// puts every /v1 endpoint behind per-tenant bearer keys with token-bucket
-// rate limits, concurrency quotas, and weighted fair-share scheduling
-// across tenants (DESIGN.md §15). Cluster endpoints then authenticate
-// with the shared -cluster-key secret instead of tenant keys. The full
-// HTTP contract lives in api/openapi.yaml; pkg/fbdclient is the typed Go
-// client.
-//
-//	fbdserve -addr :8077 -tenants tenants.keyfile
-//	fbdserve -addr :8090 -tenants tenants.keyfile -coordinator -cluster-key s3cret
-//	curl -H 'Authorization: Bearer key-acme' localhost:8077/v1/jobs
+// The full HTTP contract lives in api/openapi.yaml.
 //
 // Logging is structured (log/slog): -log-format picks text or json,
 // -log-level the threshold. Every request logs one line with a request ID
@@ -67,12 +47,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"fbdsim/internal/cluster"
 	"fbdsim/internal/simserver"
 )
 
@@ -92,17 +70,6 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this address (opt-in; keep it private)")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-
-		tenantsFile = flag.String("tenants", "", "tenant keyfile enabling multi-tenant mode: one \"<name> <key> [weight=N] [rate=R] [burst=B] [max_active=M]\" per line")
-		clusterKey  = flag.String("cluster-key", "", "shared secret authenticating /v1/cluster machine endpoints in multi-tenant mode")
-
-		coordFlag  = flag.Bool("coordinator", false, "run as a cluster coordinator: shard sweeps across joined workers")
-		joinURL    = flag.String("join", "", "join this coordinator URL as a sweep worker")
-		advertise  = flag.String("advertise", "", "base URL the coordinator should dispatch leases to (default: derived from -addr)")
-		journalDir = flag.String("journal-dir", "", "directory for crash-recovery sweep journals (empty = journalling off)")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "coordinator: no-progress deadline before a lease is requeued (0 = 30s)")
-		leasePts   = flag.Int("lease-points", 0, "coordinator: max sweep points per lease (0 = 16)")
-		heartbeat  = flag.Duration("heartbeat", 0, "coordinator: worker heartbeat interval (0 = 2s)")
 	)
 	flag.Parse()
 
@@ -111,38 +78,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	slog.SetDefault(logger)
-
-	if *coordFlag && *joinURL != "" {
-		fatalf("-coordinator and -join are mutually exclusive: a process is either the coordinator or a worker")
-	}
-
-	var tenants *simserver.TenantSet
-	if *tenantsFile != "" {
-		var err error
-		if tenants, err = simserver.LoadTenants(*tenantsFile); err != nil {
-			fatalf("-tenants: %v", err)
-		}
-		if *clusterKey == "" && (*coordFlag || *joinURL != "") {
-			fatalf("multi-tenant cluster nodes need -cluster-key: tenant keys must not authenticate machine endpoints")
-		}
-		logger.Info("multi-tenant mode", "tenants", len(tenants.Names()), "keyfile", *tenantsFile)
-	}
-
-	role := "standalone"
-	var coord *cluster.Coordinator
-	switch {
-	case *coordFlag:
-		role = "coordinator"
-		coord = cluster.NewCoordinator(cluster.Options{
-			LeaseTTL:       *leaseTTL,
-			HeartbeatEvery: *heartbeat,
-			BatchPoints:    *leasePts,
-			Executor:       &cluster.HTTPExecutor{ClusterKey: *clusterKey},
-			Logger:         logger,
-		})
-	case *joinURL != "":
-		role = "worker"
-	}
 
 	sim := simserver.New(simserver.Options{
 		Workers:        *workers,
@@ -155,28 +90,11 @@ func main() {
 		SweepParallel:  *sweepPar,
 		MaxSweepPoints: *sweepCap,
 		Logger:         logger,
-		Coordinator:    coord,
-		Role:           role,
-		JournalDir:     *journalDir,
-		Tenants:        tenants,
-		ClusterKey:     *clusterKey,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: simserver.AccessLog(logger, sim.Handler())}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	if *joinURL != "" {
-		agent := &cluster.Agent{
-			ID:          workerID(),
-			URL:         advertiseURL(*advertise, *addr),
-			Coordinator: *joinURL,
-			ClusterKey:  *clusterKey,
-			Logger:      logger,
-		}
-		logger.Info("cluster: worker mode", "id", agent.ID, "advertise", agent.URL, "coordinator", agent.Coordinator)
-		go func() { _ = agent.Run(ctx) }()
-	}
 
 	if *debugAddr != "" {
 		// The profiler gets its own mux and listener so the production
@@ -248,31 +166,6 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("-log-format %q: want text or json", format)
 	}
-}
-
-// workerID derives a cluster-unique, restart-stable-enough worker name:
-// host plus pid distinguishes workers sharing a machine, and a crashed
-// worker's replacement gets a fresh identity (its old leases requeue).
-func workerID() string {
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "worker"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
-
-// advertiseURL resolves the base URL the coordinator dials for leases:
-// the -advertise flag verbatim when set, otherwise derived from -addr
-// (a bare ":8091" advertises as http://127.0.0.1:8091 — right for
-// single-host clusters, wrong across machines, hence the flag).
-func advertiseURL(advertise, addr string) string {
-	if advertise != "" {
-		return strings.TrimRight(advertise, "/")
-	}
-	if strings.HasPrefix(addr, ":") {
-		return "http://127.0.0.1" + addr
-	}
-	return "http://" + addr
 }
 
 func fatalf(format string, args ...any) {

@@ -40,9 +40,6 @@
 // internal/sweep engine, exposed through cmd/paperexp and the fbdserve
 // POST /v1/sweeps API.
 //
-// Deprecated entry points: RunContext predates the options API and is kept
-// as a thin wrapper; new code calls Run.
-//
 // The experiment harness that regenerates every table and figure of the
 // paper lives in internal/exp and is exposed through cmd/paperexp.
 package fbdsim
@@ -234,14 +231,6 @@ func Run(ctx context.Context, cfg Config, benchmarks []string, opts ...Option) (
 		return Results{}, err
 	}
 	return system.RunWorkloadContext(ctx, s.cfg, benchmarks)
-}
-
-// RunContext runs a simulation with cancellation.
-//
-// Deprecated: RunContext predates the options API and is equivalent to
-// Run(ctx, cfg, benchmarks) with no options; new code calls Run.
-func RunContext(ctx context.Context, cfg Config, benchmarks []string) (Results, error) {
-	return Run(ctx, cfg, benchmarks)
 }
 
 // LoadConfig reads and validates a JSON configuration file. Fields missing

@@ -106,8 +106,7 @@ func TestAllProgramsIncludesExcluded(t *testing.T) {
 }
 
 // TestRunOptions exercises the functional-options surface: each option
-// must actually reach the simulator, and a no-option Run must match the
-// deprecated RunContext wrapper bit for bit.
+// must actually reach the simulator.
 func TestRunOptions(t *testing.T) {
 	cfg := Default()
 	cfg.MaxInsts = 30_000
@@ -134,17 +133,5 @@ func TestRunOptions(t *testing.T) {
 	}
 	if calls == 0 || lastCommitted == 0 {
 		t.Errorf("WithProgress delivered %d calls, last committed %d", calls, lastCommitted)
-	}
-
-	plain, err := Run(context.Background(), cfg, bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaDeprecated, err := RunContext(context.Background(), cfg, bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.TotalIPC() != viaDeprecated.TotalIPC() || plain.Cycles != viaDeprecated.Cycles {
-		t.Error("deprecated RunContext diverged from Run")
 	}
 }

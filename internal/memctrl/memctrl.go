@@ -640,7 +640,9 @@ func (c *Controller) popCompletion() completion {
 // NextEventAt reports the earliest simulated time at which a Tick could do
 // something: the next completion, the moment a queued read (or a write the
 // current policy would issue) clears the controller pipeline, or the next
-// memtrace epoch boundary. It returns clock.Infinity when the controller is
+// memtrace epoch boundary. A channel still in drain mode with an empty
+// write queue reports an immediate event, because only the next tick
+// clears its drain flag. It returns clock.Infinity when the controller is
 // empty. The estimate is conservative — it may be earlier than the true
 // next state change (the extra tick is a no-op) but never later, which is
 // the contract the event-driven system loop depends on. Queue contents and
@@ -662,6 +664,12 @@ func (c *Controller) NextEventAt() clock.Time {
 		}
 		q := c.writeQ[ch]
 		if len(q) == 0 {
+			// Only a tick clears a drained channel's drain flag, so the
+			// next tick is an event: skipping it would carry the stale
+			// flag into the tick that sees the next write.
+			if c.draining[ch] {
+				return 0
+			}
 			continue
 		}
 		// A queued write is only an event if the next tick would drain it:

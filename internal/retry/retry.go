@@ -1,9 +1,7 @@
 // Package retry provides capped exponential backoff with optional full
-// jitter and context-aware sleeping. It is the one shared backoff
-// implementation in the tree: the fbdserve job-retry loop, the cluster
-// coordinator's dispatch retries and the worker's re-join loop all run
-// on the same Policy so their cap/jitter/cancellation semantics stay
-// identical and are tested in one place.
+// jitter and context-aware sleeping. fbdserve's job-retry loop backs off
+// transient failures with it; keeping the policy in its own package keeps
+// the cap/jitter/cancellation semantics tested in one place.
 package retry
 
 import (

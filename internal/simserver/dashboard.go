@@ -75,60 +75,10 @@ func (s *Server) dashboardText() string {
 	workers := s.opts.Workers
 	occ := s.occ.observe(float64(busy) / float64(workers))
 
-	_, slow := s.sched.depths()
 	fmt.Fprintf(&sb, "fbdserve %s — up %s\n", version, uptime)
 	fmt.Fprintf(&sb, "workers %d/%d %s   queue %d/%d   cache %d   sweeps active %d\n\n",
 		busy, workers, textplot.Spark(occ, 32),
-		slow, s.opts.QueueDepth, s.cache.Len(), s.activeSweeps())
-
-	// Multi-tenant mode: one row per keyfile tenant — quota occupancy,
-	// queued work across every scheduler class, and the fair-share weight.
-	if s.tenants.Enabled() {
-		sb.WriteString("tenants\n")
-		for _, name := range s.tenants.Names() {
-			t := s.tenants.ByName(name)
-			active, queued := t.activeCount(), s.sched.queuedFor(name)
-			line := fmt.Sprintf("  %-16s weight=%d active=%d", name, t.weight(), active)
-			if t.MaxActive > 0 {
-				frac := float64(active) / float64(t.MaxActive)
-				line += fmt.Sprintf("/%d %s", t.MaxActive, progressBar(frac, 10))
-			}
-			line += fmt.Sprintf("  queued=%d", queued)
-			if t.Rate > 0 {
-				line += fmt.Sprintf("  rate=%g/s", t.Rate)
-			}
-			sb.WriteString(line + "\n")
-		}
-		sb.WriteString("\n")
-	}
-
-	// Coordinator role: the cluster membership and failure-counter panel.
-	if co := s.opts.Coordinator; co != nil {
-		members := co.Workers()
-		live := 0
-		for _, m := range members {
-			if m.Live {
-				live++
-			}
-		}
-		cnt := co.Counters()
-		fmt.Fprintf(&sb, "cluster — %d workers (%d live)   leases %d granted / %d expired / %d speculated   points %d requeued / %d dup\n",
-			len(members), live, cnt.LeasesGranted, cnt.LeasesExpired, cnt.LeasesSpeculated,
-			cnt.PointsRequeued, cnt.PointsDuplicate)
-		if len(members) == 0 {
-			sb.WriteString("  (no workers registered)\n")
-		}
-		for _, m := range members {
-			state := "live"
-			if !m.Live {
-				state = "LOST"
-			}
-			fmt.Fprintf(&sb, "  %-16s %-4s leases=%d pending=%d done=%d   beat %s ago\n",
-				m.ID, state, m.ActiveLeases, m.PendingPoints, m.PointsDone,
-				time.Since(m.LastHeartbeat).Truncate(time.Millisecond))
-		}
-		sb.WriteString("\n")
-	}
+		len(s.queue), cap(s.queue), s.cache.Len(), s.activeSweeps())
 
 	// Stable-order copies of the job and sweep tables.
 	s.mu.Lock()

@@ -9,12 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
-	"time"
 
-	"fbdsim/internal/cluster"
 	"fbdsim/internal/config"
 	"fbdsim/internal/system"
 )
@@ -194,88 +190,4 @@ func TestGoldenReadyz(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8, Run: goldenRun})
 	raw := goldenBody(t, ts, "/readyz")
 	checkGolden(t, "readyz.golden.json", raw)
-}
-
-// TestGoldenReadyzCoordinator pins the coordinator-role variant: the same
-// document plus the live-worker gauge.
-func TestGoldenReadyzCoordinator(t *testing.T) {
-	co := cluster.NewCoordinator(cluster.Options{})
-	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8, Coordinator: co, Run: goldenRun})
-	raw := goldenBody(t, ts, "/readyz")
-	checkGolden(t, "readyz_coordinator.golden.json", raw)
-}
-
-// goldenTenantServer builds a deterministic multi-tenant server: two
-// tenants with distinct limits and a frozen clock, so bucket token counts
-// in /readyz never drift.
-func goldenTenantServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
-	return newTestServer(t, Options{
-		Workers:    2,
-		QueueDepth: 8,
-		Run:        goldenRun,
-		Tenants: mustTenants(t,
-			"acme key-acme weight=3 rate=10 burst=5 max_active=4\nglobex key-globex\n"),
-		ClusterKey: "key-cluster",
-		Now:        func() time.Time { return time.Unix(7000, 0) },
-	})
-}
-
-// TestGoldenTenantJobView pins the tenant-mode job document: the same
-// shape as the open-mode golden plus the owning tenant and the scheduling
-// class.
-func TestGoldenTenantJobView(t *testing.T) {
-	_, ts := goldenTenantServer(t)
-	var v jobView
-	status, _, raw := authedReq(t, ts, "POST", "/v1/jobs", "key-acme",
-		`{"benchmarks": ["swim"], "seed": 42, "max_insts": 10000}`, &v)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: %d (%s)", status, raw)
-	}
-	waitStateAuthed(t, ts, "key-acme", v.ID, StateDone)
-	_, _, body := authedReq(t, ts, "GET", "/v1/jobs/"+v.ID, "key-acme", "", nil)
-	checkGolden(t, "jobview_tenant.golden.json", normalize(t, body, "wall_ms", "sim_cycles_per_sec"))
-}
-
-// TestGoldenTenantReadyz pins the tenant-mode readiness document: the
-// per-tenant quota table (active vs max_active, bucket tokens, weight)
-// rides along with the open-mode fields, which stay byte-identical.
-func TestGoldenTenantReadyz(t *testing.T) {
-	_, ts := goldenTenantServer(t)
-	_, _, raw := authedReq(t, ts, "GET", "/readyz", "", "", nil)
-	checkGolden(t, "readyz_tenants.golden.json", raw)
-}
-
-// TestGoldenTenantMetrics pins the tenant-labeled Prometheus series.
-// Only the tenant_* subset is golden'd — the rest of the exposition
-// carries volatile process gauges — and one accepted plus one
-// rate-limited submission make the counters nonzero so label rendering
-// is actually exercised.
-func TestGoldenTenantMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Options{
-		Workers: 1,
-		Run:     goldenRun,
-		Tenants: mustTenants(t, "acme key-acme rate=1 burst=1\nglobex key-globex\n"),
-		Now:     func() time.Time { return time.Unix(7000, 0) }, // frozen: no refill
-	})
-	var v jobView
-	if status, _, raw := authedReq(t, ts, "POST", "/v1/jobs", "key-acme",
-		`{"benchmarks": ["swim"], "seed": 42, "max_insts": 10000}`, &v); status != http.StatusAccepted {
-		t.Fatalf("first submit: %d (%s)", status, raw)
-	}
-	if status, _, _ := authedReq(t, ts, "POST", "/v1/jobs", "key-acme",
-		`{"benchmarks": ["swim"], "seed": 43}`, nil); status != http.StatusTooManyRequests {
-		t.Fatalf("second submit: %d, want 429 (burst=1, frozen clock)", status)
-	}
-	waitStateAuthed(t, ts, "key-acme", v.ID, StateDone)
-
-	_, _, raw := authedReq(t, ts, "GET", "/metrics?format=prom", "", "", nil)
-	var lines []string
-	for _, line := range strings.Split(string(raw), "\n") {
-		if strings.HasPrefix(line, "tenant_") {
-			lines = append(lines, line)
-		}
-	}
-	sort.Strings(lines)
-	checkGolden(t, "metrics_tenant.golden.prom", []byte(strings.Join(lines, "\n")+"\n"))
 }

@@ -32,21 +32,7 @@ type Metrics struct {
 	SweepsAccepted  *stats.Counter // sweep submissions admitted
 	SweepsCompleted *stats.Counter // sweeps whose every grid point emitted
 	SweepsCancelled *stats.Counter // sweeps stopped before completing
-	SweepsFailed    *stats.Counter // sweeps that errored (journal, cluster)
 	SweepPoints     *stats.Counter // grid points emitted across all sweeps
-
-	// Cluster worker side: leases accepted by /v1/cluster/execute and the
-	// points answered for them (fresh, cached or journal-replayed). The
-	// coordinator-side cluster_* gauges live on the cluster.Coordinator
-	// and are registered in New when one is configured.
-	LeasesExecuted *stats.Counter
-	LeasePoints    *stats.Counter
-
-	// Per-tenant counters, keyed by tenant name (keyfile tenants only, so
-	// cardinality is bounded by configuration). Registered by New when
-	// multi-tenant mode is on; nil-safe to index when it is off.
-	tenantAccepted map[string]*stats.Counter // admitted submissions per tenant
-	tenantRejected map[string]*stats.Counter // 429s (rate or quota) per tenant
 
 	// Per-job wall time of completed simulations.
 	wallMu sync.Mutex
@@ -81,14 +67,7 @@ func newMetrics() *Metrics {
 		SweepsAccepted:  reg.Counter("sweeps_accepted"),
 		SweepsCompleted: reg.Counter("sweeps_completed"),
 		SweepsCancelled: reg.Counter("sweeps_cancelled"),
-		SweepsFailed:    reg.Counter("sweeps_failed"),
 		SweepPoints:     reg.Counter("sweep_points_total"),
-
-		LeasesExecuted: reg.Counter("cluster_leases_executed"),
-		LeasePoints:    reg.Counter("cluster_lease_points_total"),
-
-		tenantAccepted: make(map[string]*stats.Counter),
-		tenantRejected: make(map[string]*stats.Counter),
 	}
 	reg.Func("job_wall_ms_count", func() any { i, _, _ := m.wallSnapshot(); return i })
 	reg.Func("job_wall_ms_mean", func() any { _, mean, _ := m.wallSnapshot(); return mean })

@@ -18,10 +18,6 @@
 //	GET    /v1/sweeps/{id}          poll a sweep (state + progress counters)
 //	GET    /v1/sweeps/{id}/results  stream completed grid points as NDJSON (?follow=1 tails)
 //	DELETE /v1/sweeps/{id}          cancel a sweep; returns its final state
-//	POST   /v1/cluster/join         register a worker with the coordinator
-//	POST   /v1/cluster/heartbeat    worker liveness beacon (404: re-join)
-//	POST   /v1/cluster/execute      execute one lease, streaming its points as NDJSON
-//	GET    /v1/cluster              cluster role, membership and failure counters
 //	GET    /healthz                 liveness (503 while shutting down)
 //	GET    /readyz                  readiness (503 when the queue is saturated or shutdown began)
 //	GET    /metrics                 counter registry as JSON (?format=prom for Prometheus text)
@@ -64,7 +60,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fbdsim/internal/cluster"
 	"fbdsim/internal/config"
 	"fbdsim/internal/fidelity"
 	"fbdsim/internal/memtrace"
@@ -115,22 +110,6 @@ type Options struct {
 	// MaxSweepPoints caps the grid size of one sweep submission
 	// (default 4096).
 	MaxSweepPoints int
-	// Coordinator, when non-nil, puts the server in coordinator role:
-	// sweeps submitted to /v1/sweeps are leased out to registered workers
-	// over the cluster protocol instead of simulated locally, and the
-	// /v1/cluster membership endpoints come alive.
-	Coordinator *cluster.Coordinator
-	// Role labels the server's cluster role in /readyz and /v1/cluster:
-	// "coordinator", "worker" or "standalone". Defaults to "coordinator"
-	// when Coordinator is set and "standalone" otherwise; fbdserve passes
-	// "worker" when joining a cluster.
-	Role string
-	// JournalDir, when set, persists sweep journals under it: coordinator
-	// sweeps checkpoint to <dir>/sweep-<fp>.ndjson and lease execution
-	// journals worker-side results to <dir>/worker-<fp>.ndjson, so both
-	// halves of a distributed sweep survive kill -9. Empty disables
-	// journaling.
-	JournalDir string
 	// Logger receives the server's structured lifecycle log (job and
 	// sweep transitions, shutdown). Defaults to a discard logger so
 	// embedding tests stay quiet; fbdserve passes its process logger.
@@ -149,19 +128,6 @@ type Options struct {
 	// sub-second estimate is never stuck behind queued cycle-accurate
 	// work (default 1).
 	FastWorkers int
-	// Tenants, when non-nil and non-empty, turns on multi-tenant mode:
-	// every /v1 request must carry a keyfile bearer token, submissions are
-	// charged against the tenant's token bucket and concurrency quota, and
-	// the scheduler arbitrates fairly across tenants. Nil means open
-	// access (single-tenant mode, backward compatible).
-	Tenants *TenantSet
-	// ClusterKey, when set alongside Tenants, is the shared secret the
-	// /v1/cluster endpoints require instead of a tenant key: coordinators
-	// and workers authenticate to each other with it.
-	ClusterKey string
-	// Now overrides the wall clock (tests). Queue-wait metrics and tenant
-	// token buckets read it; the simulated-time clock package is unrelated.
-	Now func() time.Time
 }
 
 func (o Options) norm() Options {
@@ -192,13 +158,6 @@ func (o Options) norm() Options {
 	if o.MaxSweepPoints <= 0 {
 		o.MaxSweepPoints = 4096
 	}
-	if o.Role == "" {
-		if o.Coordinator != nil {
-			o.Role = "coordinator"
-		} else {
-			o.Role = "standalone"
-		}
-	}
 	if o.Logger == nil {
 		// slog.DiscardHandler is newer than this module's Go baseline;
 		// a text handler on io.Discard is the same thing.
@@ -214,9 +173,6 @@ func (o Options) norm() Options {
 	}
 	if o.FastWorkers <= 0 {
 		o.FastWorkers = 1
-	}
-	if o.Now == nil {
-		o.Now = time.Now
 	}
 	return o
 }
@@ -257,11 +213,6 @@ type job struct {
 	// retries is the client-requested transient-failure retry budget,
 	// clamped to Options.MaxJobRetries at submission.
 	retries int
-	// class is the scheduler priority class derived from fidelity
-	// (classForFidelity); tenant is the submitting principal, nil in
-	// open-access mode.
-	class  int
-	tenant *Tenant
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -298,8 +249,6 @@ func (j *job) snapshotView(withResults bool) jobView {
 		ID:              j.id,
 		Key:             j.key,
 		State:           string(j.state),
-		Class:           classNames[j.class],
-		Tenant:          j.tenantName(),
 		Benchmarks:      j.benchmarks,
 		Fidelity:        j.fidelity,
 		Attempts:        j.attempts,
@@ -361,47 +310,20 @@ func (j *job) currentState() State {
 	return j.state
 }
 
-// tenantName is the job's owning tenant for views, logs and the
-// scheduler's flow key; empty in open-access mode.
-func (j *job) tenantName() string {
-	if j.tenant == nil {
-		return defaultTenant
-	}
-	return j.tenant.Name
-}
-
-// coalesceKey is the tenant-scoped key the job is registered under in
-// s.byKey.
-func (j *job) coalesceKey() string {
-	return coalesceKey(j.tenant, j.key)
-}
-
-// releaseQuota returns the job's admission unit to its tenant; safe to
-// call for open-access jobs.
-func (j *job) releaseQuota() {
-	if j.tenant != nil {
-		j.tenant.release()
-	}
-}
-
-// Server is the simulation service: scheduler, worker pool, cache, metrics.
+// Server is the simulation service: queue, worker pool, cache, metrics.
 type Server struct {
 	opts    Options
 	metrics *Metrics
 	cache   *sweep.Cache
-	// sched is the admission queue: strict priority across fidelity
-	// classes, weighted deficit round-robin across tenants within a class
-	// (see sched.go). It subsumes the old FIFO channel pair.
-	sched   *scheduler
-	tenants *TenantSet
-	// now is the wall-clock seam (Options.Now): queue-wait accounting and
-	// tenant token buckets read it, so fairness tests can drive virtual
-	// time deterministically.
-	now     func() time.Time
-	hub     *telemetry.Hub
-	log     *slog.Logger
-	started time.Time
-	occ     occHistory
+	queue   chan *job
+	// fastQueue is the analytic-job lane, drained by its own worker
+	// pool: a sub-second estimate never waits behind queued
+	// cycle-accurate simulations.
+	fastQueue chan *job
+	hub       *telemetry.Hub
+	log       *slog.Logger
+	started   time.Time
+	occ       occHistory
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -414,17 +336,13 @@ type Server struct {
 	// with full jitter (internal/retry), built from Options.RetryBackoff.
 	retryPol retry.Policy
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	byKey  map[string]*job // queued/running jobs, for coalescing
-	sweeps map[string]*sweepJob
-	// clusterJournals holds this worker's lease-execution journals, one
-	// per sweep fingerprint, opened lazily by /v1/cluster/execute and
-	// closed at Shutdown.
-	clusterJournals map[string]*workerJournal
-	closed          bool
-	nextID          int64
-	nextSweepID     int64
+	mu          sync.Mutex
+	jobs        map[string]*job
+	byKey       map[string]*job // queued/running jobs, for coalescing
+	sweeps      map[string]*sweepJob
+	closed      bool
+	nextID      int64
+	nextSweepID int64
 
 	busy     atomic.Int64
 	workerWG sync.WaitGroup
@@ -440,9 +358,8 @@ func New(opts Options) *Server {
 		opts:       o,
 		metrics:    newMetrics(),
 		cache:      sweep.NewCache(o.CacheEntries),
-		sched:      newScheduler(o.QueueDepth),
-		tenants:    o.Tenants,
-		now:        o.Now,
+		queue:      make(chan *job, o.QueueDepth),
+		fastQueue:  make(chan *job, o.QueueDepth),
 		hub:        telemetry.NewHub(o.Telemetry),
 		log:        o.Logger,
 		started:    time.Now(),
@@ -452,41 +369,19 @@ func New(opts Options) *Server {
 		retryPol: retry.Policy{
 			Initial: o.RetryBackoff, Max: o.RetryBackoffMax, Jitter: true,
 		},
-		jobs:            make(map[string]*job),
-		byKey:           make(map[string]*job),
-		sweeps:          make(map[string]*sweepJob),
-		clusterJournals: make(map[string]*workerJournal),
+		jobs:   make(map[string]*job),
+		byKey:  make(map[string]*job),
+		sweeps: make(map[string]*sweepJob),
 	}
 	reg := s.metrics.Registry()
-	reg.Func("queue_depth", func() any { _, slow := s.sched.depths(); return slow })
-	reg.Func("fast_queue_depth", func() any { fast, _ := s.sched.depths(); return fast })
+	reg.Func("queue_depth", func() any { return len(s.queue) })
+	reg.Func("fast_queue_depth", func() any { return len(s.fastQueue) })
 	reg.Func("workers", func() any { return o.Workers })
 	reg.Func("workers_busy", func() any { return s.busy.Load() })
 	reg.Func("cache_entries", func() any { return s.cache.Len() })
 	reg.Func("sweeps_active", func() any { return s.activeSweeps() })
 	reg.Func("uptime_seconds", func() any { return time.Since(s.started).Seconds() })
 	reg.Func("build_info", func() any { return buildInfo(s.started) })
-	if co := o.Coordinator; co != nil {
-		reg.Func("cluster_workers_live", func() any { return co.LiveWorkerCount() })
-		reg.Func("cluster_workers_joined", func() any { return co.Counters().WorkersJoined })
-		reg.Func("cluster_workers_lost", func() any { return co.Counters().WorkersLost })
-		reg.Func("cluster_leases_granted", func() any { return co.Counters().LeasesGranted })
-		reg.Func("cluster_leases_expired", func() any { return co.Counters().LeasesExpired })
-		reg.Func("cluster_leases_speculated", func() any { return co.Counters().LeasesSpeculated })
-		reg.Func("cluster_points_requeued", func() any { return co.Counters().PointsRequeued })
-		reg.Func("cluster_points_duplicate", func() any { return co.Counters().PointsDuplicate })
-	}
-	// Per-tenant gauges: the label set is the keyfile's tenant list, fixed
-	// at startup, so cardinality is bounded by configuration, never by
-	// request data.
-	for _, name := range s.tenants.Names() {
-		t := s.tenants.ByName(name)
-		labels := map[string]string{"tenant": name}
-		reg.LabeledFunc("tenant_queued", labels, func() any { return s.sched.queuedFor(name) })
-		reg.LabeledFunc("tenant_active", labels, func() any { return t.activeCount() })
-		s.metrics.tenantRejected[name] = reg.LabeledCounter("tenant_rejected", labels)
-		s.metrics.tenantAccepted[name] = reg.LabeledCounter("tenant_accepted", labels)
-	}
 	for i := 0; i < o.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -501,40 +396,37 @@ func New(opts Options) *Server {
 // Metrics exposes the server's counters (tests, embedding binaries).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// worker pulls from every scheduler class in strict priority order until
-// the scheduler is closed and drained by Shutdown. An idle general worker
-// therefore helps the analytic class first, then sampled, cycle-accurate
-// and finally batch slot tickets.
+// worker drains the queue until it is closed by Shutdown. When the main
+// queue has nothing ready, an idle worker helps the fast lane.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for {
-		it, ok := s.sched.next(classBatch)
-		if !ok {
-			return
-		}
-		if it.j != nil {
-			s.runJob(it.j)
-		} else {
-			s.serveTicket(it.tk)
+		select {
+		case j, ok := <-s.queue:
+			if !ok {
+				return
+			}
+			s.runJob(j)
+		case j, ok := <-s.fastQueue:
+			if !ok {
+				// Fast lane closed; keep draining the main queue.
+				for j := range s.queue {
+					s.runJob(j)
+				}
+				return
+			}
+			s.runJob(j)
 		}
 	}
 }
 
-// fastWorker serves only the analytic class, so estimates keep their
+// fastWorker drains only the fast lane, so analytic estimates keep their
 // sub-second latency even when every general worker is deep in a
-// cycle-accurate run or parked on a sweep slot.
+// cycle-accurate run.
 func (s *Server) fastWorker() {
 	defer s.workerWG.Done()
-	for {
-		it, ok := s.sched.next(classAnalytic)
-		if !ok {
-			return
-		}
-		if it.j != nil {
-			s.runJob(it.j)
-		} else {
-			s.serveTicket(it.tk)
-		}
+	for j := range s.fastQueue {
+		s.runJob(j)
 	}
 }
 
@@ -583,7 +475,7 @@ func (s *Server) runJob(j *job) {
 		// Cancelled while queued; cancelJob already finished it.
 		return
 	}
-	s.metrics.ObserveQueueWait(s.now().Sub(j.submitted))
+	s.metrics.ObserveQueueWait(time.Since(j.submitted))
 	j.publishState(StateRunning)
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
@@ -643,11 +535,10 @@ func (s *Server) runJob(j *job) {
 	wall := time.Since(start)
 
 	s.mu.Lock()
-	if s.byKey[j.coalesceKey()] == j {
-		delete(s.byKey, j.coalesceKey())
+	if s.byKey[j.key] == j {
+		delete(s.byKey, j.key)
 	}
 	s.mu.Unlock()
-	defer j.releaseQuota()
 
 	s.metrics.ObserveRunDuration(wall)
 
@@ -687,11 +578,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closed = true
 		s.mu.Unlock()
 		// No submission can be in flight past this point: enqueue happens
-		// under s.mu with the closed check. Closing the scheduler stops
-		// intake; workers keep draining what is already queued. Draining
-		// sweeps acquire their slots ungated from here on, so they cannot
-		// deadlock against exiting workers.
-		s.sched.close()
+		// under s.mu with the closed check, so closing the channels is safe.
+		close(s.queue)
+		close(s.fastQueue)
 		// Wake every SSE handler so streaming connections end now, not at
 		// the end of the HTTP server's grace period.
 		close(s.shutdownCh)
@@ -705,12 +594,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-drained:
-		s.closeClusterJournals()
 		return nil
 	case <-ctx.Done():
 		s.baseCancel() // cancel every job context; workers unwind fast
 		<-drained
-		s.closeClusterJournals()
 		return ctx.Err()
 	}
 }
@@ -754,16 +641,9 @@ type submitRequest struct {
 
 // jobView is the JSON rendering of a job.
 type jobView struct {
-	ID    string `json:"id"`
-	Key   string `json:"key"`
-	State string `json:"state"`
-	// Class is the scheduler priority class the job was admitted under:
-	// "analytic", "sampled", "cycle-accurate" or "batch" (see sched.go).
-	Class string `json:"class"`
-	// Tenant is the owning principal's keyfile name; absent in
-	// open-access mode, so pre-multi-tenant clients and goldens are
-	// unaffected.
-	Tenant     string   `json:"tenant,omitempty"`
+	ID         string   `json:"id"`
+	Key        string   `json:"key"`
+	State      string   `json:"state"`
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Fidelity is the job's simulation tier; absent means
 	// cycle-accurate (so pre-fidelity clients and goldens see
@@ -787,13 +667,12 @@ type jobView struct {
 }
 
 // route is one entry of the server's route table: the single source of
-// truth for mux registration, per-route authentication, and the OpenAPI
-// contract — the spec-drift test asserts this table and api/openapi.yaml
-// describe exactly the same method/path surface.
+// truth for mux registration and the OpenAPI contract — the spec-drift
+// test asserts this table and api/openapi.yaml describe exactly the same
+// method/path surface.
 type route struct {
 	method  string
 	pattern string
-	auth    authKind
 	h       http.HandlerFunc
 }
 
@@ -802,39 +681,35 @@ type route struct {
 // on the mux.
 func (s *Server) routes() []route {
 	return []route{
-		{"POST", "/v1/jobs", authTenant, s.handleSubmit},
-		{"GET", "/v1/jobs", authTenant, s.handleJobs},
-		{"GET", "/v1/jobs/{id}", authTenant, s.handleGet},
-		{"GET", "/v1/jobs/{id}/trace", authTenant, s.handleTrace},
-		{"GET", "/v1/jobs/{id}/timeline", authTenant, s.handleTimeline},
-		{"GET", "/v1/jobs/{id}/events", authTenant, s.handleJobEvents},
-		{"GET", "/v1/jobs/{id}/stats", authTenant, s.handleJobStats},
-		{"POST", "/v1/jobs/{id}/pause", authTenant, s.handlePause},
-		{"GET", "/v1/jobs/{id}/checkpoint", authTenant, s.handleCheckpoint},
-		{"DELETE", "/v1/jobs/{id}", authTenant, s.handleCancel},
-		{"GET", "/v1/results/{key}", authTenant, s.handleResult},
-		{"POST", "/v1/sweeps", authTenant, s.handleSweepSubmit},
-		{"GET", "/v1/sweeps/{id}", authTenant, s.handleSweepGet},
-		{"GET", "/v1/sweeps/{id}/results", authTenant, s.handleSweepResults},
-		{"GET", "/v1/sweeps/{id}/events", authTenant, s.handleSweepEvents},
-		{"DELETE", "/v1/sweeps/{id}", authTenant, s.handleSweepCancel},
-		{"POST", "/v1/cluster/join", authCluster, s.handleClusterJoin},
-		{"POST", "/v1/cluster/heartbeat", authCluster, s.handleClusterHeartbeat},
-		{"POST", "/v1/cluster/execute", authCluster, s.handleClusterExecute},
-		{"GET", "/v1/cluster", authCluster, s.handleClusterStatus},
-		{"GET", "/v1/dashboard", authTenant, s.handleDashboard},
-		{"GET", "/v1/version", authOpen, s.handleVersion},
-		{"GET", "/healthz", authOpen, s.handleHealth},
-		{"GET", "/readyz", authOpen, s.handleReady},
-		{"GET", "/metrics", authOpen, s.handleMetrics},
+		{"POST", "/v1/jobs", s.handleSubmit},
+		{"GET", "/v1/jobs", s.handleJobs},
+		{"GET", "/v1/jobs/{id}", s.handleGet},
+		{"GET", "/v1/jobs/{id}/trace", s.handleTrace},
+		{"GET", "/v1/jobs/{id}/timeline", s.handleTimeline},
+		{"GET", "/v1/jobs/{id}/events", s.handleJobEvents},
+		{"GET", "/v1/jobs/{id}/stats", s.handleJobStats},
+		{"POST", "/v1/jobs/{id}/pause", s.handlePause},
+		{"GET", "/v1/jobs/{id}/checkpoint", s.handleCheckpoint},
+		{"DELETE", "/v1/jobs/{id}", s.handleCancel},
+		{"GET", "/v1/results/{key}", s.handleResult},
+		{"POST", "/v1/sweeps", s.handleSweepSubmit},
+		{"GET", "/v1/sweeps/{id}", s.handleSweepGet},
+		{"GET", "/v1/sweeps/{id}/results", s.handleSweepResults},
+		{"GET", "/v1/sweeps/{id}/events", s.handleSweepEvents},
+		{"DELETE", "/v1/sweeps/{id}", s.handleSweepCancel},
+		{"GET", "/v1/dashboard", s.handleDashboard},
+		{"GET", "/v1/version", s.handleVersion},
+		{"GET", "/healthz", s.handleHealth},
+		{"GET", "/readyz", s.handleReady},
+		{"GET", "/metrics", s.handleMetrics},
 	}
 }
 
-// Handler returns the server's HTTP API with per-route authentication.
+// Handler returns the server's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
-		mux.HandleFunc(rt.method+" "+rt.pattern, s.withAuth(rt.auth, rt.h))
+		mux.HandleFunc(rt.method+" "+rt.pattern, rt.h)
 	}
 	return mux
 }
@@ -857,14 +732,6 @@ const (
 	codeCancelTimeout = "cancel_timeout"
 	codePauseTimeout  = "pause_timeout"
 	codeInternal      = "internal"
-	// Multi-tenant mode codes: missing/unknown bearer token, a valid token
-	// reaching another principal's resource, and the two 429 variants — a
-	// token-bucket rate rejection and a concurrency-quota rejection. Both
-	// 429s carry a Retry-After header.
-	codeUnauthorized  = "unauthorized"
-	codeForbidden     = "forbidden"
-	codeRateLimited   = "rate_limited"
-	codeQuotaExceeded = "quota_exceeded"
 )
 
 // errorView is the uniform error envelope of the /v1 API:
@@ -967,7 +834,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				"from_checkpoint resumes cycle-accurately; fidelity cannot accompany it")
 			return
 		}
-		s.resumeFromCheckpoint(w, r, &req)
+		s.resumeFromCheckpoint(w, &req)
 		return
 	}
 	tier, err := fidelity.Parse(req.Fidelity)
@@ -989,14 +856,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
-	s.admit(w, r, fidelity.Key(tier, cfg, req.Benchmarks), cfg, req.Benchmarks, req.Retries, nil, fid)
+	s.admit(w, fidelity.Key(tier, cfg, req.Benchmarks), cfg, req.Benchmarks, req.Retries, nil, fid)
 }
 
 // resumeFromCheckpoint admits a job that continues a paused job's simulation
 // from its stored snapshot instead of cycle zero. The resumed run replays
 // the exact machine, so it shares the source job's cache key: a cached or
 // in-flight identical run satisfies the resume without simulating.
-func (s *Server) resumeFromCheckpoint(w http.ResponseWriter, r *http.Request, req *submitRequest) {
+func (s *Server) resumeFromCheckpoint(w http.ResponseWriter, req *submitRequest) {
 	if req.Preset != "" || len(req.Config) > 0 || len(req.Benchmarks) > 0 ||
 		req.Seed != 0 || req.MaxInsts != 0 || req.Warmup != 0 || req.Trace {
 		writeError(w, http.StatusBadRequest, codeBadRequest,
@@ -1004,7 +871,7 @@ func (s *Server) resumeFromCheckpoint(w http.ResponseWriter, r *http.Request, re
 		return
 	}
 	src := s.lookup(req.FromCheckpoint)
-	if src == nil || !s.ownsJob(r, src) {
+	if src == nil {
 		writeError(w, http.StatusNotFound, codeNotFound, "no such job %q", req.FromCheckpoint)
 		return
 	}
@@ -1016,144 +883,74 @@ func (s *Server) resumeFromCheckpoint(w http.ResponseWriter, r *http.Request, re
 			"job %s is %s; only a paused job's checkpoint can be resumed", src.id, state)
 		return
 	}
-	s.admit(w, r, src.key, src.cfg, src.benchmarks, req.Retries, data, "")
+	s.admit(w, src.key, src.cfg, src.benchmarks, req.Retries, data, "")
 }
 
-// chargeTenant runs the multi-tenant admission gates — token-bucket rate,
-// then concurrency quota — writing the 429 (with Retry-After) itself on
-// rejection. On success one admission unit is held; the caller must pair
-// it with tenant.release() when the work leaves the system. A nil tenant
-// (open-access mode) always passes.
-func (s *Server) chargeTenant(w http.ResponseWriter, t *Tenant) bool {
-	if t == nil {
-		return true
-	}
-	verdict := t.admitOne(s.now())
-	if verdict.ok {
-		return true
-	}
-	if c := s.metrics.tenantRejected[t.Name]; c != nil {
-		c.Inc()
-	}
-	s.metrics.Rejected.Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(int(verdict.retryAfter.Seconds()+0.5)))
-	if verdict.code == codeQuotaExceeded {
-		writeError(w, http.StatusTooManyRequests, codeQuotaExceeded,
-			"tenant %q has %d submissions active (max_active %d); retry later", t.Name, t.activeCount(), t.MaxActive)
-		return false
-	}
-	writeError(w, http.StatusTooManyRequests, codeRateLimited,
-		"tenant %q exceeded its submission rate (%g/s); retry later", t.Name, t.Rate)
-	return false
-}
-
-// coalesceKey scopes in-flight coalescing to one tenant: identical
-// submissions from different tenants must not share a job record (the
-// follower would be handed a job it cannot read), while the result cache
-// stays shared — a completed simulation is tenant-neutral data.
-func coalesceKey(t *Tenant, key string) string {
-	if t == nil {
-		return key
-	}
-	return t.Name + "\x00" + key
-}
-
-// admit runs the shared admission path: tenant rate/quota gates, cache
-// fast path, in-flight coalescing, then enqueue into the fair-share
-// scheduler. restore, when non-nil, is the snapshot the job starts from.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, key string, cfg config.Config, benchmarks []string, retries int, restore []byte, fid string) {
-	tenant := s.tenantFrom(r)
-	if !s.chargeTenant(w, tenant) {
-		return
-	}
-	ckey := coalesceKey(tenant, key)
+// admit runs the shared admission path: cache fast path, in-flight
+// coalescing, then enqueue. restore, when non-nil, is the snapshot the job
+// starts from.
+func (s *Server) admit(w http.ResponseWriter, key string, cfg config.Config, benchmarks []string, retries int, restore []byte, fid string) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
 		writeError(w, http.StatusServiceUnavailable, codeShuttingDown, "server is shutting down")
 		return
 	}
-	// Fast path 1: an identical completed run is cached. The response job
-	// is born terminal, so its quota unit is returned immediately.
+	// Fast path 1: an identical completed run is cached.
 	if res, ok := s.cache.Get(key); ok {
 		id := s.newIDLocked()
 		j := s.newJobLocked(id, key, cfg, benchmarks, 0)
 		j.fidelity = fid
-		j.class = classForFidelity(fid)
-		j.tenant = tenant
 		j.finish(StateDone, res, "")
 		j.cancel() // release the job context; nothing will run
 		s.metrics.Accepted.Inc()
 		s.metrics.CacheHits.Inc()
-		s.countAccepted(tenant)
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
 		v := j.snapshotView(true)
 		v.Cached = true
 		writeJSON(w, http.StatusOK, v)
 		return
 	}
-	// Fast path 2: an identical job from the same tenant is already
-	// queued or running — coalesce onto it instead of simulating twice.
-	if existing, ok := s.byKey[ckey]; ok {
+	// Fast path 2: an identical job is already queued or running —
+	// coalesce onto it instead of simulating twice.
+	if existing, ok := s.byKey[key]; ok {
 		s.metrics.Accepted.Inc()
 		s.metrics.CacheHits.Inc()
-		s.countAccepted(tenant)
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
 		v := existing.snapshotView(false)
 		v.Coalesced = true
 		writeJSON(w, http.StatusAccepted, v)
 		return
 	}
-	// Slow path: a fresh simulation enters the scheduler under its
-	// fidelity class; the analytic class's dedicated workers guarantee an
-	// estimate never waits behind queued cycle-accurate simulations, and
-	// WDRR arbitrates across tenants inside each class.
+	// Slow path: a fresh simulation must be queued. Analytic jobs take
+	// the fast lane — its dedicated workers guarantee they never wait
+	// behind queued cycle-accurate simulations.
 	id := s.newIDLocked()
 	j := s.newJobLocked(id, key, cfg, benchmarks, retries)
 	j.fidelity = fid
-	j.class = classForFidelity(fid)
-	j.tenant = tenant
 	j.restore = restore
-	if !s.sched.offerJob(j) {
+	lane := s.queue
+	if fid == string(fidelity.Analytic) {
+		lane = s.fastQueue
+	}
+	select {
+	case lane <- j:
+	default:
 		delete(s.jobs, id)
 		j.cancel()
 		s.metrics.Rejected.Inc()
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.opts.RetryAfter.Seconds()+0.5)))
 		writeError(w, http.StatusTooManyRequests, codeQueueFull, "job queue full (depth %d); retry later", s.opts.QueueDepth)
 		return
 	}
-	s.byKey[ckey] = j
+	s.byKey[key] = j
 	s.metrics.Accepted.Inc()
 	s.metrics.CacheMisses.Inc()
-	s.countAccepted(tenant)
 	s.mu.Unlock()
 	s.log.Info("job accepted", "job_id", j.id, "benchmarks", benchmarks,
-		"traced", cfg.Trace.Enabled, "fidelity", fidelity.Tier(fid).String(),
-		"class", classNames[j.class], "tenant", j.tenantName())
+		"traced", cfg.Trace.Enabled, "fidelity", fidelity.Tier(fid).String())
 	writeJSON(w, http.StatusAccepted, j.snapshotView(false))
-}
-
-// countAccepted bumps the per-tenant acceptance counter when one exists.
-func (s *Server) countAccepted(t *Tenant) {
-	if t == nil {
-		return
-	}
-	if c := s.metrics.tenantAccepted[t.Name]; c != nil {
-		c.Inc()
-	}
 }
 
 // newIDLocked mints a job id; caller holds s.mu.
@@ -1176,7 +973,7 @@ func (s *Server) newJobLocked(id, key string, cfg config.Config, benchmarks []st
 		key:        key,
 		cfg:        cfg,
 		benchmarks: append([]string(nil), benchmarks...),
-		submitted:  s.now(),
+		submitted:  time.Now(),
 		retries:    retries,
 		ctx:        ctx,
 		cancel:     cancel,
@@ -1194,6 +991,17 @@ func (s *Server) lookup(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
+}
+
+// jobFromPath resolves the request's {id} path value to a job, writing the
+// 404 itself when there is none. Returns nil after an error has been
+// written.
+func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) *job {
+	j := s.lookup(r.PathValue("id"))
+	if j == nil {
+		writeError(w, http.StatusNotFound, codeNotFound, "no such job")
+	}
+	return j
 }
 
 // jobsView is the GET /v1/jobs body: every tracked job in submission
@@ -1218,17 +1026,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	out := jobsView{Jobs: make([]jobView, 0, len(jobs))}
 	for _, j := range jobs {
-		// Multi-tenant mode lists only the requester's own jobs.
-		if !s.ownsJob(r, j) {
-			continue
-		}
 		out.Jobs = append(out.Jobs, j.snapshotView(false))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j := s.authorizeJob(w, r)
+	j := s.jobFromPath(w, r)
 	if j == nil {
 		return
 	}
@@ -1236,7 +1040,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.authorizeJob(w, r)
+	j := s.jobFromPath(w, r)
 	if j == nil {
 		return
 	}
@@ -1268,12 +1072,11 @@ func (s *Server) cancelJob(j *job) {
 		close(j.done)
 		j.closeStream(StateCancelled)
 		s.mu.Lock()
-		if s.byKey[j.coalesceKey()] == j {
-			delete(s.byKey, j.coalesceKey())
+		if s.byKey[j.key] == j {
+			delete(s.byKey, j.key)
 		}
 		s.mu.Unlock()
 		s.metrics.Cancelled.Inc()
-		j.releaseQuota()
 		j.cancel()
 		return
 	}
@@ -1287,7 +1090,7 @@ func (s *Server) cancelJob(j *job) {
 // job's resulting state — normally "paused", or "done" when the run crossed
 // the finish line before the trigger landed.
 func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
-	j := s.authorizeJob(w, r)
+	j := s.jobFromPath(w, r)
 	if j == nil {
 		return
 	}
@@ -1320,7 +1123,7 @@ func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
 // the simulator's versioned snapshot container, suitable for
 // "from_checkpoint" resubmission or offline fbdsim -restore.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	j := s.authorizeJob(w, r)
+	j := s.jobFromPath(w, r)
 	if j == nil {
 		return
 	}
@@ -1361,8 +1164,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // readyView is the structured /readyz body: one document whatever the
-// verdict, so probes and operators read capacity and cluster posture from
-// the same endpoint that gates routing.
+// verdict, so probes and operators read capacity from the same endpoint
+// that gates routing.
 type readyView struct {
 	Status        string `json:"status"`
 	QueueDepth    int    `json:"queue_depth"`
@@ -1370,23 +1173,6 @@ type readyView struct {
 	Workers       int    `json:"workers"`
 	WorkersBusy   int64  `json:"workers_busy"`
 	SweepsActive  int    `json:"sweeps_active"`
-	ClusterRole   string `json:"cluster_role"`
-	// ClusterWorkersLive is the coordinator's live-worker count; absent
-	// outside coordinator role.
-	ClusterWorkersLive *int `json:"cluster_workers_live,omitempty"`
-	// Tenants is the per-tenant quota state, keyed by tenant name; absent
-	// in open-access mode (so pre-multi-tenant probes see the exact
-	// pre-existing document).
-	Tenants map[string]tenantQuotaView `json:"tenants,omitempty"`
-}
-
-// tenantQuotaView is one tenant's live admission state in /readyz.
-type tenantQuotaView struct {
-	Active    int     `json:"active"`
-	Queued    int     `json:"queued"`
-	MaxActive int     `json:"max_active,omitempty"`
-	Rate      float64 `json:"rate,omitempty"`
-	Weight    int     `json:"weight"`
 }
 
 // handleReady is the load-balancer readiness probe, distinct from liveness:
@@ -1397,31 +1183,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
-	_, slow := s.sched.depths()
 	v := readyView{
-		QueueDepth:    slow,
-		QueueCapacity: s.opts.QueueDepth,
+		QueueDepth:    len(s.queue),
+		QueueCapacity: cap(s.queue),
 		Workers:       s.opts.Workers,
 		WorkersBusy:   s.busy.Load(),
 		SweepsActive:  s.activeSweeps(),
-		ClusterRole:   s.opts.Role,
-	}
-	if co := s.opts.Coordinator; co != nil {
-		live := co.LiveWorkerCount()
-		v.ClusterWorkersLive = &live
-	}
-	if s.tenants.Enabled() {
-		v.Tenants = make(map[string]tenantQuotaView, len(s.tenants.Names()))
-		for _, name := range s.tenants.Names() {
-			t := s.tenants.ByName(name)
-			v.Tenants[name] = tenantQuotaView{
-				Active:    t.activeCount(),
-				Queued:    s.sched.queuedFor(name),
-				MaxActive: t.MaxActive,
-				Rate:      t.Rate,
-				Weight:    t.weight(),
-			}
-		}
 	}
 	switch {
 	case closed:
@@ -1450,7 +1217,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // response itself when the artifact is unavailable. Returns nil after an
 // error has been written.
 func (s *Server) traceSummary(w http.ResponseWriter, r *http.Request) *memtrace.Summary {
-	j := s.authorizeJob(w, r)
+	j := s.jobFromPath(w, r)
 	if j == nil {
 		return nil
 	}

@@ -3,10 +3,13 @@ package simserver
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,6 +103,41 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want State) jobView
 	return v
 }
 
+// TestAnalyticFastLaneBypassesQueue pins the two-lane admission contract:
+// with the only general worker busy and a cycle-accurate job queued behind
+// it, an analytic job still completes, because the fast lane has its own
+// worker.
+func TestAnalyticFastLaneBypassesQueue(t *testing.T) {
+	var calls atomic.Int64
+	started := make(chan struct{}, 2) // one send per cycle-accurate job
+	release := make(chan struct{})
+	defer close(release)
+	_, ts := newTestServer(t, Options{
+		Workers: 1,
+		Run:     fakeRun(&calls, started, release),
+		RunTier: func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
+			return system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}, nil
+		},
+	})
+
+	if code, _, _ := postJob(t, ts, `{"benchmarks": ["swim"], "seed": 1}`); code != http.StatusAccepted {
+		t.Fatalf("first cycle-accurate submit: %d", code)
+	}
+	<-started // the general worker is now busy
+	code, queued, _ := postJob(t, ts, `{"benchmarks": ["swim"], "seed": 2}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("second cycle-accurate submit: %d", code)
+	}
+	code, est, _ := postJob(t, ts, `{"benchmarks": ["swim"], "seed": 3, "fidelity": "analytic"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("analytic submit: %d", code)
+	}
+	waitState(t, ts, est.ID, StateDone)
+	if _, v := getJob(t, ts, queued.ID); v.State != string(StateQueued) {
+		t.Errorf("cycle-accurate job behind the busy worker is %q, want queued", v.State)
+	}
+}
+
 // TestCoalescing32 is acceptance criterion (a): 32 concurrent identical
 // submissions run exactly one simulation; the other 31 are coalesced or
 // cache hits.
@@ -173,6 +211,111 @@ func TestCoalescing32(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("cache hit re-ran the simulation (calls = %d)", got)
+	}
+}
+
+// TestKeyCanonical: a job's key, which coalescing, the result cache and
+// /v1/results/{key} all index by, is a 64-hex digest of the resolved
+// request. Spellings that resolve to the same machine and workload share
+// it; every input that changes the simulation separates it.
+func TestKeyCanonical(t *testing.T) {
+	var calls atomic.Int64
+	release := make(chan struct{})
+	close(release)
+	_, ts := newTestServer(t, Options{
+		Workers: 1,
+		Run:     fakeRun(&calls, nil, release),
+		RunTier: func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
+			return system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}, nil
+		},
+	})
+	key := func(body string) string {
+		t.Helper()
+		status, v, _ := postJob(t, ts, body)
+		if status != http.StatusAccepted && status != http.StatusOK {
+			t.Fatalf("submit %s: status %d", body, status)
+		}
+		return v.Key
+	}
+
+	base := key(`{"benchmarks": ["swim", "applu"]}`)
+	if _, err := hex.DecodeString(base); err != nil || len(base) != 64 {
+		t.Fatalf("key %q is not 64 hex chars", base)
+	}
+	for _, body := range []string{
+		`{"benchmarks": ["swim", "applu"]}`,
+		`{"preset": "fbd", "seed": 0, "benchmarks": ["swim", "applu"]}`,
+		`{"benchmarks": ["swim", "applu"], "fidelity": "cycle-accurate"}`,
+	} {
+		if got := key(body); got != base {
+			t.Errorf("%s: key %s, want %s (same resolved request)", body, got, base)
+		}
+	}
+	for _, v := range []struct{ name, body string }{
+		{"benchmark order", `{"benchmarks": ["applu", "swim"]}`},
+		{"benchmark set", `{"benchmarks": ["swim"]}`},
+		{"seed", `{"benchmarks": ["swim", "applu"], "seed": 99}`},
+		{"budget", `{"benchmarks": ["swim", "applu"], "max_insts": 123}`},
+		{"config", `{"preset": "fbd-ap", "benchmarks": ["swim", "applu"]}`},
+		{"fidelity", `{"benchmarks": ["swim", "applu"], "fidelity": "analytic"}`},
+	} {
+		if key(v.body) == base {
+			t.Errorf("%s: distinct requests share a key", v.name)
+		}
+	}
+}
+
+// TestOpenModeUnchanged: the server checks no credentials. A request that
+// carries an Authorization header is served exactly like one without, and
+// job views carry no tenant or scheduler-class fields.
+func TestOpenModeUnchanged(t *testing.T) {
+	var calls atomic.Int64
+	release := make(chan struct{})
+	close(release)
+	_, ts := newTestServer(t, Options{Workers: 1, Run: fakeRun(&calls, nil, release)})
+
+	do := func(method, path, auth, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auth != "" {
+			req.Header.Set("Authorization", auth)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw
+	}
+
+	status, raw := do("POST", "/v1/jobs", "Bearer key-anything", `{"benchmarks": ["swim"], "seed": 1}`)
+	var v jobView
+	if err := json.Unmarshal(raw, &v); status != http.StatusAccepted || err != nil {
+		t.Fatalf("submit with a stray token: %d (%s)", status, raw)
+	}
+	waitState(t, ts, v.ID, StateDone)
+
+	for _, path := range []string{"/v1/jobs/" + v.ID, "/v1/jobs"} {
+		plainStatus, plain := do("GET", path, "", "")
+		tokenStatus, withToken := do("GET", path, "Bearer key-anything", "")
+		if plainStatus != http.StatusOK || tokenStatus != http.StatusOK || !bytes.Equal(plain, withToken) {
+			t.Errorf("GET %s: %d %s without a token, %d %s with one; want identical 200s",
+				path, plainStatus, plain, tokenStatus, withToken)
+		}
+	}
+	_, raw = do("GET", "/v1/jobs/"+v.ID, "", "")
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"tenant", "class"} {
+		if _, ok := fields[k]; ok {
+			t.Errorf("job view carries %q: %s", k, raw)
+		}
 	}
 }
 

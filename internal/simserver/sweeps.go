@@ -3,18 +3,13 @@ package simserver
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
-	"fbdsim/internal/cluster"
-	"fbdsim/internal/config"
 	"fbdsim/internal/sweep"
-	"fbdsim/internal/system"
 	"fbdsim/internal/telemetry"
 	"fbdsim/internal/workload"
 )
@@ -76,13 +71,6 @@ type sweepView struct {
 	ID    string `json:"id"`
 	Name  string `json:"name"`
 	State string `json:"state"`
-	// Class is the scheduler priority class sweep points run under —
-	// always "batch": grid points borrow worker slots at the lowest
-	// priority so interactive jobs overtake them.
-	Class string `json:"class"`
-	// Tenant is the owning principal's keyfile name; absent in
-	// open-access mode.
-	Tenant string `json:"tenant,omitempty"`
 	// Fingerprint is the spec's identity hash (see sweep.Spec.Fingerprint).
 	Fingerprint string `json:"fingerprint"`
 	// Progress carries the engine counters: total, completed, failed,
@@ -95,21 +83,16 @@ type sweepView struct {
 	WallMS float64 `json:"wall_ms,omitempty"`
 }
 
-// sweepJob is one tracked sweep — locally engine-run or cluster-leased —
-// plus its accumulated points. progress abstracts over the two executors
-// (sweep.Engine.Progress or cluster.Run.Progress).
+// sweepJob is one tracked sweep plus its accumulated points. progress is
+// the engine's live counter snapshot (sweep.Engine.Progress).
 type sweepJob struct {
 	id          string
 	name        string
 	fingerprint string
-	// tenant is the owning principal's name ("" in open-access mode);
-	// tenantRef is the live record for quota release at terminal time.
-	tenant    string
-	tenantRef *Tenant
-	total     int
-	progress  func() sweep.Progress
-	cancel    context.CancelFunc
-	done      chan struct{} // closed on terminal transition
+	total       int
+	progress    func() sweep.Progress
+	cancel      context.CancelFunc
+	done        chan struct{} // closed on terminal transition
 
 	// stream is the sweep's live-telemetry channel: lifecycle states plus
 	// one point event per completed grid point.
@@ -144,15 +127,6 @@ func newSweepJob(id string, spec sweep.Spec, total int, progress func() sweep.Pr
 	return sj
 }
 
-// setTenant stamps the sweep's owner before it is published in s.sweeps.
-func (sj *sweepJob) setTenant(t *Tenant) {
-	if t == nil {
-		return
-	}
-	sj.tenant = t.Name
-	sj.tenantRef = t
-}
-
 func (sj *sweepJob) view() sweepView {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
@@ -160,8 +134,6 @@ func (sj *sweepJob) view() sweepView {
 		ID:          sj.id,
 		Name:        sj.name,
 		State:       string(sj.state),
-		Class:       classNames[classBatch],
-		Tenant:      sj.tenant,
 		Fingerprint: sj.fingerprint,
 		Progress:    sj.progress(),
 		Points:      len(sj.points),
@@ -191,13 +163,8 @@ func (sj *sweepJob) finish(state State, errMsg string) {
 	}
 	sj.cond.Broadcast()
 	sj.mu.Unlock()
-	if !closed {
-		if sj.stream != nil {
-			sj.stream.Close(string(state))
-		}
-		if sj.tenantRef != nil {
-			sj.tenantRef.release()
-		}
+	if !closed && sj.stream != nil {
+		sj.stream.Close(string(state))
 	}
 }
 
@@ -291,36 +258,12 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
-	tenant := s.tenantFrom(r)
-	if !s.chargeTenant(w, tenant) {
-		return
-	}
-	if s.opts.Coordinator != nil {
-		s.submitClusterSweep(w, spec, tenant)
-		return
-	}
-	// Every grid point borrows a worker slot through the fair-share
-	// scheduler at batch priority before simulating, so a 10k-point sweep
-	// shares the same arbiter as interactive jobs instead of
-	// oversubscribing the host from its private pool. Cache hits inside
-	// the engine's single-flight never reach these wrappers.
 	eng, err := sweep.New(spec, sweep.Options{
-		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
-			release := s.acquireSlot(ctx, tenant, classBatch)
-			defer release()
-			return s.opts.Run(ctx, cfg, benchmarks)
-		},
-		RunTier: func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-			release := s.acquireSlot(ctx, tenant, classBatch)
-			defer release()
-			return s.opts.RunTier(ctx, tier, cfg, benchmarks)
-		},
-		Cache: s.cache,
+		Run:     sweep.RunFunc(s.opts.Run),
+		RunTier: sweep.TierRunFunc(s.opts.RunTier),
+		Cache:   s.cache,
 	})
 	if err != nil {
-		if tenant != nil {
-			tenant.release()
-		}
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
@@ -328,9 +271,6 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
 		writeError(w, http.StatusServiceUnavailable, codeShuttingDown, "server is shutting down")
 		return
 	}
@@ -339,111 +279,20 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.mu.Unlock()
 		cancel()
-		if tenant != nil {
-			tenant.release()
-		}
 		writeError(w, http.StatusInternalServerError, codeInternal, "starting sweep: %v", err)
 		return
 	}
 	s.nextSweepID++
 	id := fmt.Sprintf("sweep-%d", s.nextSweepID)
 	sj := newSweepJob(id, spec, eng.Total(), eng.Progress, cancel, s.hub.Open(id))
-	sj.setTenant(tenant)
 	s.sweeps[sj.id] = sj
 	s.sweepWG.Add(1)
 	s.mu.Unlock()
 
 	s.metrics.SweepsAccepted.Inc()
-	s.countAccepted(tenant)
-	s.log.Info("sweep accepted", "sweep_id", sj.id, "name", sj.name,
-		"points", eng.Total(), "tenant", sj.tenant)
+	s.log.Info("sweep accepted", "sweep_id", sj.id, "name", sj.name, "points", eng.Total())
 	go s.drainSweep(sj, ctx, ch)
 	writeJSON(w, http.StatusAccepted, sj.view())
-}
-
-// submitClusterSweep admits a sweep in coordinator role: instead of the
-// local engine, a cluster.Run leases the grid out to registered workers.
-// When journaling is configured the run checkpoints to a per-fingerprint
-// journal, so a restarted coordinator resubmitting the same sweep replays
-// finished points and leases out only the remainder.
-func (s *Server) submitClusterSweep(w http.ResponseWriter, spec sweep.Spec, tenant *Tenant) {
-	if s.opts.JournalDir != "" {
-		spec.Journal = filepath.Join(s.opts.JournalDir, "sweep-"+shortFP(spec.Fingerprint())+".ndjson")
-	}
-	run, err := s.opts.Coordinator.NewRun(spec)
-	if err != nil {
-		if tenant != nil {
-			tenant.release()
-		}
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
-	}
-	// Tenant identity rides the leases to the workers: every lease minted
-	// for this run carries the owner's name, so worker-side telemetry and
-	// journals attribute the points correctly.
-	if tenant != nil {
-		run.Tenant = tenant.Name
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
-		writeError(w, http.StatusServiceUnavailable, codeShuttingDown, "server is shutting down")
-		return
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	s.nextSweepID++
-	id := fmt.Sprintf("sweep-%d", s.nextSweepID)
-	sj := newSweepJob(id, spec, run.Total(), run.Progress, cancel, s.hub.Open(id))
-	sj.setTenant(tenant)
-	s.sweeps[sj.id] = sj
-	s.sweepWG.Add(1)
-	s.mu.Unlock()
-
-	s.metrics.SweepsAccepted.Inc()
-	s.countAccepted(tenant)
-	s.log.Info("cluster sweep accepted", "sweep_id", sj.id, "name", sj.name,
-		"points", run.Total(), "journal", spec.Journal, "tenant", sj.tenant)
-	go s.driveClusterSweep(sj, ctx, run)
-	writeJSON(w, http.StatusAccepted, sj.view())
-}
-
-// driveClusterSweep runs one leased sweep to completion and settles its
-// terminal state. Points arrive concurrently from lease dispatch
-// goroutines; appending under sj.mu keeps pollers, followers and SSE
-// consumers consistent.
-func (s *Server) driveClusterSweep(sj *sweepJob, ctx context.Context, run *cluster.Run) {
-	defer s.sweepWG.Done()
-	err := run.Execute(ctx, func(p sweep.Point) {
-		sj.mu.Lock()
-		sj.points = append(sj.points, p)
-		sj.cond.Broadcast()
-		sj.mu.Unlock()
-		s.metrics.SweepPoints.Inc()
-		if sj.stream != nil {
-			if data, merr := json.Marshal(p); merr == nil {
-				sj.stream.PublishPoint(data)
-			}
-		}
-	})
-	switch {
-	case err == nil:
-		s.metrics.SweepsCompleted.Inc()
-		sj.finish(StateDone, "")
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.metrics.SweepsCancelled.Inc()
-		sj.finish(StateCancelled, err.Error())
-	default:
-		// Setup failures (a locked journal, a fingerprint mismatch)
-		// surface here: the sweep fails with the cause in its view.
-		s.metrics.SweepsFailed.Inc()
-		sj.finish(StateFailed, err.Error())
-	}
-	v := sj.view()
-	s.log.Info("cluster sweep finished", "sweep_id", sj.id, "state", v.State,
-		"points", v.Points, "error", v.Error)
 }
 
 // drainSweep accumulates the engine's point stream into the sweep record
@@ -489,6 +338,15 @@ func (s *Server) lookupSweep(id string) *sweepJob {
 	return s.sweeps[id]
 }
 
+// sweepFromPath is jobFromPath for sweeps.
+func (s *Server) sweepFromPath(w http.ResponseWriter, r *http.Request) *sweepJob {
+	sj := s.lookupSweep(r.PathValue("id"))
+	if sj == nil {
+		writeError(w, http.StatusNotFound, codeNotFound, "no such sweep")
+	}
+	return sj
+}
+
 // activeSweeps counts non-terminal sweeps (the sweeps_active gauge).
 func (s *Server) activeSweeps() int {
 	s.mu.Lock()
@@ -503,7 +361,7 @@ func (s *Server) activeSweeps() int {
 }
 
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sj := s.authorizeSweep(w, r)
+	sj := s.sweepFromPath(w, r)
 	if sj == nil {
 		return
 	}
@@ -516,7 +374,7 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 // tails new points until the sweep reaches a terminal state or the client
 // disconnects.
 func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
-	sj := s.authorizeSweep(w, r)
+	sj := s.sweepFromPath(w, r)
 	if sj == nil {
 		return
 	}
@@ -563,7 +421,7 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sj := s.authorizeSweep(w, r)
+	sj := s.sweepFromPath(w, r)
 	if sj == nil {
 		return
 	}

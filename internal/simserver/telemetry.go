@@ -46,7 +46,7 @@ func (j *job) closeStream(state State) {
 }
 
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.authorizeJob(w, r)
+	j := s.jobFromPath(w, r)
 	if j == nil {
 		return
 	}
@@ -54,7 +54,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sj := s.authorizeSweep(w, r)
+	sj := s.sweepFromPath(w, r)
 	if sj == nil {
 		return
 	}
@@ -66,7 +66,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 // last published state, and the stream counters. Cheap to poll — one
 // lock-scoped copy, no subscription.
 func (s *Server) handleJobStats(w http.ResponseWriter, r *http.Request) {
-	j := s.authorizeJob(w, r)
+	j := s.jobFromPath(w, r)
 	if j == nil {
 		return
 	}

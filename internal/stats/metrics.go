@@ -34,79 +34,26 @@ type Registry struct {
 	mu    sync.Mutex
 	names []string
 	vars  map[string]func() any
-	// labels maps a registered key to its Prometheus label-set suffix
-	// (`{k="v",...}`) when the metric was registered through LabeledFunc;
-	// the key itself is base name + suffix, so JSON output carries the
-	// labels verbatim and Prometheus output re-splits them.
-	labels map[string]string
 }
 
 // Func registers a metric computed at render time.
 func (r *Registry) Func(name string, f func() any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.registerLocked(name, "", f)
-}
-
-// LabeledFunc registers a metric computed at render time that carries a
-// fixed Prometheus label set: WriteProm renders it as name{k="v",...} value
-// and WriteJSON uses the full labeled key. Label sets must be bounded and
-// known at registration time (e.g. tenants from a keyfile) — this is not a
-// per-request label minting API, so cardinality stays fixed for the
-// process's life.
-func (r *Registry) LabeledFunc(name string, labels map[string]string, f func() any) {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(promName(k))
-		sb.WriteString(`="`)
-		sb.WriteString(promEscape(labels[k]))
-		sb.WriteByte('"')
-	}
-	sb.WriteByte('}')
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.registerLocked(name+sb.String(), sb.String(), f)
-}
-
-// registerLocked installs one metric under its full key. Caller holds r.mu.
-func (r *Registry) registerLocked(key, labelSuffix string, f func() any) {
 	if r.vars == nil {
 		r.vars = make(map[string]func() any)
 	}
-	if _, dup := r.vars[key]; dup {
-		panic(fmt.Sprintf("stats: duplicate metric %q", key))
+	if _, dup := r.vars[name]; dup {
+		panic(fmt.Sprintf("stats: duplicate metric %q", name))
 	}
-	r.names = append(r.names, key)
-	r.vars[key] = f
-	if labelSuffix != "" {
-		if r.labels == nil {
-			r.labels = make(map[string]string)
-		}
-		r.labels[key] = labelSuffix
-	}
+	r.names = append(r.names, name)
+	r.vars[name] = f
 }
 
 // Counter registers and returns a named counter.
 func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.Func(name, func() any { return c.Value() })
-	return c
-}
-
-// LabeledCounter registers and returns a counter carrying a fixed label set
-// (see LabeledFunc for the cardinality contract).
-func (r *Registry) LabeledCounter(name string, labels map[string]string) *Counter {
-	c := &Counter{}
-	r.LabeledFunc(name, labels, func() any { return c.Value() })
 	return c
 }
 
@@ -127,29 +74,25 @@ func (r *Registry) Snapshot() map[string]any {
 // WriteJSON renders it as a plain string map.
 type Info map[string]string
 
-// capture copies the registry's name list (sorted), value funcs and label
-// suffixes so rendering never holds the registry lock across user callbacks.
-func (r *Registry) capture() ([]string, map[string]func() any, map[string]string) {
+// capture copies the registry's name list (sorted) and value funcs so
+// rendering never holds the registry lock across user callbacks.
+func (r *Registry) capture() ([]string, map[string]func() any) {
 	r.mu.Lock()
 	names := append([]string(nil), r.names...)
 	vars := make(map[string]func() any, len(names))
 	for k, v := range r.vars {
 		vars[k] = v
 	}
-	labels := make(map[string]string, len(r.labels))
-	for k, v := range r.labels {
-		labels[k] = v
-	}
 	r.mu.Unlock()
 	sort.Strings(names)
-	return names, vars, labels
+	return names, vars
 }
 
 // WriteJSON renders the registry as an indented JSON object with keys
 // emitted explicitly in sorted order — deterministic output, pinned by a
 // golden test, safe for scrapers to diff.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	names, vars, _ := r.capture()
+	names, vars := r.capture()
 	var buf bytes.Buffer
 	buf.WriteString("{")
 	for i, name := range names {
@@ -187,39 +130,24 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 //     _sum and _count
 //   - Info: the constant-1 labeled sample name{k="v",...} 1
 //
-// Metrics registered via LabeledFunc/LabeledCounter render as
-// name{k="v",...} value; a family of labeled samples sharing one base name
-// gets a single # TYPE line. Anything else is skipped.
+// Anything else is skipped.
 func (r *Registry) WriteProm(w io.Writer) error {
-	names, vars, labels := r.capture()
-	lastBase := ""
+	names, vars := r.capture()
 	for _, name := range names {
-		base, suffix := name, ""
-		if ls, ok := labels[name]; ok {
-			base, suffix = strings.TrimSuffix(name, ls), ls
-		}
-		pn := promName(base)
+		pn := promName(name)
 		var err error
 		switch x := vars[name]().(type) {
 		case *Histogram:
 			err = writePromHistogram(w, pn, x)
-			pn = ""
 		case Info:
 			err = writePromInfo(w, pn, x)
-			pn = ""
 		default:
 			v, ok := promValue(x)
 			if !ok {
 				continue
 			}
-			if pn != lastBase {
-				if _, err = fmt.Fprintf(w, "# TYPE %s untyped\n", pn); err != nil {
-					return err
-				}
-			}
-			_, err = fmt.Fprintf(w, "%s%s %s\n", pn, suffix, v)
+			_, err = fmt.Fprintf(w, "# TYPE %s untyped\n%s %s\n", pn, pn, v)
 		}
-		lastBase = pn
 		if err != nil {
 			return err
 		}

@@ -96,47 +96,6 @@ func TestRegistryProm(t *testing.T) {
 	}
 }
 
-func TestRegistryLabeled(t *testing.T) {
-	reg := &Registry{}
-	acme := reg.LabeledCounter("tenant_jobs", map[string]string{"tenant": "acme"})
-	beta := reg.LabeledCounter("tenant_jobs", map[string]string{"tenant": "beta"})
-	reg.LabeledFunc("tenant_active", map[string]string{"tenant": "acme", "class": "analytic"}, func() any { return 2 })
-	acme.Add(3)
-	beta.Add(9)
-
-	var sb strings.Builder
-	if err := reg.WriteProm(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`tenant_jobs{tenant="acme"} 3`,
-		`tenant_jobs{tenant="beta"} 9`,
-		`tenant_active{class="analytic",tenant="acme"} 2`, // labels sorted by key
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prom output missing %q:\n%s", want, out)
-		}
-	}
-	// One TYPE line per base family even with multiple label sets.
-	if got := strings.Count(out, "# TYPE tenant_jobs untyped"); got != 1 {
-		t.Errorf("TYPE line for tenant_jobs emitted %d times, want 1:\n%s", got, out)
-	}
-
-	// JSON output carries the labeled key verbatim (deterministic, sorted).
-	sb.Reset()
-	if err := reg.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &m); err != nil {
-		t.Fatalf("output not JSON: %v\n%s", err, sb.String())
-	}
-	if m[`tenant_jobs{tenant="acme"}`].(float64) != 3 {
-		t.Errorf("labeled JSON key missing: %v", m)
-	}
-}
-
 func TestPromName(t *testing.T) {
 	for in, want := range map[string]string{
 		"ok_name":    "ok_name",

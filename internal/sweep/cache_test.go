@@ -17,6 +17,9 @@ func TestKeyDistinguishesInputs(t *testing.T) {
 	if k1 != Key(base, []string{"swim"}) {
 		t.Fatal("key not deterministic")
 	}
+	if len(k1) != 64 {
+		t.Fatalf("key length = %d, want 64 hex chars", len(k1))
+	}
 	if k1 == Key(other, []string{"swim"}) {
 		t.Fatal("seed change did not change key")
 	}
@@ -25,6 +28,14 @@ func TestKeyDistinguishesInputs(t *testing.T) {
 	}
 	if Key(base, []string{"swim", "mgrid"}) == Key(base, []string{"mgrid", "swim"}) {
 		t.Fatal("benchmark order did not change key")
+	}
+	budget := base
+	budget.MaxInsts = 123
+	if k1 == Key(budget, []string{"swim"}) {
+		t.Fatal("instruction budget change did not change key")
+	}
+	if k1 == Key(config.WithAMBPrefetch(base), []string{"swim"}) {
+		t.Fatal("config change did not change key")
 	}
 }
 

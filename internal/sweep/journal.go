@@ -18,11 +18,6 @@ import (
 // the partial tail; replayed points are emitted without re-simulating, and
 // because points are canonicalized before journaling, the merged result
 // set is bit-identical to an uninterrupted run.
-//
-// The journal is also the commit log of distributed sweeps: a cluster
-// coordinator appends each point exactly once (first delivery wins), so a
-// point executed twice — requeue race, speculative re-issue — still lands
-// in the file once and resume stays bit-identical.
 
 // ErrLocked reports that another live process holds the journal open.
 // Exactly one writer may own a journal file at a time — concurrent

@@ -227,11 +227,8 @@ type Point struct {
 
 // PointDef is one expanded, not-yet-executed grid point: the resolved
 // configuration and workload of one shard, addressed by Index in
-// expansion order and by the content hash Key. PointDef is the unit of
-// distributed execution — a cluster coordinator leases batches of
-// PointDefs to workers, and the JSON encoding is the wire format — so
-// it carries everything a remote process needs to run the shard without
-// the enclosing Spec.
+// expansion order and by the content hash Key. It carries everything
+// needed to run the shard without the enclosing Spec.
 type PointDef struct {
 	Index      int           `json:"index"`
 	Config     string        `json:"config"`

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/workload"
 )
 
 // equivBudgets keeps the equivalence runs short: the point is covering the
@@ -95,6 +96,28 @@ func TestFastLoopBitIdenticalComputeHeavy(t *testing.T) {
 	benchmarks := []string{"wupwise", "lucas"}
 	ref := runOnce(t, cfg, benchmarks, true)
 	fast := runOnce(t, cfg, benchmarks, false)
+	if !reflect.DeepEqual(ref, fast) {
+		t.Fatalf("fast loop diverged from reference loop\nreference: %+v\nfast:      %+v", ref, fast)
+	}
+}
+
+// TestFastLoopBitIdenticalWriteDrain covers a write-heavy 8-core mix whose
+// channels enter write-drain mode and empty their write queues. The drain
+// flag is cleared only inside a controller tick, so the fast loop must not
+// skip the tick on which a drained channel would leave drain mode;
+// otherwise a later write goes out under drain policy and the Results
+// diverge from the reference loop.
+func TestFastLoopBitIdenticalWriteDrain(t *testing.T) {
+	wl, err := workload.Lookup("8C-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.WithAMBPrefetch(config.Default())
+	cfg.Seed = 2
+	cfg.WarmupInsts = 200_000
+	cfg.MaxInsts = 20_000
+	ref := runOnce(t, cfg, wl.Benchmarks, true)
+	fast := runOnce(t, cfg, wl.Benchmarks, false)
 	if !reflect.DeepEqual(ref, fast) {
 		t.Fatalf("fast loop diverged from reference loop\nreference: %+v\nfast:      %+v", ref, fast)
 	}
