@@ -14,6 +14,7 @@ package fbdsim
 // figures share runs in the paper.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -387,7 +388,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1) // defeat nothing; runs are independent anyway
-		res, err := system.RunWorkload(cfg, ablationMix)
+		res, err := system.RunWorkload(context.Background(), cfg, ablationMix, system.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

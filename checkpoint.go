@@ -1,7 +1,6 @@
 package fbdsim
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,27 +46,29 @@ func WithRestore(path string) Option {
 	return func(s *runSettings) { s.restorePath = path }
 }
 
-// checkpointContext arms snapshot capture and restore on ctx according to
-// the run settings. Called by Run after options are applied.
-func (s *runSettings) checkpointContext(ctx context.Context) (context.Context, error) {
+// systemOptions translates the run settings into the engine's per-run
+// options: the progress callback, snapshot capture and restore. Called by
+// Run after options are applied.
+func (s *runSettings) systemOptions() (system.Options, error) {
+	o := system.Options{Progress: s.progress}
 	if s.checkpointPath != "" {
 		path := s.checkpointPath
-		ctx = system.WithCheckpoint(ctx, system.CheckpointSpec{
+		o.Checkpoint = &system.CheckpointSpec{
 			AtCycle: s.checkpointAt,
 			AtWarm:  s.checkpointAt <= 0,
 			OnCheckpoint: func(cp system.Checkpoint) error {
 				return WriteSnapshotFile(path, cp.Data)
 			},
-		})
+		}
 	}
 	if s.restorePath != "" {
 		data, err := os.ReadFile(s.restorePath)
 		if err != nil {
-			return ctx, fmt.Errorf("fbdsim: reading snapshot: %w", err)
+			return o, fmt.Errorf("fbdsim: reading snapshot: %w", err)
 		}
-		ctx = system.WithRestore(ctx, system.RestoreSpec{Data: data})
+		o.Restore = &system.RestoreSpec{Data: data}
 	}
-	return ctx, nil
+	return o, nil
 }
 
 // WriteSnapshotFile atomically writes snapshot bytes to path: the data lands

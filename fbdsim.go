@@ -221,16 +221,12 @@ func Run(ctx context.Context, cfg Config, benchmarks []string, opts ...Option) (
 		if s.cfg.Trace.Enabled || s.cfg.Fault.Enabled {
 			return Results{}, errors.New("fbdsim: tracing and fault injection require cycle-accurate fidelity")
 		}
-		return fidelity.Run(ctx, s.fidelity, s.cfg, benchmarks)
 	}
-	if s.progress != nil {
-		ctx = system.WithProgress(ctx, s.progress)
-	}
-	ctx, err := s.checkpointContext(ctx)
+	o, err := s.systemOptions()
 	if err != nil {
 		return Results{}, err
 	}
-	return system.RunWorkloadContext(ctx, s.cfg, benchmarks)
+	return fidelity.Run(ctx, s.fidelity, s.cfg, benchmarks, o)
 }
 
 // LoadConfig reads and validates a JSON configuration file. Fields missing

@@ -118,7 +118,7 @@ func Calibrate(ctx context.Context, cfg config.Config, benchmarks []string, opt 
 	probe.WarmupInsts = opt.ProbeWarmup
 	probe.MaxInsts = opt.ProbeMeasure
 	probe.Trace = config.Trace{}
-	r, err := system.RunWorkloadContext(ctx, probe, benchmarks)
+	r, err := system.RunWorkload(ctx, probe, benchmarks, system.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("analytic: calibration probe: %w", err)
 	}

@@ -143,7 +143,7 @@ func TestEstimateAccuracyCoarse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := system.RunWorkload(cfg, []string{"swim"})
+	full, err := system.RunWorkload(context.Background(), cfg, []string{"swim"}, system.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

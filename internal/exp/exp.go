@@ -191,10 +191,10 @@ func (r *Runner) normalize(cfg config.Config, cores int) config.Config {
 	return cfg
 }
 
-// measured runs one simulation behind the global parallelism bound, with
-// wall-time and miss accounting and the AbortAfterPoints kill switch. It is
-// the shared backend of simulate (cycle-accurate) and simulateTier.
-func (r *Runner) measured(ctx context.Context, run func() (system.Results, error)) (system.Results, error) {
+// simulate is the Runner's sweep.RunFunc: fidelity.Run behind the global
+// parallelism bound, with wall-time and miss accounting and the
+// AbortAfterPoints kill switch.
+func (r *Runner) simulate(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -202,7 +202,7 @@ func (r *Runner) measured(ctx context.Context, run func() (system.Results, error
 	}
 	defer func() { <-r.sem }()
 	start := time.Now()
-	res, err := run()
+	res, err := fidelity.Run(ctx, tier, cfg, benchmarks, opts)
 	r.simNanos.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		return res, err
@@ -212,21 +212,6 @@ func (r *Runner) measured(ctx context.Context, run func() (system.Results, error
 		r.abortCancel()
 	}
 	return res, nil
-}
-
-// simulate is the Runner's sweep.RunFunc: the cycle-accurate simulator.
-func (r *Runner) simulate(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
-	return r.measured(ctx, func() (system.Results, error) {
-		return system.RunWorkloadContext(ctx, cfg, benchmarks)
-	})
-}
-
-// simulateTier is the Runner's sweep.TierRunFunc: the same accounting, but
-// dispatching through the requested fidelity tier.
-func (r *Runner) simulateTier(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-	return r.measured(ctx, func() (system.Results, error) {
-		return fidelity.Run(ctx, fidelity.Tier(tier), cfg, benchmarks)
-	})
 }
 
 // Run simulates cfg on the benchmark mix, memoized. The Runner's
@@ -242,12 +227,9 @@ func (r *Runner) Run(cfg config.Config, benchmarks []string) (system.Results, er
 // concurrent waiters coalesced onto a cancelled run observe its error.
 func (r *Runner) RunContext(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
 	cfg = r.normalize(cfg, len(benchmarks))
-	key := fidelity.Key(fidelity.Tier(r.opts.Fidelity), cfg, benchmarks)
-	res, hit, err := r.cache.Do(ctx, key, func() (system.Results, error) {
-		if r.opts.Fidelity != "" {
-			return r.simulateTier(ctx, r.opts.Fidelity, cfg, benchmarks)
-		}
-		return r.simulate(ctx, cfg, benchmarks)
+	tier := fidelity.Tier(r.opts.Fidelity)
+	res, hit, err := r.cache.Do(ctx, fidelity.Key(tier, cfg, benchmarks), func() (system.Results, error) {
+		return r.simulate(ctx, tier, cfg, benchmarks, system.Options{})
 	})
 	if hit {
 		r.hits.Inc()
@@ -275,7 +257,7 @@ func (r *Runner) sweep(name string, cfgs []sweep.NamedConfig, ws []workload.Work
 		spec.Journal = filepath.Join(r.opts.Journal,
 			fmt.Sprintf("%s-%.12s.ndjson", name, spec.Fingerprint()))
 	}
-	eng, err := sweep.New(spec, sweep.Options{Run: r.simulate, RunTier: r.simulateTier, Cache: r.cache})
+	eng, err := sweep.New(spec, sweep.Options{Run: r.simulate, Cache: r.cache})
 	if err != nil {
 		return nil, err
 	}

@@ -575,7 +575,7 @@ func ExtensionTieredFidelity(r *Runner) (E8Data, error) {
 			row := E8Row{System: sys.name, Workload: w.Name}
 
 			start := time.Now()
-			full, err := system.RunWorkloadContext(ctx, cfg, w.Benchmarks)
+			full, err := fidelity.Run(ctx, fidelity.CycleAccurate, cfg, w.Benchmarks, system.Options{})
 			if err != nil {
 				return d, err
 			}
@@ -583,7 +583,7 @@ func ExtensionTieredFidelity(r *Runner) (E8Data, error) {
 			row.FullIPC = full.TotalIPC()
 
 			start = time.Now()
-			smp, err := fidelity.Run(ctx, fidelity.Sampled, cfg, w.Benchmarks)
+			smp, err := fidelity.Run(ctx, fidelity.Sampled, cfg, w.Benchmarks, system.Options{})
 			if err != nil {
 				return d, err
 			}
@@ -599,12 +599,12 @@ func ExtensionTieredFidelity(r *Runner) (E8Data, error) {
 
 			// First analytic call pays the calibration probe; the second
 			// measures the steady-state query latency the tier advertises.
-			an, err := fidelity.Run(ctx, fidelity.Analytic, cfg, w.Benchmarks)
+			an, err := fidelity.Run(ctx, fidelity.Analytic, cfg, w.Benchmarks, system.Options{})
 			if err != nil {
 				return d, err
 			}
 			start = time.Now()
-			an, err = fidelity.Run(ctx, fidelity.Analytic, cfg, w.Benchmarks)
+			an, err = fidelity.Run(ctx, fidelity.Analytic, cfg, w.Benchmarks, system.Options{})
 			if err != nil {
 				return d, err
 			}

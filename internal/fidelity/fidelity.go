@@ -87,17 +87,30 @@ func Key(t Tier, cfg config.Config, benchmarks []string) string {
 	return string(t) + ":" + fp
 }
 
-// Run executes one simulation request at tier t. Results from the cheaper
-// tiers carry a non-nil Results.Estimate describing the estimation
+// Run executes one simulation request at tier t under the engine options
+// opts. It is the single run function above the engine: every layer that
+// runs simulations (fbdsim.Run, sweep shards, server jobs, the experiment
+// harness) goes through it or through a wrapper of it. Results from the
+// cheaper tiers carry a non-nil Results.Estimate describing the estimation
 // (tier name, confidence interval, cost accounting); cycle-accurate
 // results do not, which is itself the marker of full detail.
-func Run(ctx context.Context, t Tier, cfg config.Config, benchmarks []string) (system.Results, error) {
+//
+// Only cycle-accurate runs act on opts. The estimate tiers ignore Progress
+// and EpochSink, and refuse Checkpoint and Restore: the sampled tier
+// drives its machine through windowed stepping, where an armed snapshot
+// would corrupt the measured windows, and the analytic tier has no machine
+// to snapshot.
+func Run(ctx context.Context, t Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 	switch t {
 	case "", CycleAccurate:
-		return system.RunWorkloadContext(ctx, cfg, benchmarks)
-	case Sampled:
-		return sample.Run(ctx, cfg, benchmarks, sample.Options{})
-	case Analytic:
+		return system.RunWorkload(ctx, cfg, benchmarks, opts)
+	case Sampled, Analytic:
+		if opts.Checkpoint != nil || opts.Restore != nil {
+			return system.Results{}, fmt.Errorf("fidelity: %s runs cannot checkpoint or restore; only cycle-accurate runs do", t)
+		}
+		if t == Sampled {
+			return sample.Run(ctx, cfg, benchmarks, sample.Options{})
+		}
 		return analytic.Run(ctx, cfg, benchmarks, analytic.Options{})
 	}
 	return system.Results{}, fmt.Errorf("fidelity: unknown tier %q", t)

@@ -7,6 +7,7 @@ import (
 
 	"fbdsim/internal/config"
 	"fbdsim/internal/snapshot"
+	"fbdsim/internal/system"
 )
 
 func TestParse(t *testing.T) {
@@ -60,28 +61,62 @@ func TestRunDispatch(t *testing.T) {
 	cfg.WarmupInsts = 10_000
 	ctx := context.Background()
 
-	if _, err := Run(ctx, "nope", cfg, []string{"swim"}); err == nil {
+	if _, err := Run(ctx, "nope", cfg, []string{"swim"}, system.Options{}); err == nil {
 		t.Fatal("unknown tier must error")
 	}
-	full, err := Run(ctx, CycleAccurate, cfg, []string{"swim"})
+	full, err := Run(ctx, CycleAccurate, cfg, []string{"swim"}, system.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Estimate != nil {
 		t.Error("cycle-accurate results must not carry an Estimate")
 	}
-	sampled, err := Run(ctx, Sampled, cfg, []string{"swim"})
+	sampled, err := Run(ctx, Sampled, cfg, []string{"swim"}, system.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sampled.Estimate == nil || sampled.Estimate.Tier != "sampled" {
 		t.Errorf("sampled estimate marker missing: %+v", sampled.Estimate)
 	}
-	analytic, err := Run(ctx, Analytic, cfg, []string{"swim"})
+	analytic, err := Run(ctx, Analytic, cfg, []string{"swim"}, system.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if analytic.Estimate == nil || analytic.Estimate.Tier != "analytic" {
 		t.Errorf("analytic estimate marker missing: %+v", analytic.Estimate)
+	}
+}
+
+// TestRunRefusesSnapshotsOnEstimateTiers: only cycle-accurate runs act on
+// an armed checkpoint or restore. The sampled tier steps its machine in
+// windows an armed snapshot would corrupt, and the analytic tier has no
+// machine, so both refuse either field before running anything.
+func TestRunRefusesSnapshotsOnEstimateTiers(t *testing.T) {
+	cfg := config.Default()
+	cfg.MaxInsts = 20_000
+	cfg.WarmupInsts = 5_000
+	ctx := context.Background()
+	var warm []byte
+	capture := system.Options{Checkpoint: &system.CheckpointSpec{
+		AtWarm: true,
+		OnCheckpoint: func(cp system.Checkpoint) error {
+			warm = cp.Data
+			return nil
+		},
+	}}
+	if _, err := Run(ctx, CycleAccurate, cfg, []string{"swim"}, capture); err != nil || warm == nil {
+		t.Fatalf("cycle-accurate run with a checkpoint: err %v, captured %d bytes", err, len(warm))
+	}
+	restore := system.Options{Restore: &system.RestoreSpec{Data: warm}}
+	if _, err := Run(ctx, CycleAccurate, cfg, []string{"swim"}, restore); err != nil {
+		t.Fatalf("cycle-accurate run with a restore: %v", err)
+	}
+	for _, tier := range []Tier{Sampled, Analytic} {
+		for name, opts := range map[string]system.Options{"checkpoint": capture, "restore": restore} {
+			if _, err := Run(ctx, tier, cfg, []string{"swim"}, opts); err == nil ||
+				!strings.Contains(err.Error(), "cannot checkpoint or restore") {
+				t.Errorf("%s run with a %s: err %v, want a refusal", tier, name, err)
+			}
+		}
 	}
 }

@@ -13,21 +13,18 @@ import (
 
 // Defaults applied by Policy.norm when the corresponding field is zero.
 const (
-	DefaultInitial    = 50 * time.Millisecond
-	DefaultMax        = 2 * time.Second
-	DefaultMultiplier = 2.0
+	DefaultInitial = 50 * time.Millisecond
+	DefaultMax     = 2 * time.Second
 )
 
-// Policy describes a capped exponential backoff schedule. The zero value
-// is usable and backs off 50ms, 100ms, ... capped at 2s, without jitter.
+// Policy describes a capped exponential backoff schedule: the delay
+// doubles per attempt. The zero value is usable and backs off 50ms, 100ms,
+// ... capped at 2s, without jitter.
 type Policy struct {
 	// Initial is the delay before the first retry (attempt 1).
 	Initial time.Duration
 	// Max caps the delay; every attempt beyond the cap waits Max.
 	Max time.Duration
-	// Multiplier is the per-attempt growth factor (values < 1 fall back
-	// to the default of 2).
-	Multiplier float64
 	// Jitter enables "full jitter": each sleep is drawn uniformly from
 	// [0, Delay(attempt)), which decorrelates a thundering herd of
 	// retriers. Delay itself is never jittered, so callers can reason
@@ -45,9 +42,6 @@ func (p Policy) norm() Policy {
 	if p.Max <= 0 {
 		p.Max = DefaultMax
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = DefaultMultiplier
-	}
 	if p.Rand == nil {
 		p.Rand = rand.Float64
 	}
@@ -55,14 +49,14 @@ func (p Policy) norm() Policy {
 }
 
 // Delay returns the deterministic (pre-jitter) backoff before retry
-// attempt n, 1-based: Initial*Multiplier^(n-1), saturating at Max.
-// Attempts below 1 are treated as 1; overflow saturates at Max.
+// attempt n, 1-based: Initial*2^(n-1), saturating at Max. Attempts below 1
+// are treated as 1; overflow saturates at Max.
 func (p Policy) Delay(attempt int) time.Duration {
 	p = p.norm()
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := float64(p.Initial) * math.Pow(p.Multiplier, float64(attempt-1))
+	d := math.Ldexp(float64(p.Initial), attempt-1)
 	if !(d < float64(p.Max)) { // catches NaN, +Inf and plain overflow
 		return p.Max
 	}
@@ -89,27 +83,5 @@ func (p Policy) Sleep(ctx context.Context, attempt int) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// Do calls fn until it succeeds, sleeping the policy's backoff between
-// failures. attempts caps the number of calls (<= 0 means retry until
-// ctx ends). It returns nil on the first success; ctx.Err() if the
-// context ends first; otherwise the last error once attempts is spent.
-func Do(ctx context.Context, p Policy, attempts int, fn func() error) error {
-	var last error
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if last = fn(); last == nil {
-			return nil
-		}
-		if attempts > 0 && attempt >= attempts {
-			return last
-		}
-		if err := p.Sleep(ctx, attempt); err != nil {
-			return err
-		}
 	}
 }

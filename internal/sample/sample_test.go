@@ -51,7 +51,7 @@ func TestSampledAccuracy(t *testing.T) {
 			// span cannot provide at a >=10x detail reduction.
 			cfg.MaxInsts = 2_000_000
 			cfg.WarmupInsts = 100_000
-			full, err := system.RunWorkload(cfg, tc.benchmarks)
+			full, err := system.RunWorkload(context.Background(), cfg, tc.benchmarks, system.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

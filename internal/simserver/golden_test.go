@@ -12,20 +12,33 @@ import (
 	"testing"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/system"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenRun returns fixed, fully deterministic results so the rendered
-// API responses are byte-stable.
-func goldenRun(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
-	return system.Results{
+// API responses are byte-stable. Estimate tiers get the same counters plus
+// the Estimate block a sampled/analytic run would carry.
+func goldenRun(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
+	res := system.Results{
 		Benchmarks: benchmarks,
 		Cores:      len(benchmarks),
 		IPC:        []float64{1.25},
 		Cycles:     2_000_000,
-	}, nil
+	}
+	if tier != "" {
+		res.Estimate = &system.EstimateInfo{
+			Tier:            string(tier),
+			TotalIPC:        1.25,
+			CI95:            0.02,
+			Windows:         12,
+			DetailedInsts:   30_000,
+			FunctionalInsts: 170_000,
+		}
+	}
+	return res, nil
 }
 
 // normalize re-indents raw JSON after overwriting the named volatile
@@ -132,26 +145,11 @@ func TestGoldenSweepPoints(t *testing.T) {
 	checkGolden(t, "sweeppoints.golden.ndjson", raw)
 }
 
-// goldenTierRun returns fixed estimate-tier results: the same counters as
-// goldenRun plus the Estimate block a sampled/analytic run would carry.
-func goldenTierRun(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-	res, _ := goldenRun(ctx, cfg, benchmarks)
-	res.Estimate = &system.EstimateInfo{
-		Tier:            tier,
-		TotalIPC:        1.25,
-		CI95:            0.02,
-		Windows:         12,
-		DetailedInsts:   30_000,
-		FunctionalInsts: 170_000,
-	}
-	return res, nil
-}
-
 // TestGoldenSampledJobView pins the JSON shape of a sampled job: the
 // fidelity field on the view, the results' Estimate block (tier, CI,
 // window accounting) and the headline ipc_ci95.
 func TestGoldenSampledJobView(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, Run: goldenRun, RunTier: goldenTierRun})
+	_, ts := newTestServer(t, Options{Workers: 1, Run: goldenRun})
 	_, v, _ := postJob(t, ts, `{"benchmarks": ["swim"], "seed": 42, "max_insts": 10000, "fidelity": "sampled"}`)
 	waitState(t, ts, v.ID, StateDone)
 	raw := goldenBody(t, ts, "/v1/jobs/"+v.ID)
@@ -163,7 +161,7 @@ func TestGoldenSampledJobView(t *testing.T) {
 // (pre-fidelity journal compatibility), the analytic point is tagged and
 // its key tier-prefixed.
 func TestGoldenSweepPointsFidelity(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, Run: goldenRun, RunTier: goldenTierRun})
+	_, ts := newTestServer(t, Options{Workers: 1, Run: goldenRun})
 	_, v := postSweep(t, ts, `{
 		"name": "golden-fidelity",
 		"configs": [{"name": "fbd", "preset": "fbd"}, {"name": "fbd-triage", "preset": "fbd", "fidelity": "analytic"}],

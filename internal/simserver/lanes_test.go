@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/system"
 )
 
@@ -55,11 +56,11 @@ func newLaneRig(t *testing.T, queueDepth int, parkFast bool) *laneRig {
 		Workers:     1,
 		FastWorkers: 1,
 		QueueDepth:  queueDepth,
-		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
-			return run(ctx, "cycle", cycleRuns.Add(1) == 1, cfg, benchmarks)
-		},
-		RunTier: func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-			return run(ctx, tier, parkFast && tierRuns.Add(1) == 1, cfg, benchmarks)
+		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
+			if tier == "" {
+				return run(ctx, "cycle", cycleRuns.Add(1) == 1, cfg, benchmarks)
+			}
+			return run(ctx, string(tier), parkFast && tierRuns.Add(1) == 1, cfg, benchmarks)
 		},
 	})
 	// Registered after newTestServer's cleanup, so it runs first: the

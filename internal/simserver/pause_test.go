@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/system"
 )
 
@@ -47,7 +48,7 @@ func TestPauseCheckpointResume(t *testing.T) {
 	cfg.MaxInsts = 2_000_000
 	cfg.WarmupInsts = 5_000
 	cfg.CPU.Cores = 1
-	baseline, err := system.RunWorkload(cfg, []string{"swim"})
+	baseline, err := system.RunWorkload(context.Background(), cfg, []string{"swim"}, system.Options{})
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
@@ -56,9 +57,9 @@ func TestPauseCheckpointResume(t *testing.T) {
 	// The real simulator retires a short job faster than a poll loop can
 	// observe it running, so gate the pause on the run actually starting.
 	started := make(chan struct{}, 2)
-	run := func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+	run := func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 		started <- struct{}{}
-		return system.RunWorkloadContext(ctx, cfg, benchmarks)
+		return system.RunWorkload(ctx, cfg, benchmarks, opts)
 	}
 	_, ts := newTestServer(t, Options{Workers: 2, Run: run})
 	status, v, _ := postJob(t, ts, `{"benchmarks": ["swim"], "max_insts": 2000000, "warmup_insts": 5000}`)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/system"
 )
 
@@ -23,7 +24,7 @@ func TestPanicRecovery(t *testing.T) {
 	var calls atomic.Int64
 	s, ts := newTestServer(t, Options{
 		Workers: 1,
-		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 			if calls.Add(1) == 1 {
 				panic("model corrupted its own state")
 			}
@@ -68,7 +69,7 @@ func TestPanicsNotRetried(t *testing.T) {
 	s, ts := newTestServer(t, Options{
 		Workers:      1,
 		RetryBackoff: time.Millisecond,
-		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 			calls.Add(1)
 			panic("always broken")
 		},
@@ -93,7 +94,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 	s, ts := newTestServer(t, Options{
 		Workers:      1,
 		RetryBackoff: time.Millisecond,
-		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 			if calls.Add(1) < 3 {
 				return system.Results{}, fmt.Errorf("transient I/O wobble")
 			}
@@ -118,7 +119,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 // cap.
 func TestRetryBudgetClampedAndDefaultOff(t *testing.T) {
 	var calls atomic.Int64
-	fail := func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+	fail := func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 		calls.Add(1)
 		return system.Results{}, fmt.Errorf("always failing")
 	}
@@ -153,7 +154,7 @@ func TestCancelInterruptsBackoff(t *testing.T) {
 		Workers:         1,
 		RetryBackoff:    10 * time.Second, // would stall the worker without ctx plumbing
 		RetryBackoffMax: 10 * time.Second,
-		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 			calls.Add(1)
 			select {
 			case attempted <- struct{}{}:

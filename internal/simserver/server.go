@@ -70,13 +70,12 @@ import (
 	"fbdsim/internal/trace"
 )
 
-// RunFunc executes one simulation. Tests substitute fakes; production uses
-// system.RunWorkloadContext.
-type RunFunc func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error)
-
-// TierRunFunc executes one estimate-tier simulation ("sampled" or
-// "analytic"). Tests substitute fakes; production uses fidelity.Run.
-type TierRunFunc func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error)
+// RunFunc executes one simulation of a job or sweep point at its fidelity
+// tier under the job's engine options. It is the sweep engine's run
+// function; production uses fidelity.Run and tests substitute fakes. A
+// fake that wraps the real simulator must forward opts, or its jobs never
+// pause, resume or stream.
+type RunFunc = sweep.RunFunc
 
 // Options configures a Server. The zero value gets sensible defaults.
 type Options struct {
@@ -119,10 +118,6 @@ type Options struct {
 	Telemetry telemetry.Options
 	// Run overrides the simulation function (tests).
 	Run RunFunc
-	// RunTier overrides the estimate-tier executor (tests). Jobs and
-	// sweep points submitted with "fidelity": "sampled" or "analytic" go
-	// through it; everything else goes through Run.
-	RunTier TierRunFunc
 	// FastWorkers is the size of the dedicated pool draining the
 	// fast lane — the queue analytic jobs are admitted to, so a
 	// sub-second estimate is never stuck behind queued cycle-accurate
@@ -164,12 +159,7 @@ func (o Options) norm() Options {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	if o.Run == nil {
-		o.Run = system.RunWorkloadContext
-	}
-	if o.RunTier == nil {
-		o.RunTier = func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-			return fidelity.Run(ctx, fidelity.Tier(tier), cfg, benchmarks)
-		}
+		o.Run = fidelity.Run
 	}
 	if o.FastWorkers <= 0 {
 		o.FastWorkers = 1
@@ -206,8 +196,8 @@ type job struct {
 	cfg        config.Config
 	benchmarks []string
 	// fidelity is the job's simulation tier: "" (cycle-accurate),
-	// "sampled" or "analytic". Estimate tiers run through
-	// Options.RunTier and cannot be paused, traced or checkpointed.
+	// "sampled" or "analytic". Estimate-tier jobs cannot be paused,
+	// traced or checkpointed.
 	fidelity  string
 	submitted time.Time
 	// retries is the client-requested transient-failure retry budget,
@@ -462,10 +452,42 @@ func (s *Server) runSim(ctx context.Context, j *job) (res system.Results, err er
 	j.mu.Lock()
 	j.attempts++
 	j.mu.Unlock()
+	return s.opts.Run(ctx, fidelity.Tier(j.fidelity), j.cfg, j.benchmarks, j.runOptions())
+}
+
+// runOptions returns the engine options a job's simulation runs under.
+// Estimate-tier jobs get none: pause, checkpoint and trace are refused for
+// them at submission, and fidelity.Run refuses an armed checkpoint or
+// restore for them besides.
+func (j *job) runOptions() system.Options {
 	if j.fidelity != "" {
-		return s.opts.RunTier(ctx, j.fidelity, j.cfg, j.benchmarks)
+		return system.Options{}
 	}
-	return s.opts.Run(ctx, j.cfg, j.benchmarks)
+	opts := system.Options{
+		// Arm the pause trigger: when fired, the simulator snapshots itself
+		// at the next cycle boundary, hands the bytes here, and ends the run
+		// with ErrPaused. The checkpoint is stored before finish() runs, so
+		// the artifact is available the moment the job reports "paused".
+		Checkpoint: &system.CheckpointSpec{
+			Trigger: j.pauseTrig,
+			OnCheckpoint: func(cp system.Checkpoint) error {
+				j.mu.Lock()
+				j.checkpoint = append([]byte(nil), cp.Data...)
+				j.mu.Unlock()
+				return nil
+			},
+		},
+	}
+	if j.restore != nil {
+		opts.Restore = &system.RestoreSpec{Data: j.restore}
+	}
+	// Traced jobs publish their epoch series live: the hub sink rides the
+	// recorder's epoch-flush seam, so untraced jobs pay nothing and traced
+	// ones pay one publish per 1024-cycle measurement boundary.
+	if j.cfg.Trace.Enabled && j.stream != nil {
+		opts.EpochSink = telemetry.NewJobSink(j.stream)
+	}
+	return opts
 }
 
 // runJob executes one job — retrying transient failures up to the job's
@@ -485,36 +507,6 @@ func (s *Server) runJob(j *job) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
 		defer cancel()
-	}
-	// Estimate-tier jobs skip the cycle-accurate context plumbing: the
-	// sampled tier drives the machine through its own stepping API (an
-	// armed checkpoint spec would corrupt its window surgery) and the
-	// analytic tier has no machine at all. Pause, checkpoint and trace
-	// are rejected for these jobs at submission.
-	if j.fidelity == "" {
-		// Arm the pause trigger: when fired, the simulator snapshots itself at
-		// the next cycle boundary, hands the bytes here, and ends the run with
-		// ErrPaused. The checkpoint is stored before finish() runs, so the
-		// artifact is available the moment the job reports "paused". A RunFunc
-		// that ignores the context (test fakes) simply never pauses.
-		ctx = system.WithCheckpoint(ctx, system.CheckpointSpec{
-			Trigger: j.pauseTrig,
-			OnCheckpoint: func(cp system.Checkpoint) error {
-				j.mu.Lock()
-				j.checkpoint = append([]byte(nil), cp.Data...)
-				j.mu.Unlock()
-				return nil
-			},
-		})
-		if j.restore != nil {
-			ctx = system.WithRestore(ctx, system.RestoreSpec{Data: j.restore})
-		}
-		// Traced jobs publish their epoch series live: the hub sink rides the
-		// recorder's epoch-flush seam, so untraced jobs pay nothing and traced
-		// ones pay one publish per 1024-cycle measurement boundary.
-		if j.cfg.Trace.Enabled && j.stream != nil {
-			ctx = system.WithEpochSink(ctx, telemetry.NewJobSink(j.stream))
-		}
 	}
 	start := time.Now()
 	var (

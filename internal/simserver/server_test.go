@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/system"
 )
 
@@ -23,7 +24,7 @@ import (
 // (if non-nil), then blocks until release is closed or the context is
 // cancelled. calls counts invocations.
 func fakeRun(calls *atomic.Int64, started chan<- struct{}, release <-chan struct{}) RunFunc {
-	return func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+	return func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 		calls.Add(1)
 		if started != nil {
 			started <- struct{}{}
@@ -34,6 +35,17 @@ func fakeRun(calls *atomic.Int64, started chan<- struct{}, release <-chan struct
 		case <-ctx.Done():
 			return system.Results{}, ctx.Err()
 		}
+	}
+}
+
+// instantEstimates wraps a cycle-accurate fake so that sampled and analytic
+// runs return at once without reaching it.
+func instantEstimates(run RunFunc) RunFunc {
+	return func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
+		if tier != "" {
+			return system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}, nil
+		}
+		return run(ctx, tier, cfg, benchmarks, opts)
 	}
 }
 
@@ -114,10 +126,7 @@ func TestAnalyticFastLaneBypassesQueue(t *testing.T) {
 	defer close(release)
 	_, ts := newTestServer(t, Options{
 		Workers: 1,
-		Run:     fakeRun(&calls, started, release),
-		RunTier: func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-			return system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}, nil
-		},
+		Run:     instantEstimates(fakeRun(&calls, started, release)),
 	})
 
 	if code, _, _ := postJob(t, ts, `{"benchmarks": ["swim"], "seed": 1}`); code != http.StatusAccepted {
@@ -224,10 +233,7 @@ func TestKeyCanonical(t *testing.T) {
 	close(release)
 	_, ts := newTestServer(t, Options{
 		Workers: 1,
-		Run:     fakeRun(&calls, nil, release),
-		RunTier: func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-			return system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}, nil
-		},
+		Run:     instantEstimates(fakeRun(&calls, nil, release)),
 	})
 	key := func(body string) string {
 		t.Helper()
@@ -593,7 +599,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestFailedJob(t *testing.T) {
 	s, ts := newTestServer(t, Options{
 		Workers: 1,
-		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 			return system.Results{}, fmt.Errorf("model exploded")
 		},
 	})
@@ -649,7 +655,7 @@ func TestPresets(t *testing.T) {
 // throughput (sim cycles / wall second) and feeds the sim_cycles_total
 // counter; unfinished and failed jobs report none.
 func TestJobThroughputReporting(t *testing.T) {
-	run := func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+	run := func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 		time.Sleep(5 * time.Millisecond) // guarantee a measurable wall time
 		return system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), Cycles: 2_000_000}, nil
 	}

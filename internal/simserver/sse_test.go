@@ -17,6 +17,7 @@ import (
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/memtrace"
 	"fbdsim/internal/system"
 	"fbdsim/internal/telemetry"
@@ -124,16 +125,16 @@ func (r *sseReader) collect(t *testing.T) []sseFrame {
 // sinkRun returns a RunFunc that honors the epoch-sink seam the way the
 // real system does: when the config enables tracing it drives a genuine
 // memtrace.Recorder — one warmup epoch, a measurement reset, three full
-// epochs and a trailing partial one — with the context's sink attached, so
+// epochs and a trailing partial one — with the run's EpochSink attached, so
 // the hub sees exactly the rows the final Summary retains.
 func sinkRun() RunFunc {
-	return func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+	return func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 		res := system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}
 		if !cfg.Trace.Enabled {
 			return res, nil
 		}
 		rec := memtrace.New(memtrace.Config{})
-		rec.SetSink(system.EpochSinkFrom(ctx))
+		rec.SetSink(opts.EpochSink)
 		ev := func(id int64, at clock.Time) memtrace.Event {
 			return memtrace.Event{
 				ID: id, Created: at, Arrived: at + clock.Nanosecond,
@@ -171,7 +172,7 @@ func sinkRun() RunFunc {
 // burstRun publishes n epochs through the seam after release, for tests
 // that need volume rather than shape.
 func burstRun(n int, started chan<- struct{}, release <-chan struct{}) RunFunc {
-	return func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+	return func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 		if started != nil {
 			started <- struct{}{}
 		}
@@ -183,7 +184,7 @@ func burstRun(n int, started chan<- struct{}, release <-chan struct{}) RunFunc {
 		res := system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}
 		if cfg.Trace.Enabled {
 			rec := memtrace.New(memtrace.Config{MaxEpochs: n + 1})
-			rec.SetSink(system.EpochSinkFrom(ctx))
+			rec.SetSink(opts.EpochSink)
 			var g memtrace.Gauges
 			now := clock.Time(0)
 			for i := 0; i < n; i++ {
@@ -722,7 +723,7 @@ func openSSERaw(t *testing.T, url, lastEventID string) *http.Response {
 }
 
 // instantRun completes immediately with fixed results.
-func instantRun(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+func instantRun(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 	return system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}, nil
 }
 

@@ -258,11 +258,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
-	eng, err := sweep.New(spec, sweep.Options{
-		Run:     sweep.RunFunc(s.opts.Run),
-		RunTier: sweep.TierRunFunc(s.opts.RunTier),
-		Cache:   s.cache,
-	})
+	eng, err := sweep.New(spec, sweep.Options{Run: s.opts.Run, Cache: s.cache})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return

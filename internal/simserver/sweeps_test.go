@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
 )
@@ -293,7 +294,7 @@ func TestSweepSharedCacheAcrossSweeps(t *testing.T) {
 func TestSweepPointFailuresReported(t *testing.T) {
 	_, ts := newTestServer(t, Options{
 		Workers: 1,
-		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 			if benchmarks[0] == "applu" {
 				return system.Results{}, fmt.Errorf("model exploded")
 			}

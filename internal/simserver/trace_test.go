@@ -9,6 +9,7 @@ import (
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/memtrace"
 	"fbdsim/internal/system"
 )
@@ -16,7 +17,7 @@ import (
 // tracedRun returns a RunFunc whose Results carry a small memtrace summary
 // when (and only when) the submitted config enables tracing.
 func tracedRun() RunFunc {
-	return func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+	return func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 		res := system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}
 		if cfg.Trace.Enabled {
 			rec := memtrace.New(memtrace.Config{})
@@ -79,7 +80,7 @@ func TestTraceArtifacts(t *testing.T) {
 func TestTraceArtifactErrors(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	_, ts := newTestServer(t, Options{Workers: 1, Run: func(ctx context.Context, cfg config.Config, b []string) (system.Results, error) {
+	_, ts := newTestServer(t, Options{Workers: 1, Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, b []string, opts system.Options) (system.Results, error) {
 		started <- struct{}{}
 		select {
 		case <-release:

@@ -35,10 +35,12 @@ import (
 	"fbdsim/internal/workload"
 )
 
-// RunFunc executes one simulation. The default is the real simulator
-// (system.RunWorkloadContext); tests and embedding servers substitute fakes
-// or instrumented wrappers.
-type RunFunc func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error)
+// RunFunc executes one simulation at a fidelity tier ("" is
+// cycle-accurate) under the engine's per-run options. The default is the
+// real simulator, fidelity.Run; tests and embedding servers substitute
+// fakes or instrumented wrappers. A wrapper around the real simulator must
+// forward opts: the shared-warmup checkpoint and restore travel in them.
+type RunFunc func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error)
 
 // NamedConfig is one configuration dimension value of a sweep grid.
 type NamedConfig struct {
@@ -289,19 +291,11 @@ type Progress struct {
 	Warmups int `json:"warmups"`
 }
 
-// TierRunFunc executes one estimate-tier simulation (tier is "sampled" or
-// "analytic"). The default is fidelity.Run.
-type TierRunFunc func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error)
-
 // Options carries the execution dependencies a Spec deliberately excludes.
 type Options struct {
 	// Run overrides the simulation function (default: the real
-	// simulator, system.RunWorkloadContext).
+	// simulator, fidelity.Run).
 	Run RunFunc
-	// RunTier overrides the executor of sampled/analytic points
-	// (default: fidelity.Run). Cycle-accurate points always go through
-	// Run.
-	RunTier TierRunFunc
 	// Cache is a shared single-flight result cache; nil builds a
 	// private unbounded one. Sharing the serving cache lets sweep
 	// points and job submissions deduplicate against each other.
@@ -311,11 +305,10 @@ type Options struct {
 // Engine executes one sweep spec. Build with New, start with Start, watch
 // with Progress.
 type Engine struct {
-	spec    Spec
-	run     RunFunc
-	runTier TierRunFunc
-	cache   *Cache
-	defs    []PointDef
+	spec  Spec
+	run   RunFunc
+	cache *Cache
+	defs  []PointDef
 
 	completed atomic.Int64
 	failed    atomic.Int64
@@ -336,13 +329,7 @@ func New(spec Spec, opts Options) (*Engine, error) {
 	}
 	run := opts.Run
 	if run == nil {
-		run = system.RunWorkloadContext
-	}
-	runTier := opts.RunTier
-	if runTier == nil {
-		runTier = func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-			return fidelity.Run(ctx, fidelity.Tier(tier), cfg, benchmarks)
-		}
+		run = fidelity.Run
 	}
 	cache := opts.Cache
 	if cache == nil {
@@ -351,7 +338,6 @@ func New(spec Spec, opts Options) (*Engine, error) {
 	return &Engine{
 		spec:       spec,
 		run:        run,
-		runTier:    runTier,
 		cache:      cache,
 		defs:       spec.Points(),
 		warmGroups: make(map[string]*warmupGroup),

@@ -14,6 +14,7 @@ import (
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/stats"
 	"fbdsim/internal/system"
 	"fbdsim/internal/workload"
@@ -22,7 +23,7 @@ import (
 // fakeRun is a deterministic stand-in simulator: results are a pure
 // function of (config, benchmarks), including a populated latency
 // histogram, so bit-identity assertions exercise the full Results shape.
-func fakeRun(_ context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+func fakeRun(_ context.Context, _ fidelity.Tier, cfg config.Config, benchmarks []string, _ system.Options) (system.Results, error) {
 	h := &stats.Histogram{}
 	mix := cfg.Seed*31 + cfg.MaxInsts + int64(len(benchmarks))*7
 	for i := int64(1); i <= 64; i++ {
@@ -201,9 +202,9 @@ func TestSingleFlightAcrossPoints(t *testing.T) {
 		Parallel:    1,
 	}
 	var runs atomic.Int64
-	eng, err := New(s, Options{Run: func(ctx context.Context, cfg config.Config, b []string) (system.Results, error) {
+	eng, err := New(s, Options{Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, b []string, opts system.Options) (system.Results, error) {
 		runs.Add(1)
-		return fakeRun(ctx, cfg, b)
+		return fakeRun(ctx, tier, cfg, b, opts)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +229,7 @@ func TestParallelBound(t *testing.T) {
 	s := testSpec(4, 2)
 	s.Parallel = 2
 	var cur, peak atomic.Int64
-	eng, err := New(s, Options{Run: func(ctx context.Context, cfg config.Config, b []string) (system.Results, error) {
+	eng, err := New(s, Options{Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, b []string, opts system.Options) (system.Results, error) {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -237,7 +238,7 @@ func TestParallelBound(t *testing.T) {
 			}
 		}
 		defer cur.Add(-1)
-		return fakeRun(ctx, cfg, b)
+		return fakeRun(ctx, tier, cfg, b, opts)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -254,11 +255,11 @@ func TestErrorPointsEmittedNotJournaled(t *testing.T) {
 	s := testSpec(1, 2)
 	s.Journal = filepath.Join(dir, "j.ndjson")
 	boom := errors.New("bank exploded")
-	eng, err := New(s, Options{Run: func(ctx context.Context, cfg config.Config, b []string) (system.Results, error) {
+	eng, err := New(s, Options{Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, b []string, opts system.Options) (system.Results, error) {
 		if len(b) == 2 { // wl-1 has two benchmarks
 			return system.Results{}, boom
 		}
-		return fakeRun(ctx, cfg, b)
+		return fakeRun(ctx, tier, cfg, b, opts)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -337,8 +338,8 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 			// by TestJournalTruncatedTail).
 			ctx, cancel := context.WithCancel(context.Background())
 			var done atomic.Int64
-			killed, err := New(s, Options{Run: func(c context.Context, cfg config.Config, b []string) (system.Results, error) {
-				res, err := fakeRun(c, cfg, b)
+			killed, err := New(s, Options{Run: func(c context.Context, tier fidelity.Tier, cfg config.Config, b []string, opts system.Options) (system.Results, error) {
+				res, err := fakeRun(c, tier, cfg, b, opts)
 				if done.Add(1) >= int64(killAfter) {
 					cancel()
 				}
@@ -462,7 +463,7 @@ func TestCancelBeforeStartEmitsNothingFresh(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var runs atomic.Int64
-	eng, err := New(testSpec(2, 2), Options{Run: func(c context.Context, cfg config.Config, b []string) (system.Results, error) {
+	eng, err := New(testSpec(2, 2), Options{Run: func(c context.Context, tier fidelity.Tier, cfg config.Config, b []string, opts system.Options) (system.Results, error) {
 		runs.Add(1)
 		return system.Results{}, c.Err()
 	}})
@@ -489,7 +490,7 @@ func TestCanonicalizeIsIdentityOnRealRun(t *testing.T) {
 	cfg.MaxInsts = 5_000
 	cfg.WarmupInsts = 1_000
 	cfg.CPU.Cores = 1
-	res, err := system.RunWorkloadContext(context.Background(), cfg, []string{"swim"})
+	res, err := system.RunWorkload(context.Background(), cfg, []string{"swim"}, system.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

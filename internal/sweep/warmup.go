@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/system"
 )
 
@@ -50,11 +51,19 @@ func (g *warmupGroup) publish(data []byte) {
 	})
 }
 
+// detailedWarmup reports whether def simulates a warmup phase in detail:
+// a cycle-accurate point with a warmup budget. The estimate tiers manage
+// their own warmup (sampled: functional warming; analytic: a memoized
+// probe), so they have none to count or share.
+func (def PointDef) detailedWarmup() bool {
+	return def.Fidelity == "" && def.Cfg.WarmupInsts > 0
+}
+
 // warmupGroupFor returns def's rendezvous and whether this caller is its
 // leader. Returns nil when warmup sharing is off or the point has no warmup
 // phase to share.
 func (e *Engine) warmupGroupFor(def PointDef) (g *warmupGroup, leader bool) {
-	if !e.spec.ShareWarmup || def.Cfg.WarmupInsts <= 0 {
+	if !e.spec.ShareWarmup || !def.detailedWarmup() {
 		return nil, false
 	}
 	key := WarmupKey(def.Cfg, def.Benchmarks)
@@ -69,23 +78,19 @@ func (e *Engine) warmupGroupFor(def PointDef) (g *warmupGroup, leader bool) {
 }
 
 // runShard executes one grid point's simulation, sharing warmup state across
-// the point's warmup group when the spec enables it. The context plumbing is
-// advisory: a RunFunc that ignores the checkpoint/restore specs (fakes,
-// instrumented wrappers) degrades to plain runs with no correctness impact.
+// the point's warmup group when the spec enables it. The sharing rides on
+// the run's engine options: a RunFunc that drops the checkpoint and restore
+// specs (fakes, instrumented wrappers) degrades to plain runs with no
+// correctness impact.
 func (e *Engine) runShard(ctx context.Context, def PointDef) (system.Results, error) {
-	// Estimate tiers manage their own warmup (sampled: functional
-	// warming; analytic: a memoized probe) and bypass the
-	// warmup-sharing machinery entirely.
-	if def.Fidelity != "" {
-		return e.runTier(ctx, def.Fidelity, def.Cfg, def.Benchmarks)
-	}
+	tier := fidelity.Tier(def.Fidelity)
 	g, leader := e.warmupGroupFor(def)
 	switch {
 	case g == nil:
-		if def.Cfg.WarmupInsts > 0 {
+		if def.detailedWarmup() {
 			e.warmups.Add(1)
 		}
-		return e.run(ctx, def.Cfg, def.Benchmarks)
+		return e.run(ctx, tier, def.Cfg, def.Benchmarks, system.Options{})
 
 	case leader:
 		// Leader: warm up from cycle zero, snapshotting the machine at the
@@ -95,15 +100,14 @@ func (e *Engine) runShard(ctx context.Context, def PointDef) (system.Results, er
 		key := WarmupKey(def.Cfg, def.Benchmarks)
 		e.warmups.Add(1)
 		defer g.publish(nil)
-		ctx := system.WithCheckpoint(ctx, system.CheckpointSpec{
+		return e.run(ctx, tier, def.Cfg, def.Benchmarks, system.Options{Checkpoint: &system.CheckpointSpec{
 			AtWarm:      true,
 			Fingerprint: key,
 			OnCheckpoint: func(cp system.Checkpoint) error {
 				g.publish(cp.Data)
 				return nil
 			},
-		})
-		return e.run(ctx, def.Cfg, def.Benchmarks)
+		}})
 
 	default:
 		// Follower: wait for the leader's warm snapshot, then run the
@@ -116,10 +120,9 @@ func (e *Engine) runShard(ctx context.Context, def PointDef) (system.Results, er
 		if g.data == nil {
 			// The leader produced no snapshot; warm up independently.
 			e.warmups.Add(1)
-			return e.run(ctx, def.Cfg, def.Benchmarks)
+			return e.run(ctx, tier, def.Cfg, def.Benchmarks, system.Options{})
 		}
 		key := WarmupKey(def.Cfg, def.Benchmarks)
-		ctx := system.WithRestore(ctx, system.RestoreSpec{Data: g.data, Fingerprint: key})
-		return e.run(ctx, def.Cfg, def.Benchmarks)
+		return e.run(ctx, tier, def.Cfg, def.Benchmarks, system.Options{Restore: &system.RestoreSpec{Data: g.data, Fingerprint: key}})
 	}
 }

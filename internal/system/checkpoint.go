@@ -11,7 +11,6 @@
 package system
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 
@@ -23,7 +22,7 @@ import (
 	"fbdsim/internal/stats"
 )
 
-// ErrPaused is returned by RunContext when a checkpoint Trigger fired: the
+// ErrPaused is returned by RunWorkload when a checkpoint Trigger fired: the
 // machine state was delivered to the spec's OnCheckpoint sink and the run
 // stopped at that boundary. It is a clean outcome, not a failure — resubmit
 // the checkpoint to continue.
@@ -76,38 +75,12 @@ type CheckpointSpec struct {
 	OnCheckpoint func(Checkpoint) error
 }
 
-type checkpointCtxKey struct{}
-
-// WithCheckpoint returns a context that arms checkpoint capture for
-// RunContext calls under it.
-func WithCheckpoint(ctx context.Context, spec CheckpointSpec) context.Context {
-	return context.WithValue(ctx, checkpointCtxKey{}, &spec)
-}
-
-func checkpointFromContext(ctx context.Context) *CheckpointSpec {
-	spec, _ := ctx.Value(checkpointCtxKey{}).(*CheckpointSpec)
-	return spec
-}
-
 // RestoreSpec names a snapshot to restore before running. Fingerprint, when
 // non-empty, overrides the identity the snapshot is validated against (the
 // sweep engine passes the warmup group key).
 type RestoreSpec struct {
 	Data        []byte
 	Fingerprint string
-}
-
-type restoreCtxKey struct{}
-
-// WithRestore returns a context under which RunWorkloadContext restores the
-// given snapshot into the freshly built System before running it.
-func WithRestore(ctx context.Context, spec RestoreSpec) context.Context {
-	return context.WithValue(ctx, restoreCtxKey{}, &spec)
-}
-
-func restoreFromContext(ctx context.Context) *RestoreSpec {
-	spec, _ := ctx.Value(restoreCtxKey{}).(*RestoreSpec)
-	return spec
 }
 
 // Fingerprint returns the config+workload identity hash of this machine —
@@ -272,8 +245,7 @@ func (s *System) RestoreSnapshot(data []byte, fingerprint string) error {
 	// tmp is self-consistent (cores point at tmp.hier, which points at
 	// tmp.ctrl), so swapping the roots is a complete state transplant.
 	s.ctrl, s.hier, s.cores = tmp.ctrl, tmp.hier, tmp.cores
-	s.resumeCycle, s.resumeWarm = cycle, warm
-	s.lastCycle = cycle
+	s.cycle, s.resumeWarm = cycle, warm
 	return nil
 }
 

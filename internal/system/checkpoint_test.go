@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/memtrace"
 	"fbdsim/internal/snapshot"
 )
 
@@ -20,7 +21,7 @@ func checkpointAt(t *testing.T, cfg config.Config, benchmarks []string, atCycle 
 	t.Helper()
 	var data []byte
 	var cpCycle int64
-	ctx := WithCheckpoint(context.Background(), CheckpointSpec{
+	opts := Options{Checkpoint: &CheckpointSpec{
 		AtCycle: atCycle,
 		AtWarm:  atWarm,
 		OnCheckpoint: func(cp Checkpoint) error {
@@ -28,8 +29,8 @@ func checkpointAt(t *testing.T, cfg config.Config, benchmarks []string, atCycle 
 			cpCycle = cp.Cycle
 			return nil
 		},
-	})
-	res, err := RunWorkloadContext(ctx, cfg, benchmarks)
+	}}
+	res, err := RunWorkload(context.Background(), cfg, benchmarks, opts)
 	if err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
@@ -96,7 +97,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 				cfg.Trace.Enabled = true
 				cfg.Trace.MaxEvents = 4096
 
-				base, err := RunWorkload(cfg, benchmarks)
+				base, err := RunWorkload(context.Background(), cfg, benchmarks, Options{})
 				if err != nil {
 					t.Fatalf("baseline run: %v", err)
 				}
@@ -147,7 +148,7 @@ func TestCheckpointTriggerPausesRun(t *testing.T) {
 	equivBudgets(&cfg)
 	benchmarks := []string{"swim"}
 
-	base, err := RunWorkload(cfg, benchmarks)
+	base, err := RunWorkload(context.Background(), cfg, benchmarks, Options{})
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
@@ -155,14 +156,14 @@ func TestCheckpointTriggerPausesRun(t *testing.T) {
 	trig := &Trigger{}
 	trig.Fire()
 	var data []byte
-	ctx := WithCheckpoint(context.Background(), CheckpointSpec{
+	opts := Options{Checkpoint: &CheckpointSpec{
 		Trigger: trig,
 		OnCheckpoint: func(cp Checkpoint) error {
 			data = append([]byte(nil), cp.Data...)
 			return nil
 		},
-	})
-	_, err = RunWorkloadContext(ctx, cfg, benchmarks)
+	}}
+	_, err = RunWorkload(context.Background(), cfg, benchmarks, opts)
 	if !errors.Is(err, ErrPaused) {
 		t.Fatalf("paused run returned %v, want ErrPaused", err)
 	}
@@ -170,7 +171,7 @@ func TestCheckpointTriggerPausesRun(t *testing.T) {
 		t.Fatalf("pause did not deliver a checkpoint")
 	}
 
-	got, err := RunWorkloadContext(WithRestore(context.Background(), RestoreSpec{Data: data}), cfg, benchmarks)
+	got, err := RunWorkload(context.Background(), cfg, benchmarks, Options{Restore: &RestoreSpec{Data: data}})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -196,7 +197,7 @@ func TestRestoreRejectsWrongMachine(t *testing.T) {
 	if err := s.RestoreSnapshot(data, ""); !errors.Is(err, snapshot.ErrFingerprint) {
 		t.Fatalf("restore into different machine returned %v, want ErrFingerprint", err)
 	}
-	want, err := RunWorkload(other, []string{"swim"})
+	want, err := RunWorkload(context.Background(), other, []string{"swim"}, Options{})
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -213,15 +214,15 @@ func TestRestoreRejectsWrongMachine(t *testing.T) {
 	groupKey := "shared-warmup-group"
 	_, data2, _ := func() (Results, []byte, int64) {
 		var d []byte
-		ctx := WithCheckpoint(context.Background(), CheckpointSpec{
+		opts := Options{Checkpoint: &CheckpointSpec{
 			AtWarm:      true,
 			Fingerprint: groupKey,
 			OnCheckpoint: func(cp Checkpoint) error {
 				d = append([]byte(nil), cp.Data...)
 				return nil
 			},
-		})
-		r, err := RunWorkloadContext(ctx, cfg, []string{"swim"})
+		}}
+		r, err := RunWorkload(context.Background(), cfg, []string{"swim"}, opts)
 		if err != nil {
 			t.Fatalf("group-key run: %v", err)
 		}
@@ -289,7 +290,7 @@ func TestRestoreCorruptPayloadLeavesMachineUntouched(t *testing.T) {
 	if err := s.RestoreSnapshot(bad, ""); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("corrupt payload: got %v, want ErrCorrupt", err)
 	}
-	want, err := RunWorkload(cfg, []string{"swim"})
+	want, err := RunWorkload(context.Background(), cfg, []string{"swim"}, Options{})
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -299,5 +300,28 @@ func TestRestoreCorruptPayloadLeavesMachineUntouched(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("rejected restore left the machine perturbed")
+	}
+}
+
+// countingSink counts the epoch rows a run delivers live.
+type countingSink struct{ epochs int }
+
+func (c *countingSink) EpochSample(memtrace.Epoch) { c.epochs++ }
+func (c *countingSink) WindowReset()               {}
+
+// TestRestoredRunStreamsEpochs: a run resumed from a checkpoint delivers
+// its epoch rows to Options.EpochSink — the sink reaches the restored
+// machine's recorder, not the one the restore replaced.
+func TestRestoredRunStreamsEpochs(t *testing.T) {
+	cfg := traceTestConfig(config.WithAMBPrefetch(config.Default()), 1)
+	_, data, _ := checkpointAt(t, cfg, []string{"swim"}, 0, true)
+	sink := &countingSink{}
+	res, err := RunWorkload(context.Background(), cfg, []string{"swim"},
+		Options{Restore: &RestoreSpec{Data: data}, EpochSink: sink})
+	if err != nil {
+		t.Fatalf("restored run: %v", err)
+	}
+	if n := len(res.Trace.Epochs); sink.epochs == 0 || sink.epochs != n {
+		t.Fatalf("sink received %d epoch rows, trace summary retains %d", sink.epochs, n)
 	}
 }

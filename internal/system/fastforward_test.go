@@ -165,7 +165,7 @@ func TestProgressBoundScalesWithConfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	plain := s.progressBound()
+	plain := s.progressBound(cfg.WarmupInsts + cfg.MaxInsts)
 	if min := (cfg.WarmupInsts+cfg.MaxInsts)*500 + 1_000_000; plain < min {
 		t.Fatalf("progressBound %d below reference floor %d", plain, min)
 	}
@@ -175,7 +175,7 @@ func TestProgressBoundScalesWithConfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if withFault := sf.progressBound(); withFault <= plain {
+	if withFault := sf.progressBound(cfg.WarmupInsts + cfg.MaxInsts); withFault <= plain {
 		t.Fatalf("progressBound with fault retries %d, want > %d (retry delay must widen the bound)", withFault, plain)
 	}
 }

@@ -84,24 +84,20 @@ func maxOf64(xs []int64) int64 {
 // return to steady state), then a measured window that ends when any core
 // commits measure instructions past the settling boundary. It returns the
 // window's Results; the machine stays live at the final cycle boundary, so
-// further FunctionalAdvance/StepWindow calls continue seamlessly.
-//
-// StepWindow repurposes the System's budget fields, so a stepped System
-// must not be reused for ordinary Run calls or checkpointing.
+// further FunctionalAdvance/StepWindow calls continue seamlessly. The
+// window is the run's own: the System's configuration, and with it its
+// Fingerprint, stays as built.
 func (s *System) StepWindow(ctx context.Context, ramp, measure int64) (Results, error) {
-	if ramp < 0 {
-		ramp = 0
-	}
-	if measure < 1 {
-		measure = 1
-	}
-	s.resumeCycle = s.lastCycle
-	s.resumeWarm = nil
-	// WarmupInsts is an absolute committed-count threshold in the run
-	// loops; anchor it at the current stream position.
-	s.cfg.WarmupInsts = s.minCommitted() + ramp
-	s.cfg.MaxInsts = measure
-	return s.RunContext(ctx)
+	return s.run(ctx, Options{}, s.stepWindow(ramp, measure))
+}
+
+// stepWindow is StepWindow's window. The warm-at threshold is absolute in
+// the run loops, so it is anchored at the current stream position; the
+// wedge guard is sized from the window's own instructions.
+func (s *System) stepWindow(ramp, measure int64) window {
+	ramp = max(ramp, 0)
+	measure = max(measure, 1)
+	return window{warmAt: s.minCommitted() + ramp, measure: measure, budget: ramp + measure}
 }
 
 // Committed reports the per-core cumulative committed-instruction counts —
@@ -110,4 +106,4 @@ func (s *System) Committed() []int64 { return s.committedNow() }
 
 // Cycle reports the boundary cycle the machine is parked at (the resume
 // point of the next StepWindow).
-func (s *System) Cycle() int64 { return s.lastCycle }
+func (s *System) Cycle() int64 { return s.cycle }

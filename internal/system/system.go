@@ -167,16 +167,13 @@ type System struct {
 	// hatch and as the oracle for the equivalence property tests.
 	refLoop bool
 
-	// resumeCycle / resumeWarm are set by RestoreSnapshot: the boundary
-	// cycle the loops resume from and the restored warmup baseline (nil if
-	// the checkpoint predates warmup).
-	resumeCycle int64
-	resumeWarm  *warmSnapshot
-
-	// lastCycle is the boundary cycle at which the last completed run
-	// returned its Results — the resume point for windowed stepping
-	// (StepWindow).
-	lastCycle int64
+	// cycle is the boundary cycle the machine is parked at and the next
+	// run resumes from: 0 when built, the checkpoint's cycle after
+	// RestoreSnapshot, the final boundary after a completed run.
+	cycle int64
+	// resumeWarm is the warmup baseline RestoreSnapshot restored (nil if
+	// the checkpoint predates warmup); the next run consumes it.
+	resumeWarm *warmSnapshot
 }
 
 // New builds a system running one benchmark per core. The Config's
@@ -240,8 +237,8 @@ func (s *System) Run() (Results, error) {
 }
 
 // SetReferenceLoop selects (true) or deselects (false) the tick-every-cycle
-// reference loop for subsequent Run/RunContext calls. It exists for the
-// equivalence property tests; production callers use SIM_REFERENCE_LOOP.
+// reference loop for subsequent runs. It exists for the equivalence
+// property tests; production callers use SIM_REFERENCE_LOOP.
 func (s *System) SetReferenceLoop(ref bool) { s.refLoop = ref }
 
 // checkInterval is the cycle batch between boundary checks (cancellation,
@@ -261,24 +258,121 @@ const checkInterval = int64(1024)
 // DESIGN.md §9 for the quiescence contract each component provides). Set
 // SIM_REFERENCE_LOOP=1 to force the reference loop.
 func (s *System) RunContext(ctx context.Context) (Results, error) {
-	if s.refLoop {
-		return s.runReference(ctx)
+	return s.run(ctx, Options{}, s.fullWindow())
+}
+
+// window is the instruction span one run measures. The measurement opens
+// at the first boundary where every core has committed warmAt instructions
+// and closes at the first boundary where some core has committed measure
+// more. budget, the instructions per core the run may take to get there,
+// sizes the wedge guard.
+type window struct {
+	warmAt, measure, budget int64
+}
+
+// fullWindow is an ordinary run's window: the configured warmup, then the
+// configured measurement budget.
+func (s *System) fullWindow() window {
+	return window{
+		warmAt:  s.cfg.WarmupInsts,
+		measure: s.cfg.MaxInsts,
+		budget:  s.cfg.WarmupInsts + s.cfg.MaxInsts,
 	}
-	return s.runFast(ctx)
+}
+
+// runState is one run's state, shared by both loops: the caller's options
+// and window, the wedge guard derived from them, and what the run has
+// reached so far.
+type runState struct {
+	ctx  context.Context
+	done <-chan struct{}
+	opts Options
+	win  window
+	// maxCycles is the wedge guard: a run still going past it has stopped
+	// making progress.
+	maxCycles int64
+	// warm is the measurement baseline, nil until the window opens.
+	warm *warmSnapshot
+	cp   checkpointState
+}
+
+// run executes one run of the machine from its parked cycle over window w.
+func (s *System) run(ctx context.Context, opts Options, w window) (Results, error) {
+	r := &runState{
+		ctx:       ctx,
+		done:      ctx.Done(),
+		opts:      opts,
+		win:       w,
+		maxCycles: s.progressBound(w.budget),
+		warm:      s.resumeWarm,
+	}
+	s.resumeWarm = nil
+	if s.refLoop {
+		return s.runReference(r)
+	}
+	return s.runFast(r)
+}
+
+// cancelled reports whether the run's context has ended.
+func (r *runState) cancelled() bool {
+	if r.done == nil {
+		return false
+	}
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// windowEdge reports whether the current committed counts open the
+// measured window (before warmup) or close it (after).
+func (s *System) windowEdge(r *runState) bool {
+	if r.warm == nil {
+		return s.minCommitted() >= r.win.warmAt
+	}
+	return s.maxDelta(r.warm) >= r.win.measure
+}
+
+// boundary runs the checks both loops make at every boundary cycle, in
+// order: cancellation, the progress report, opening or closing the
+// measured window, checkpoint triggers and the wedge guard. stop reports
+// that the run ends here with res and err.
+func (s *System) boundary(r *runState, cycle int64) (res Results, stop bool, err error) {
+	if r.cancelled() {
+		return Results{}, true, r.ctx.Err()
+	}
+	if r.opts.Progress != nil {
+		r.opts.Progress(Progress{Cycle: cycle, Committed: s.minCommitted(), Warm: r.warm != nil})
+	}
+	justWarmed := false
+	if s.windowEdge(r) {
+		if r.warm != nil {
+			return s.results(r.warm, cycle), true, nil
+		}
+		snap := s.snapshot(cycle)
+		r.warm, justWarmed = &snap, true
+		// Restart the trace window so the recorder covers exactly the
+		// measured interval (no-op when tracing is off).
+		s.ctrl.ResetTraceMeasurement(clock.Time(cycle) * clock.CPUCycle)
+	}
+	if r.opts.Checkpoint != nil {
+		if err := s.maybeCheckpoint(r.opts.Checkpoint, &r.cp, cycle, r.warm, justWarmed); err != nil {
+			return Results{}, true, err
+		}
+	}
+	if cycle > r.maxCycles {
+		return Results{}, true, s.wedgedError(cycle, r.maxCycles)
+	}
+	return Results{}, false, nil
 }
 
 // runReference is the naive loop: every component ticks every CPU cycle.
 // It is the behavioural oracle the fast loop is tested against, and the
 // escape hatch if a model change ever violates a quiescence contract.
-func (s *System) runReference(ctx context.Context) (Results, error) {
-	cycle := s.resumeCycle
-	warm := s.resumeWarm
-	cp := checkpointFromContext(ctx)
-	var cpSt checkpointState
-	done := ctx.Done()
-	progress := progressFromContext(ctx)
-	maxCycles := s.progressBound()
-
+func (s *System) runReference(r *runState) (Results, error) {
+	cycle := s.cycle
 	for {
 		now := clock.Time(cycle) * clock.CPUCycle
 		if cycle%s.ratio == 0 {
@@ -293,36 +387,8 @@ func (s *System) runReference(ctx context.Context) (Results, error) {
 		if cycle%checkInterval != 0 {
 			continue
 		}
-		if done != nil {
-			select {
-			case <-done:
-				return Results{}, ctx.Err()
-			default:
-			}
-		}
-		if progress != nil {
-			progress(Progress{Cycle: cycle, Committed: s.minCommitted(), Warm: warm != nil})
-		}
-		justWarmed := false
-		if warm == nil {
-			if s.minCommitted() >= s.cfg.WarmupInsts {
-				snap := s.snapshot(cycle)
-				warm = &snap
-				justWarmed = true
-				// Restart the trace window so the recorder covers exactly
-				// the measured interval (no-op when tracing is off).
-				s.ctrl.ResetTraceMeasurement(clock.Time(cycle) * clock.CPUCycle)
-			}
-		} else if s.maxDelta(warm) >= s.cfg.MaxInsts {
-			return s.results(warm, cycle), nil
-		}
-		if cp != nil {
-			if err := s.maybeCheckpoint(cp, &cpSt, cycle, warm, justWarmed); err != nil {
-				return Results{}, err
-			}
-		}
-		if cycle > maxCycles {
-			return Results{}, s.wedgedError(cycle, maxCycles)
+		if res, stop, err := s.boundary(r, cycle); stop {
+			return res, err
 		}
 	}
 }
@@ -338,17 +404,11 @@ func (s *System) runReference(ctx context.Context) (Results, error) {
 // produce bit-identical Results. The only per-skipped-cycle effects the
 // reference loop has — stall accounting and the cache-statistics cost of
 // failed dispatch probes — are replayed in bulk.
-func (s *System) runFast(ctx context.Context) (Results, error) {
-	cycle := s.resumeCycle
-	warm := s.resumeWarm
-	cp := checkpointFromContext(ctx)
-	var cpSt checkpointState
-	done := ctx.Done()
-	progress := progressFromContext(ctx)
-	maxCycles := s.progressBound()
+func (s *System) runFast(r *runState) (Results, error) {
+	cycle := s.cycle
 	// The reference loop errors out at the first check boundary past
 	// maxCycles; a fully wedged machine fast-forwards straight there.
-	errBoundary := (maxCycles/checkInterval + 1) * checkInterval
+	errBoundary := (r.maxCycles/checkInterval + 1) * checkInterval
 
 	// Restore-aware loop state: at a fresh start (cycle 0) these come out to
 	// checkInterval and 0; resuming from a checkpointed boundary X they come
@@ -366,34 +426,8 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 		// boundary and still perform its checks.
 		if cycle == nextCheck {
 			nextCheck += checkInterval
-			if done != nil {
-				select {
-				case <-done:
-					return Results{}, ctx.Err()
-				default:
-				}
-			}
-			if progress != nil {
-				progress(Progress{Cycle: cycle, Committed: s.minCommitted(), Warm: warm != nil})
-			}
-			justWarmed := false
-			if warm == nil {
-				if s.minCommitted() >= s.cfg.WarmupInsts {
-					snap := s.snapshot(cycle)
-					warm = &snap
-					justWarmed = true
-					s.ctrl.ResetTraceMeasurement(clock.Time(cycle) * clock.CPUCycle)
-				}
-			} else if s.maxDelta(warm) >= s.cfg.MaxInsts {
-				return s.results(warm, cycle), nil
-			}
-			if cp != nil {
-				if err := s.maybeCheckpoint(cp, &cpSt, cycle, warm, justWarmed); err != nil {
-					return Results{}, err
-				}
-			}
-			if cycle > maxCycles {
-				return Results{}, s.wedgedError(cycle, maxCycles)
+			if res, stop, err := s.boundary(r, cycle); stop {
+				return res, err
 			}
 		}
 
@@ -421,11 +455,7 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 		// counts are frozen while skipping, so armed-ness cannot change
 		// mid-skip, and the snapshot must land on the same boundary cycle
 		// the reference loop uses.
-		if warm == nil {
-			if target > nextCheck && s.minCommitted() >= s.cfg.WarmupInsts {
-				target = nextCheck
-			}
-		} else if target > nextCheck && s.maxDelta(warm) >= s.cfg.MaxInsts {
+		if target > nextCheck && s.windowEdge(r) {
 			target = nextCheck
 		}
 		if target > errBoundary {
@@ -437,12 +467,8 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 		// One cancellation check per skip preserves the reference loop's
 		// wall-clock cancellation latency: a skip costs O(cores) work, far
 		// less than the 1024 executed cycles between reference checks.
-		if done != nil {
-			select {
-			case <-done:
-				return Results{}, ctx.Err()
-			default:
-			}
+		if r.cancelled() {
+			return Results{}, r.ctx.Err()
 		}
 		skipped := target - cycle
 		for i, c := range s.cores {
@@ -488,15 +514,16 @@ func (s *System) nextEventCycle(cycle, nextTick int64) int64 {
 	return next
 }
 
-// progressBound derives the wedge-detection cycle limit from the
-// configuration (replacing a former magic budget*500+1e6 constant): the
-// instruction budget times a worst-case per-instruction cost — a demand
-// miss waiting behind a full transaction buffer of worst-case close-page
-// accesses, each inflated by the retry protocol when fault injection is
-// enabled — floored at the old 500 cycles/instruction, plus fixed slack
-// for warmup transients. It is deliberately generous; tripping it means a
-// model bug, not a slow workload.
-func (s *System) progressBound() int64 {
+// progressBound derives the wedge-detection cycle limit of a run that may
+// execute budget instructions per core from the configuration (replacing a
+// former magic budget*500+1e6 constant): the budget times a worst-case
+// per-instruction cost — a demand miss waiting behind a full transaction
+// buffer of worst-case close-page accesses, each inflated by the retry
+// protocol when fault injection is enabled — floored at the old 500
+// cycles/instruction, plus fixed slack for warmup transients. It is
+// deliberately generous; tripping it means a model bug, not a slow
+// workload.
+func (s *System) progressBound(budget int64) int64 {
 	t := s.cfg.Mem.Timing
 	burst := clock.Time(s.cfg.Mem.LineBytes/8) * s.cfg.Mem.DataRate.TCK() / 2
 	access := t.TRP + t.TRCD + t.TCL + burst
@@ -509,10 +536,9 @@ func (s *System) progressBound() int64 {
 	if cyc < 500 {
 		cyc = 500
 	}
-	budget := s.cfg.WarmupInsts + s.cfg.MaxInsts
 	// Relative to the resume point: a restored or windowed run only has
 	// its own budget left, not the cycles already executed before it.
-	return s.resumeCycle + budget*cyc + 1_000_000
+	return s.cycle + budget*cyc + 1_000_000
 }
 
 // wedgedError reports a tripped progress guard, naming the component that
@@ -653,29 +679,25 @@ func (s *System) results(w *warmSnapshot, cycle int64) Results {
 	r.HWPrefetches = end.hwPrefetch - w.hwPrefetch
 	r.Writebacks = end.writebacks - w.writebacks
 	r.Trace = s.ctrl.TraceSummary(clock.Time(cycle) * clock.CPUCycle)
-	s.lastCycle = cycle
+	s.cycle = cycle
 	return r
 }
 
-// RunWorkload is a convenience: build and run in one call.
-func RunWorkload(cfg config.Config, benchmarks []string) (Results, error) {
-	return RunWorkloadContext(context.Background(), cfg, benchmarks)
-}
-
-// RunWorkloadContext is RunWorkload with cancellation (see RunContext).
-func RunWorkloadContext(ctx context.Context, cfg config.Config, benchmarks []string) (Results, error) {
+// RunWorkload builds a machine running one benchmark per core and runs it
+// to its instruction budget under opts. It is the engine's entry point for
+// every per-run option; ctx carries cancellation only (see RunContext).
+func RunWorkload(ctx context.Context, cfg config.Config, benchmarks []string, opts Options) (Results, error) {
 	s, err := New(cfg, benchmarks)
 	if err != nil {
 		return Results{}, err
 	}
-	if sink := EpochSinkFrom(ctx); sink != nil {
-		// Nil-safe: an untraced run has no recorder and keeps no sink.
-		s.ctrl.Recorder().SetSink(sink)
-	}
-	if rs := restoreFromContext(ctx); rs != nil {
+	if rs := opts.Restore; rs != nil {
 		if err := s.RestoreSnapshot(rs.Data, rs.Fingerprint); err != nil {
 			return Results{}, err
 		}
 	}
-	return s.RunContext(ctx)
+	// After the restore, which replaces the controller and its recorder.
+	// Nil-safe: an untraced run has no recorder and keeps no sink.
+	s.ctrl.Recorder().SetSink(opts.EpochSink)
+	return s.run(ctx, opts, s.fullWindow())
 }

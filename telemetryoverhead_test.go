@@ -20,16 +20,16 @@ import (
 // hub stream that nobody subscribes to.
 func runTelemetryOnce(tb testing.TB, withSink bool) (Results, *telemetry.Stream, time.Duration) {
 	tb.Helper()
-	ctx := context.Background()
 	var st *telemetry.Stream
+	var opts system.Options
 	if withSink {
 		// A sample window larger than any plausible epoch count, so the
 		// stream retains the whole series for the parity check below.
 		st = telemetry.NewHub(telemetry.Options{MaxSamples: 1 << 16}).Open("overhead")
-		ctx = system.WithEpochSink(ctx, telemetry.NewJobSink(st))
+		opts.EpochSink = telemetry.NewJobSink(st)
 	}
 	start := time.Now()
-	res, err := Run(ctx, overheadConfig(true), []string{"swim"})
+	res, err := system.RunWorkload(context.Background(), overheadConfig(true), []string{"swim"}, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
