@@ -18,11 +18,8 @@ import (
 	"sync"
 	"testing"
 
-	"fbdsim/internal/addrmap"
-	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
 	"fbdsim/internal/exp"
-	"fbdsim/internal/fbdchan"
 	"fbdsim/internal/system"
 	"fbdsim/internal/trace"
 	"fbdsim/internal/workload"
@@ -399,25 +396,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.StopTimer()
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(insts)/sec, "insts/s")
-	}
-}
-
-// BenchmarkChannelScheduling micro-benchmarks the FB-DIMM channel model:
-// scheduling cost per transaction.
-func BenchmarkChannelScheduling(b *testing.B) {
-	cfg := config.WithAMBPrefetch(config.Default())
-	mem := cfg.Mem
-	m := addrmap.New(&mem)
-	ch := fbdchan.New(&mem, m)
-	b.ResetTimer()
-	ready := clock.Time(0)
-	for i := 0; i < b.N; i++ {
-		addr := int64(i%4096) * 64
-		ready += 12 * clock.Nanosecond
-		ch.ScheduleRead(addr, ready)
-		if i%1024 == 0 {
-			ch.Housekeep(ready)
-		}
 	}
 }
 

@@ -34,15 +34,25 @@ func (l Location) String() string {
 
 // Mapper translates physical addresses to DRAM locations under one
 // interleaving scheme.
+//
+// Every geometry value is a power of two (config.Validate), so decoding is
+// shifts and masks. Under each scheme a line index splits, low bits first,
+// into its offset within an interleave unit (one line, a K-line region, or
+// a row's worth of lines under page interleaving), then the unit's channel,
+// DIMM and bank — channel varying fastest (maximizing channel-level
+// concurrency), then DIMM, then bank: the wraparound order of Figure 2 —
+// and last the unit's sequence number within its bank, which packs units
+// into rows.
 type Mapper struct {
 	cfg config.Mem
 
 	lineShift   uint
+	unitBits    uint // log2(lines per interleave unit)
+	chanBits    uint
+	dimmBits    uint
+	bankBits    uint
+	rowUnitBits uint // log2(interleave units per DRAM row)
 	linesPerRow int64
-	channels    int64
-	dimms       int64
-	banks       int64
-	totalBanks  int64
 	regionLines int64
 
 	// Bank sparing (degraded-DIMM fault mode): accesses to one dead
@@ -54,22 +64,36 @@ type Mapper struct {
 	spareBank int
 }
 
+// log2 returns the base-2 logarithm of the power of two n.
+func log2(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
+
+// mask returns a mask of the low n bits.
+func mask(n uint) int64 { return 1<<n - 1 }
+
 // New builds a Mapper for the memory configuration. The configuration must
 // already be validated.
 func New(cfg *config.Mem) *Mapper {
+	linesPerRow := cfg.RowBytes / cfg.LineBytes
 	m := &Mapper{
 		cfg:         *cfg,
-		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		linesPerRow: int64(cfg.RowBytes / cfg.LineBytes),
-		channels:    int64(cfg.LogicalChannels),
-		dimms:       int64(cfg.DIMMsPerChannel),
-		banks:       int64(cfg.BanksPerDIMM),
-		regionLines: int64(cfg.RegionLines),
+		lineShift:   log2(cfg.LineBytes),
+		chanBits:    log2(cfg.LogicalChannels),
+		dimmBits:    log2(cfg.DIMMsPerChannel),
+		bankBits:    log2(cfg.BanksPerDIMM),
+		linesPerRow: int64(linesPerRow),
+		regionLines: 1,
 	}
-	m.totalBanks = m.channels * m.dimms * m.banks
-	if cfg.Interleave != config.MultiCachelineInterleave {
-		m.regionLines = 1
+	switch cfg.Interleave {
+	case config.CachelineInterleave:
+	case config.MultiCachelineInterleave:
+		m.regionLines = int64(cfg.RegionLines)
+		m.unitBits = log2(cfg.RegionLines)
+	case config.PageInterleave:
+		m.unitBits = log2(linesPerRow)
+	default:
+		panic(fmt.Sprintf("addrmap: unknown interleave %v", cfg.Interleave))
 	}
+	m.rowUnitBits = log2(linesPerRow) - m.unitBits
 	return m
 }
 
@@ -86,28 +110,28 @@ func (m *Mapper) lineIndex(addr int64) int64 { return addr >> m.lineShift }
 func (m *Mapper) Map(addr int64) Location {
 	loc := m.mapRaw(addr)
 	if m.spareOn && loc.Channel == m.spareCh && loc.DIMM == m.spareDIMM && loc.Bank == m.spareBank {
-		loc.Bank = (loc.Bank + 1) % int(m.banks)
+		loc.Bank = (loc.Bank + 1) % m.cfg.BanksPerDIMM
 	}
 	return loc
+}
+
+// Channel returns Map(addr).Channel without the rest of the decode (bank
+// sparing never moves an access to another channel).
+func (m *Mapper) Channel(addr int64) int {
+	return int(addr >> (m.lineShift + m.unitBits) & mask(m.chanBits))
 }
 
 // mapRaw is the interleaving decomposition before bank sparing.
 func (m *Mapper) mapRaw(addr int64) Location {
 	line := m.lineIndex(addr)
-	var loc Location
-	switch m.cfg.Interleave {
-	case config.CachelineInterleave:
-		loc = m.spread(line, 1, 0)
-	case config.MultiCachelineInterleave:
-		region, inRegion := line/m.regionLines, line%m.regionLines
-		loc = m.spread(region, m.regionLines, inRegion)
-	case config.PageInterleave:
-		page, col := line/m.linesPerRow, line%m.linesPerRow
-		loc = m.spreadUnits(page)
-		loc.Row = page / m.totalBanks
-		loc.Col = int(col)
-	default:
-		panic(fmt.Sprintf("addrmap: unknown interleave %v", m.cfg.Interleave))
+	unit := line >> m.unitBits
+	idx := unit >> (m.chanBits + m.dimmBits + m.bankBits) // unit sequence number within its bank
+	loc := Location{
+		Channel: int(unit & mask(m.chanBits)),
+		DIMM:    int(unit >> m.chanBits & mask(m.dimmBits)),
+		Bank:    int(unit >> (m.chanBits + m.dimmBits) & mask(m.bankBits)),
+		Row:     idx >> m.rowUnitBits,
+		Col:     int((idx&mask(m.rowUnitBits))<<m.unitBits | line&mask(m.unitBits)),
 	}
 	if m.cfg.PermuteBanks {
 		// Permutation-based interleaving [26]: XOR the bank index with
@@ -119,29 +143,6 @@ func (m *Mapper) mapRaw(addr int64) Location {
 	return loc
 }
 
-// spread distributes interleave units (of unitLines cachelines each) across
-// channel, DIMM and bank round-robin, then packs the remainder into columns
-// and rows. offset is the line position within the unit.
-func (m *Mapper) spread(unit, unitLines, offset int64) Location {
-	loc := m.spreadUnits(unit)
-	idx := unit / m.totalBanks // unit sequence number within this bank
-	unitsPerRow := m.linesPerRow / unitLines
-	loc.Row = idx / unitsPerRow
-	loc.Col = int((idx%unitsPerRow)*unitLines + offset)
-	return loc
-}
-
-// spreadUnits assigns a unit number to channel/DIMM/bank round-robin with
-// channel varying fastest (maximizing channel-level concurrency), then DIMM,
-// then bank — the wraparound order of Figure 2.
-func (m *Mapper) spreadUnits(unit int64) Location {
-	return Location{
-		Channel: int(unit % m.channels),
-		DIMM:    int((unit / m.channels) % m.dimms),
-		Bank:    int((unit / (m.channels * m.dimms)) % m.banks),
-	}
-}
-
 // SetBankSpare maps out one bank: every access the interleaving would send
 // to (channel, dimm, bank) is steered onto the next bank of the same DIMM
 // instead. This is the degraded-DIMM graceful-degradation mode — the
@@ -149,12 +150,12 @@ func (m *Mapper) spreadUnits(unit int64) Location {
 // spare bank is the modelled effect and row/column aliasing between the two
 // banks' address ranges is immaterial. Requires at least two banks per DIMM.
 func (m *Mapper) SetBankSpare(channel, dimm, bank int) {
-	if m.banks < 2 {
+	if m.cfg.BanksPerDIMM < 2 {
 		panic("addrmap: bank sparing requires at least two banks per DIMM")
 	}
-	if channel < 0 || int64(channel) >= m.channels ||
-		dimm < 0 || int64(dimm) >= m.dimms ||
-		bank < 0 || int64(bank) >= m.banks {
+	if channel < 0 || channel >= m.cfg.LogicalChannels ||
+		dimm < 0 || dimm >= m.cfg.DIMMsPerChannel ||
+		bank < 0 || bank >= m.cfg.BanksPerDIMM {
 		panic(fmt.Sprintf("addrmap: spare target ch%d/dimm%d/bank%d out of range", channel, dimm, bank))
 	}
 	m.spareOn = true
@@ -178,15 +179,7 @@ func (m *Mapper) RegionLines() int { return int(m.regionLines) }
 // RegionID returns a unique identifier of the prefetch group containing
 // addr. Addresses in the same group share DRAM row and bank.
 func (m *Mapper) RegionID(addr int64) int64 {
-	line := m.lineIndex(addr)
-	switch m.cfg.Interleave {
-	case config.MultiCachelineInterleave:
-		return line / m.regionLines
-	case config.PageInterleave:
-		return line / m.linesPerRow
-	default:
-		return line
-	}
+	return m.lineIndex(addr) >> m.unitBits
 }
 
 // Group enumerates the line addresses the AMB fetches for a demand access to
@@ -198,44 +191,51 @@ func (m *Mapper) RegionID(addr int64) int64 {
 // Section 3.2 describes. Under cacheline interleaving it is the demanded
 // line alone.
 func (m *Mapper) Group(addr int64) []int64 {
+	return m.AppendGroup(make([]int64, 0, m.groupLines()), addr)
+}
+
+// AppendGroup appends Group(addr) to dst and returns the extended slice;
+// with a dst of capacity K it allocates nothing.
+func (m *Mapper) AppendGroup(dst []int64, addr int64) []int64 {
 	demanded := m.LineAddr(addr)
 	lb := int64(m.cfg.LineBytes)
+	dst = append(dst, demanded)
 	switch m.cfg.Interleave {
 	case config.MultiCachelineInterleave:
 		base := demanded &^ (m.regionLines*lb - 1)
-		group := make([]int64, 0, m.regionLines)
-		group = append(group, demanded)
 		for i := int64(0); i < m.regionLines; i++ {
 			if a := base + i*lb; a != demanded {
-				group = append(group, a)
+				dst = append(dst, a)
 			}
 		}
-		return group
 	case config.PageInterleave:
-		k := int64(m.cfg.RegionLines)
-		if k < 1 {
-			k = 1
-		}
+		k := m.groupLines()
 		pageBytes := m.linesPerRow * lb
 		pageBase := demanded &^ (pageBytes - 1)
 		start := demanded - lb // block N-1 first, then N+1, N+2, ...
 		if start < pageBase {
 			start = demanded
 		}
-		group := []int64{demanded}
-		for a := start; int64(len(group)) < k; a += lb {
+		for a, n := start, 1; n < k; a += lb {
 			if a == demanded {
 				continue
 			}
 			if a < pageBase || a >= pageBase+pageBytes {
 				break
 			}
-			group = append(group, a)
+			dst = append(dst, a)
+			n++
 		}
-		return group
-	default:
-		return []int64{demanded}
 	}
+	return dst
+}
+
+// groupLines is the most lines a prefetch group holds.
+func (m *Mapper) groupLines() int {
+	if m.cfg.Interleave == config.PageInterleave {
+		return max(m.cfg.RegionLines, 1)
+	}
+	return int(m.regionLines)
 }
 
 // LocalLineID returns a dense identifier of addr's cacheline *within its
@@ -246,17 +246,7 @@ func (m *Mapper) Group(addr int64) []int64 {
 // every entry into a fraction of the sets.
 func (m *Mapper) LocalLineID(addr int64) int64 {
 	line := m.lineIndex(addr)
-	spread := m.channels * m.dimms
-	switch m.cfg.Interleave {
-	case config.MultiCachelineInterleave:
-		region, off := line/m.regionLines, line%m.regionLines
-		return (region/spread)*m.regionLines + off
-	case config.PageInterleave:
-		page, off := line/m.linesPerRow, line%m.linesPerRow
-		return (page/spread)*m.linesPerRow + off
-	default:
-		return line / spread
-	}
+	return line>>(m.unitBits+m.chanBits+m.dimmBits)<<m.unitBits | line&mask(m.unitBits)
 }
 
 // SameRow reports whether two addresses map to the same row of the same

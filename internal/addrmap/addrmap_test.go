@@ -1,6 +1,8 @@
 package addrmap
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -403,3 +405,142 @@ func TestPermutationScattersRowConflicts(t *testing.T) {
 		t.Error("permutation failed to scatter consecutive rows across banks")
 	}
 }
+
+// TestChannelMatchesMap: the shift-and-mask channel decode agrees with the
+// full decode under every interleaving, channel count and group size, with
+// and without a bank spare.
+func TestChannelMatchesMap(t *testing.T) {
+	for _, iv := range []config.Interleave{config.CachelineInterleave, config.MultiCachelineInterleave, config.PageInterleave} {
+		for _, channels := range []int{1, 2, 4} {
+			for _, k := range []int{2, 4, 8} {
+				cfg := defaultMem(iv)
+				cfg.LogicalChannels, cfg.RegionLines = channels, k
+				m := New(cfg)
+				m.SetBankSpare(0, 0, 0)
+				f := func(line uint32) bool {
+					addr := int64(line)*64 + int64(line%64)
+					return m.Channel(addr) == m.Map(addr).Channel
+				}
+				if err := quick.Check(f, nil); err != nil {
+					t.Errorf("%v, %d channels, K=%d: %v", iv, channels, k, err)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendGroupMatchesGroup: AppendGroup appends exactly Group's lines
+// after what dst already holds, and fills a buffer of capacity K without
+// allocating.
+func TestAppendGroupMatchesGroup(t *testing.T) {
+	for _, iv := range []config.Interleave{config.CachelineInterleave, config.MultiCachelineInterleave, config.PageInterleave} {
+		m := New(defaultMem(iv))
+		buf := make([]int64, 0, 8)
+		for _, addr := range []int64{0, 64, 3 * 64, 4097, 7<<20 + 192, 1<<30 - 64} {
+			want := m.Group(addr)
+			got := m.AppendGroup([]int64{-1}, addr)
+			if got[0] != -1 || !slices.Equal(got[1:], want) {
+				t.Errorf("%v: AppendGroup(%#x) = %v, Group = %v", iv, addr, got, want)
+			}
+			if n := testing.AllocsPerRun(10, func() { buf = m.AppendGroup(buf[:0], addr) }); n != 0 {
+				t.Errorf("%v: AppendGroup into a K-line buffer allocates %v times", iv, n)
+			}
+		}
+	}
+}
+
+// refDecode is the division-based decode that shifts and masks replaced,
+// kept as the reference the Mapper must match: Map before bank sparing,
+// LocalLineID and RegionID.
+func refDecode(cfg *config.Mem, addr int64) (loc Location, localID, regionID int64) {
+	line := addr / int64(cfg.LineBytes)
+	linesPerRow := int64(cfg.RowBytes / cfg.LineBytes)
+	channels, dimms := int64(cfg.LogicalChannels), int64(cfg.DIMMsPerChannel)
+	banks := int64(cfg.BanksPerDIMM)
+	spreadUnits := func(unit int64) Location {
+		return Location{
+			Channel: int(unit % channels),
+			DIMM:    int((unit / channels) % dimms),
+			Bank:    int((unit / (channels * dimms)) % banks),
+		}
+	}
+	spread := func(unit, unitLines, offset int64) Location {
+		loc := spreadUnits(unit)
+		idx := unit / (channels * dimms * banks)
+		unitsPerRow := linesPerRow / unitLines
+		loc.Row = idx / unitsPerRow
+		loc.Col = int((idx%unitsPerRow)*unitLines + offset)
+		return loc
+	}
+	switch cfg.Interleave {
+	case config.CachelineInterleave:
+		loc = spread(line, 1, 0)
+		localID, regionID = line/(channels*dimms), line
+	case config.MultiCachelineInterleave:
+		k := int64(cfg.RegionLines)
+		region, inRegion := line/k, line%k
+		loc = spread(region, k, inRegion)
+		localID, regionID = (region/(channels*dimms))*k+inRegion, region
+	case config.PageInterleave:
+		page, col := line/linesPerRow, line%linesPerRow
+		loc = spreadUnits(page)
+		loc.Row = page / (channels * dimms * banks)
+		loc.Col = int(col)
+		localID, regionID = (page/(channels*dimms))*linesPerRow+col, page
+	}
+	if cfg.PermuteBanks {
+		loc.Bank ^= int(loc.Row) & (cfg.BanksPerDIMM - 1)
+	}
+	return loc, localID, regionID
+}
+
+// TestDecodeMatchesDivisionReference: across every interleaving and a
+// spread of power-of-two geometries, the shift-and-mask decode agrees with
+// the division-based reference on every field.
+func TestDecodeMatchesDivisionReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, iv := range []config.Interleave{config.CachelineInterleave, config.MultiCachelineInterleave, config.PageInterleave} {
+		for _, channels := range []int{1, 2, 4} {
+			for _, dimms := range []int{1, 2, 4} {
+				for _, banks := range []int{4, 8} {
+					for _, rowBytes := range []int{2048, 8192} {
+						for _, k := range []int{2, 4, 8} {
+							for _, permute := range []bool{false, true} {
+								cfg := defaultMem(iv)
+								cfg.LogicalChannels, cfg.DIMMsPerChannel, cfg.BanksPerDIMM = channels, dimms, banks
+								cfg.RowBytes, cfg.RegionLines, cfg.PermuteBanks = rowBytes, k, permute
+								m := New(cfg)
+								for i := 0; i < 200; i++ {
+									addr := rng.Int63n(1 << 36)
+									loc, local, region := refDecode(cfg, addr)
+									if got := m.Map(addr); got != loc {
+										t.Fatalf("%+v: Map(%#x) = %v, reference %v", *cfg, addr, got, loc)
+									}
+									if got := m.LocalLineID(addr); got != local {
+										t.Fatalf("%+v: LocalLineID(%#x) = %d, reference %d", *cfg, addr, got, local)
+									}
+									if got := m.RegionID(addr); got != region {
+										t.Fatalf("%+v: RegionID(%#x) = %d, reference %d", *cfg, addr, got, region)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkMap(b *testing.B) {
+	m := New(defaultMem(config.MultiCachelineInterleave))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rows int64
+	for i := 0; i < b.N; i++ {
+		rows += m.Map(int64(i) * 4160).Row
+	}
+	rowSink = rows
+}
+
+var rowSink int64

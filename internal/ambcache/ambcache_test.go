@@ -1,11 +1,17 @@
 package ambcache
 
 import (
+	"bytes"
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
+	"fbdsim/internal/snapshot"
 )
 
 // id derives the set-index key the way fbdchan does for a standalone cache
@@ -18,13 +24,19 @@ func fill(c *Cache, lines ...int64) {
 	}
 }
 
+// hits reports whether a demand read of lineAddr hits.
+func hits(c *Cache, lineAddr int64) bool {
+	_, hit := c.LookupRead(lineAddr, id(lineAddr))
+	return hit
+}
+
 func TestBasicHitMiss(t *testing.T) {
 	c := New(4, config.FullAssoc, config.FIFO)
-	if c.LookupRead(64, id(64)) {
+	if hits(c, 64) {
 		t.Fatal("empty cache must miss")
 	}
 	fill(c, 1)
-	if !c.LookupRead(64, id(64)) {
+	if !hits(c, 64) {
 		t.Fatal("inserted line must hit")
 	}
 	if c.Stats.Reads != 2 || c.Stats.Hits != 1 || c.Stats.Prefetched != 1 {
@@ -41,7 +53,7 @@ func TestFIFOEvictsInsertionOrderDespiteHits(t *testing.T) {
 	// Hit line 1 repeatedly; FIFO must still evict it first (the paper's
 	// argument: a hit block now lives in the processor cache).
 	for i := 0; i < 5; i++ {
-		if !c.LookupRead(64, id(64)) {
+		if !hits(c, 64) {
 			t.Fatal("expected hit")
 		}
 	}
@@ -156,7 +168,7 @@ func TestScrub(t *testing.T) {
 	if c.Stats.Invalidations != 0 {
 		t.Errorf("scrub must not count as an invalidation, got %d", c.Stats.Invalidations)
 	}
-	if c.LookupRead(64, id(64)) {
+	if hits(c, 64) {
 		t.Error("scrubbed line must miss on the next demand")
 	}
 }
@@ -249,14 +261,375 @@ func TestNoDuplicateEntries(t *testing.T) {
 		c.InsertPrefetch(4*64, id(4*64))
 	}
 	count := 0
-	for _, set := range c.data {
-		for _, e := range set {
-			if e.valid && e.addr == 4*64 {
-				count++
-			}
+	for p, e := range c.entries {
+		if c.valid(p) && e.addr == 4*64 {
+			count++
 		}
 	}
 	if count != 1 {
 		t.Errorf("line present %d times", count)
+	}
+}
+
+// refCache is the tag table as a linear scan over every way of a set: the
+// specification the indexed Cache must match operation for operation. Its
+// fills map is the pending-fill record the channel model once kept beside
+// the table (a line gains one when inserted in transit and loses it when
+// it lands, is evicted, invalidated or scrubbed).
+type refCache struct {
+	sets  int
+	ways  int
+	repl  config.Replacement
+	data  [][]refEntry
+	tick  int64
+	fills map[int64]clock.Time
+	Stats Stats
+}
+
+type refEntry struct {
+	addr  int64
+	valid bool
+	seq   int64
+	use   int64
+}
+
+func newRef(lines, assoc int, repl config.Replacement) *refCache {
+	ways := assoc
+	if assoc == config.FullAssoc || assoc >= lines {
+		ways = lines
+	}
+	r := &refCache{sets: lines / ways, ways: ways, repl: repl, fills: map[int64]clock.Time{}}
+	r.data = make([][]refEntry, r.sets)
+	for i := range r.data {
+		r.data[i] = make([]refEntry, ways)
+	}
+	return r
+}
+
+func (r *refCache) set(localID int64) []refEntry { return r.data[localID&int64(r.sets-1)] }
+
+func (r *refCache) lookupRead(lineAddr, localID int64) (clock.Time, bool) {
+	r.Stats.Reads++
+	set := r.set(localID)
+	for i := range set {
+		if set[i].valid && set[i].addr == lineAddr {
+			r.tick++
+			set[i].use = r.tick
+			r.Stats.Hits++
+			return r.fills[lineAddr], true
+		}
+	}
+	return 0, false
+}
+
+func (r *refCache) contains(lineAddr, localID int64) bool {
+	for _, e := range r.set(localID) {
+		if e.valid && e.addr == lineAddr {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) insert(lineAddr, localID int64, fillAt clock.Time) (evicted int64, wasEvicted bool) {
+	r.Stats.Prefetched++
+	set := r.set(localID)
+	r.tick++
+	defer func() {
+		if fillAt != 0 {
+			r.fills[lineAddr] = fillAt
+		} else {
+			delete(r.fills, lineAddr)
+		}
+	}()
+	for i := range set {
+		if set[i].valid && set[i].addr == lineAddr {
+			set[i].use = r.tick
+			return 0, false
+		}
+	}
+	victim := -1
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		victim = 0
+		for i := 1; i < len(set); i++ {
+			a, b := set[i].seq, set[victim].seq
+			if r.repl == config.LRU {
+				a, b = set[i].use, set[victim].use
+			}
+			if a < b {
+				victim = i
+			}
+		}
+		evicted, wasEvicted = set[victim].addr, true
+		delete(r.fills, evicted)
+		r.Stats.Evictions++
+	}
+	set[victim] = refEntry{addr: lineAddr, valid: true, seq: r.tick, use: r.tick}
+	return evicted, wasEvicted
+}
+
+func (r *refCache) drop(lineAddr, localID int64, count *int64) bool {
+	set := r.set(localID)
+	for i := range set {
+		if set[i].valid && set[i].addr == lineAddr {
+			set[i].valid = false
+			delete(r.fills, lineAddr)
+			*count++
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) housekeep(horizon clock.Time) {
+	for line, at := range r.fills {
+		if at <= horizon {
+			delete(r.fills, line)
+		}
+	}
+}
+
+func (r *refCache) occupancy() int {
+	n := 0
+	for _, set := range r.data {
+		for _, e := range set {
+			if e.valid {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func (r *refCache) snapshot(e *snapshot.Encoder) {
+	e.Int(r.sets)
+	e.Int(r.ways)
+	for _, set := range r.data {
+		for _, en := range set {
+			e.I64(en.addr)
+			e.Bool(en.valid)
+			e.I64(en.seq)
+			e.I64(en.use)
+		}
+	}
+	e.I64(r.tick)
+	e.I64(r.Stats.Reads)
+	e.I64(r.Stats.Hits)
+	e.I64(r.Stats.Prefetched)
+	e.I64(r.Stats.Evictions)
+	e.I64(r.Stats.Invalidations)
+	e.I64(r.Stats.Scrubs)
+}
+
+// encode returns a snapshot file holding the one section snap writes.
+func encode(snap func(*snapshot.Encoder)) []byte {
+	w := snapshot.NewWriter("ambcache")
+	snap(w.Section("amb"))
+	return w.Finish()
+}
+
+// decoder opens the section of a file written by encode.
+func decoder(t testing.TB, file []byte) *snapshot.Decoder {
+	t.Helper()
+	r, err := snapshot.Open(file, "ambcache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("amb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// sortedFills returns the cache's pending fills in line order.
+func sortedFills(c *Cache) []Fill {
+	fills := c.AppendFills(nil)
+	slices.SortFunc(fills, func(a, b Fill) int { return cmp.Compare(a.Line, b.Line) })
+	return fills
+}
+
+// TestMatchesLinearScanReference drives the indexed tag table and the
+// linear-scan reference through the same random operations — demand
+// lookups, prefetch installs with and without fill times, invalidations,
+// scrubs, housekeeping and snapshot round trips — over every geometry the
+// experiments use and both policies, and requires identical answers and
+// identical state, down to the residency of every line, after every step. No workload runs LRU and the benchmark
+// runs no set-associative geometry, so this is their oracle.
+func TestMatchesLinearScanReference(t *testing.T) {
+	geoms := []struct{ lines, assoc int }{
+		{64, config.FullAssoc}, {64, 1}, {64, 2}, {64, 4}, {32, 2}, {128, config.FullAssoc}, {128, 8},
+	}
+	steps := 4000
+	if testing.Short() {
+		steps = 1000
+	}
+	for gi, g := range geoms {
+		for _, repl := range []config.Replacement{config.FIFO, config.LRU} {
+			t.Run(fmt.Sprintf("%d-lines-assoc-%d-%v", g.lines, g.assoc, repl), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(gi*2 + int(repl) + 1)))
+				c, r := New(g.lines, g.assoc, repl), newRef(g.lines, g.assoc, repl)
+				var now clock.Time
+				trips := 0
+				for step := 0; step < steps; step++ {
+					// Four times as many lines as entries: hits, misses and
+					// evictions all stay common.
+					line := int64(rng.Intn(4*g.lines)) * 64
+					local := id(line)
+					now += clock.Time(rng.Intn(8))
+					switch op := rng.Intn(20); {
+					case op < 6:
+						gotAt, got := c.LookupRead(line, local)
+						wantAt, want := r.lookupRead(line, local)
+						if got != want || gotAt != wantAt {
+							t.Fatalf("step %d: LookupRead(%#x) = %v, %v; reference %v, %v", step, line, gotAt, got, wantAt, want)
+						}
+					case op < 12:
+						var at clock.Time
+						if op >= 9 {
+							at = now + clock.Time(1+rng.Intn(40))
+						}
+						gotEv, got := c.InsertPrefetchAt(line, local, at)
+						wantEv, want := r.insert(line, local, at)
+						if got != want || gotEv != wantEv {
+							t.Fatalf("step %d: InsertPrefetchAt(%#x, %v) evicted %#x, %v; reference %#x, %v", step, line, at, gotEv, got, wantEv, want)
+						}
+					case op < 14:
+						if got, want := c.Invalidate(line, local), r.drop(line, local, &r.Stats.Invalidations); got != want {
+							t.Fatalf("step %d: Invalidate(%#x) = %v, reference %v", step, line, got, want)
+						}
+					case op < 15:
+						if got, want := c.Scrub(line, local), r.drop(line, local, &r.Stats.Scrubs); got != want {
+							t.Fatalf("step %d: Scrub(%#x) = %v, reference %v", step, line, got, want)
+						}
+					case op < 18:
+						c.Housekeep(now)
+						r.housekeep(now)
+					default:
+						// Snapshot round trip, alternately into a fresh
+						// cache and over the live one; the channel model
+						// carries the pending fills across.
+						fills := c.AppendFills(nil)
+						file := encode(c.Snapshot)
+						if trips++; trips%2 == 0 {
+							c = New(g.lines, g.assoc, repl)
+						}
+						d := decoder(t, file)
+						c.Restore(d)
+						if err := d.Done(); err != nil {
+							t.Fatalf("step %d: restore: %v", step, err)
+						}
+						for _, f := range fills {
+							if !c.SetFill(f.Line, id(f.Line), f.At) {
+								t.Fatalf("step %d: restored cache lost pending line %#x", step, f.Line)
+							}
+						}
+					}
+					if c.Stats != r.Stats {
+						t.Fatalf("step %d: stats %+v, reference %+v", step, c.Stats, r.Stats)
+					}
+					for l := int64(0); l < int64(4*g.lines); l++ {
+						if got, want := c.Contains(l*64, id(l*64)), r.contains(l*64, id(l*64)); got != want {
+							t.Fatalf("step %d: Contains(%#x) = %v, reference %v", step, l*64, got, want)
+						}
+					}
+					if got, want := c.Occupancy(), r.occupancy(); got != want {
+						t.Fatalf("step %d: occupancy %d, reference %d", step, got, want)
+					}
+					if !bytes.Equal(encode(c.Snapshot), encode(r.snapshot)) {
+						t.Fatalf("step %d: snapshot bytes differ from the reference", step)
+					}
+					fills := sortedFills(c)
+					if len(fills) != len(r.fills) {
+						t.Fatalf("step %d: %d pending fills, reference %d", step, len(fills), len(r.fills))
+					}
+					for _, f := range fills {
+						if at, ok := r.fills[f.Line]; !ok || at != f.At {
+							t.Fatalf("step %d: line %#x lands at %v, reference %v (pending %v)", step, f.Line, f.At, at, ok)
+						}
+					}
+				}
+				if trips == 0 || c.Stats.Evictions == 0 || c.Stats.Hits == 0 {
+					t.Fatalf("sequence too tame: %d round trips, stats %+v", trips, c.Stats)
+				}
+			})
+		}
+	}
+}
+
+// TestRestoreRefusesDuplicateLine: a snapshot naming one line in two
+// entries cannot come from a real cache and is refused.
+func TestRestoreRefusesDuplicateLine(t *testing.T) {
+	r := newRef(4, config.FullAssoc, config.FIFO)
+	r.insert(64, id(64), 0)
+	r.insert(128, id(128), 0)
+	r.data[0][1].addr = 64
+	d := decoder(t, encode(r.snapshot))
+	New(4, config.FullAssoc, config.FIFO).Restore(d)
+	if d.Err() == nil {
+		t.Fatal("restore accepted a line resident twice")
+	}
+}
+
+// TestRestoreAllocatesNothing: rebuilding the index, the replacement
+// orders and the free-way bitmaps reuses the cache's own arrays.
+func TestRestoreAllocatesNothing(t *testing.T) {
+	c := New(64, config.FullAssoc, config.FIFO)
+	for l := int64(0); l < 100; l++ {
+		c.InsertPrefetch(l*64, id(l*64))
+	}
+	base := *decoder(t, encode(c.Snapshot))
+	if n := testing.AllocsPerRun(100, func() {
+		d := base
+		c.Restore(&d)
+	}); n != 0 {
+		t.Errorf("Restore allocates %v times per call, want 0", n)
+	}
+}
+
+// missStream returns n line addresses drawn from a range 64 times the
+// default cache's capacity, so nearly every access misses.
+func missStream(n int) []int64 {
+	rng := rand.New(rand.NewSource(1))
+	lines := make([]int64, n)
+	for i := range lines {
+		lines[i] = int64(rng.Intn(64*64)) * 64
+	}
+	return lines
+}
+
+// fullDefault returns the paper's default table (64 entries, fully
+// associative, FIFO), filled.
+func fullDefault() *Cache {
+	c := New(64, config.FullAssoc, config.FIFO)
+	for l := int64(0); l < 64; l++ {
+		c.InsertPrefetch(l*64, id(l*64))
+	}
+	return c
+}
+
+func BenchmarkLookupRead(b *testing.B) {
+	c, lines := fullDefault(), missStream(1<<12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := lines[i&(len(lines)-1)]
+		c.LookupRead(l, id(l))
+	}
+}
+
+func BenchmarkInsertPrefetch(b *testing.B) {
+	c, lines := fullDefault(), missStream(1<<12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := lines[i&(len(lines)-1)]
+		c.InsertPrefetch(l, id(l))
 	}
 }

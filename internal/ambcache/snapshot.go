@@ -1,21 +1,24 @@
 package ambcache
 
-import "fbdsim/internal/snapshot"
+import (
+	"fbdsim/internal/config"
+	"fbdsim/internal/snapshot"
+)
 
 // Snapshot serializes the prefetch buffer's mutable state: every tag
 // entry, the insertion/recency tick, and the coverage statistics.
 // Geometry and replacement policy are construction-derived and not
-// written.
+// written; neither are the index, the replacement orders and the free-way
+// bitmaps, which Restore derives from the entries. Pending fill times are
+// the channel's to write (see AppendFills).
 func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	e.Int(c.sets)
 	e.Int(c.ways)
-	for _, set := range c.data {
-		for _, en := range set {
-			e.I64(en.addr)
-			e.Bool(en.valid)
-			e.I64(en.seq)
-			e.I64(en.use)
-		}
+	for p, en := range c.entries {
+		e.I64(en.addr)
+		e.Bool(c.valid(p))
+		e.I64(en.seq)
+		e.I64(en.use)
 	}
 	e.I64(c.tick)
 	e.I64(c.Stats.Reads)
@@ -26,17 +29,30 @@ func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	e.I64(c.Stats.Scrubs)
 }
 
-// Restore overwrites the buffer's mutable state from d. The geometry must
-// match the constructed cache.
+// Restore overwrites the buffer's mutable state from d, leaving no fill
+// pending. The geometry must match the constructed cache.
 func (c *Cache) Restore(d *snapshot.Decoder) {
 	if sets, ways := d.Int(), d.Int(); sets != c.sets || ways != c.ways {
 		d.Fail("ambcache: snapshot geometry %dx%d, machine %dx%d", sets, ways, c.sets, c.ways)
 		return
 	}
-	for _, set := range c.data {
-		for i := range set {
-			set[i] = entry{addr: d.I64(), valid: d.Bool(), seq: d.I64(), use: d.I64()}
+	clear(c.index)
+	c.resetSets()
+	for p := range c.entries {
+		addr, valid := d.I64(), d.Bool()
+		c.entries[p] = entry{addr: addr, seq: d.I64(), use: d.I64()}
+		if !valid {
+			continue
 		}
+		set := p / c.ways
+		slot, q := c.find(addr, set)
+		if q != none {
+			d.Fail("ambcache: snapshot holds line %#x twice", addr)
+			return
+		}
+		c.index[slot] = int32(p + 1)
+		c.setFree(int32(p), false)
+		c.linkOrdered(set, int32(p))
 	}
 	c.tick = d.I64()
 	c.Stats = Stats{
@@ -47,4 +63,24 @@ func (c *Cache) Restore(d *snapshot.Decoder) {
 		Invalidations: d.I64(),
 		Scrubs:        d.I64(),
 	}
+}
+
+// linkOrdered inserts entry p into set's replacement order after every
+// entry whose order tick is no larger, so that restoring the ways in
+// ascending order breaks ties by way, as the victim choice did.
+func (c *Cache) linkOrdered(set int, p int32) {
+	k := c.orderTick(p)
+	at := c.orders[set].tail
+	for at != none && c.orderTick(at) > k {
+		at = c.entries[at].prev
+	}
+	c.linkAfter(set, at, p)
+}
+
+// orderTick is the tick the replacement policy orders entry p by.
+func (c *Cache) orderTick(p int32) int64 {
+	if c.repl == config.LRU {
+		return c.entries[p].use
+	}
+	return c.entries[p].seq
 }

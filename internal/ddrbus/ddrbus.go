@@ -82,15 +82,13 @@ func New(cfg *config.Mem, mapper *addrmap.Mapper) *Channel {
 	return c
 }
 
-// IsFastRead reports an open-row hit opportunity (only meaningful under
-// open-page mode; the DDR2 baseline defaults to close-page cacheline
-// interleaving where it is always false).
-func (c *Channel) IsFastRead(addr int64) bool {
-	if c.cfg.PageMode != config.OpenPage {
-		return false
-	}
-	loc := c.mapper.Map(addr)
-	return c.dimms[loc.DIMM].Banks[loc.Bank].OpenRow() == loc.Row
+// IsFastRead reports an open-row hit opportunity for a read decoded to loc
+// (only meaningful under open-page mode; the DDR2 baseline defaults to
+// close-page cacheline interleaving where it is always false). The line
+// address and DIMM-local line ID match fbdchan's signature; DDR2 has no
+// AMB cache to look them up in.
+func (c *Channel) IsFastRead(_ int64, loc addrmap.Location, _ int64) bool {
+	return c.cfg.PageMode == config.OpenPage && c.dimms[loc.DIMM].Banks[loc.Bank].OpenRow() == loc.Row
 }
 
 // ScheduleRead books command bus, bank, and data bus for a demand read

@@ -86,7 +86,7 @@ func TestOpenPageRowHit(t *testing.T) {
 	if ch.Counters.ACT != 1 {
 		t.Fatalf("first read ACT = %d", ch.Counters.ACT)
 	}
-	if !ch.IsFastRead(64) {
+	if !ch.IsFastRead(64, m.Map(64), m.LocalLineID(64)) {
 		t.Error("open row must be fast")
 	}
 	d2, _ := ch.ScheduleRead(64, 600*ns)
@@ -147,9 +147,9 @@ func TestLinkBytes(t *testing.T) {
 }
 
 func TestClosePageNeverFast(t *testing.T) {
-	ch, _ := newChannel(t, nil)
+	ch, m := newChannel(t, nil)
 	ch.ScheduleRead(0, ready12)
-	if ch.IsFastRead(0) {
+	if ch.IsFastRead(0, m.Map(0), m.LocalLineID(0)) {
 		t.Error("close-page DDR2 has no fast reads")
 	}
 }

@@ -51,12 +51,13 @@ type Channel struct {
 	dimmBus []*resource.Timeline
 	dimms   []*dram.DIMM
 
-	// AMB prefetching state (nil / empty when disabled).
+	// AMB prefetching state (nil when disabled). Each cache's entries
+	// record when their prefetched line lands; a demand read racing a
+	// prefetch waits for that instant rather than re-accessing DRAM.
 	ambs []*ambcache.Cache
-	// inflight maps a prefetched line to the time it lands in its AMB
-	// cache; a demand read racing a prefetch waits for that instant
-	// rather than re-accessing DRAM.
-	inflight map[int64]clock.Time
+	// group holds the prefetch group of the miss being scheduled; it is
+	// dead between calls and only keeps its capacity.
+	group []int64
 
 	// Counters accumulates DRAM operations for the power model.
 	Counters dram.Counters
@@ -96,7 +97,6 @@ func New(cfg *config.Mem, mapper *addrmap.Mapper) *Channel {
 		cmdDelay: 3 * clock.Nanosecond,
 		south:    resource.NewQuantized(frame / 3),
 		north:    resource.NewQuantized(0),
-		inflight: make(map[int64]clock.Time),
 	}
 	// Northbound: 32 B per frame per physical channel.
 	framesPerLine := (line + 32*gang - 1) / (32 * gang)
@@ -189,20 +189,14 @@ func (c *Channel) hop(dimm int) clock.Time {
 	return clock.Time(n) * c.cfg.AMBHopDelay
 }
 
-// IsFastRead reports whether a read to addr would be served without a full
-// DRAM access — an AMB-cache hit (or in-flight prefetch), or an open-row
-// hit under open-page mode. The controller's hit-first scheduler
-// prioritizes these.
-func (c *Channel) IsFastRead(addr int64) bool {
-	loc := c.mapper.Map(addr)
-	line := c.mapper.LineAddr(addr)
-	if c.cfg.AMBPrefetch {
-		if c.ambs[loc.DIMM].Contains(line, c.mapper.LocalLineID(line)) {
-			return true
-		}
-		if _, ok := c.inflight[line]; ok {
-			return true
-		}
+// IsFastRead reports whether a read of the line-aligned address line, at
+// loc with DIMM-local line ID localID, would be served without a full DRAM
+// access — an AMB-cache hit (a line still in transit is resident too), or
+// an open-row hit under open-page mode. The controller's hit-first
+// scheduler prioritizes these.
+func (c *Channel) IsFastRead(line int64, loc addrmap.Location, localID int64) bool {
+	if c.cfg.AMBPrefetch && c.ambs[loc.DIMM].Contains(line, localID) {
+		return true
 	}
 	if c.cfg.PageMode == config.OpenPage {
 		return c.dimms[loc.DIMM].Banks[loc.Bank].OpenRow() == loc.Row
@@ -230,7 +224,7 @@ func (c *Channel) ScheduleRead(addr int64, ready clock.Time) (dataAt clock.Time,
 	c.Links.BytesNorth += int64(c.cfg.LineBytes)
 
 	if c.cfg.AMBPrefetch {
-		if avail, hit := c.lookupAMB(loc.DIMM, line); hit {
+		if avail, hit := c.lookupAMB(loc.DIMM, line, c.mapper.LocalLineID(line)); hit {
 			return c.scheduleAMBHit(loc, ready, avail), true
 		}
 		return c.scheduleGroupFetch(loc, addr, ready), false
@@ -250,9 +244,8 @@ func (c *Channel) ScheduleRead(addr int64, ready clock.Time) (dataAt clock.Time,
 // lookupAMB consults the controller-side tag table. It returns the time the
 // line is (or will be) available at the AMB and whether that counts as a
 // prefetch hit.
-func (c *Channel) lookupAMB(dimm int, line int64) (clock.Time, bool) {
+func (c *Channel) lookupAMB(dimm int, line, local int64) (clock.Time, bool) {
 	amb := c.ambs[dimm]
-	local := c.mapper.LocalLineID(line)
 	// Soft-error injection: a resident line may be found poisoned on
 	// access. The controller scrubs its tag (keeping MC tags and AMB
 	// contents coherent) and the access falls through to a demand miss.
@@ -260,15 +253,8 @@ func (c *Channel) lookupAMB(dimm int, line int64) (clock.Time, bool) {
 	// count a line the scrub just destroyed.
 	if c.inj != nil && amb.Contains(line, local) && c.inj.AMBSoftError() {
 		amb.Scrub(line, local)
-		delete(c.inflight, line)
 	}
-	if amb.LookupRead(line, local) {
-		if avail, ok := c.inflight[line]; ok {
-			return avail, true
-		}
-		return 0, true
-	}
-	return 0, false
+	return amb.LookupRead(line, local)
 }
 
 // scheduleAMBHit returns data from the AMB cache: southbound fetch command,
@@ -292,8 +278,8 @@ func (c *Channel) scheduleAMBHit(loc addrmap.Location, ready, avail clock.Time) 
 // (fetched first) crosses the northbound link while the other K-1 lines are
 // stored in the AMB cache without touching the channel.
 func (c *Channel) scheduleGroupFetch(loc addrmap.Location, addr int64, ready clock.Time) clock.Time {
-	group := c.mapper.Group(addr)
-	k := len(group)
+	c.group = c.mapper.AppendGroup(c.group[:0], addr)
+	k := len(c.group)
 
 	sSlot := c.reserveWithRetry(c.south, ready, c.cmdSlot, fault.SouthFrame)
 	cmdArrive := sSlot + c.cmdDelay
@@ -308,12 +294,8 @@ func (c *Channel) scheduleGroupFetch(loc addrmap.Location, addr int64, ready clo
 	// starts; the demanded line goes first).
 	amb := c.ambs[loc.DIMM]
 	burst := c.burstFor(loc.DIMM)
-	for i, la := range group[1:] {
-		fillAt := burstStart + clock.Time(i+2)*burst
-		if evicted, was := amb.InsertPrefetch(la, c.mapper.LocalLineID(la)); was {
-			delete(c.inflight, evicted)
-		}
-		c.inflight[la] = fillAt
+	for i, la := range c.group[1:] {
+		amb.InsertPrefetchAt(la, c.mapper.LocalLineID(la), burstStart+clock.Time(i+2)*burst)
 	}
 	return dataAt
 }
@@ -377,7 +359,6 @@ func (c *Channel) ScheduleWrite(addrs []int64, ready clock.Time) clock.Time {
 		for _, a := range addrs {
 			line := c.mapper.LineAddr(a)
 			c.ambs[loc.DIMM].Invalidate(line, c.mapper.LocalLineID(line))
-			delete(c.inflight, line)
 		}
 	}
 
@@ -427,20 +408,18 @@ func (c *Channel) ScheduleWrite(addrs []int64, ready clock.Time) clock.Time {
 	return dataStart + clock.Time(n)*burst
 }
 
-// Housekeep prunes reservation history older than the horizon and drops
-// in-flight records that have already landed. The controller calls it
-// periodically; horizon must not exceed the earliest future "ready" time it
-// will ever pass to Schedule*.
+// Housekeep prunes reservation history older than the horizon and ends
+// the pending fills of prefetched lines that have landed by then. The
+// controller calls it periodically; horizon must not exceed the earliest
+// future "ready" time it will ever pass to Schedule*.
 func (c *Channel) Housekeep(horizon clock.Time) {
 	c.south.Prune(horizon)
 	c.north.Prune(horizon)
 	for _, b := range c.dimmBus {
 		b.Prune(horizon)
 	}
-	for line, t := range c.inflight {
-		if t <= horizon {
-			delete(c.inflight, line)
-		}
+	for _, a := range c.ambs {
+		a.Housekeep(horizon)
 	}
 }
 

@@ -1,11 +1,13 @@
 package fbdchan
 
 import (
+	"bytes"
 	"testing"
 
 	"fbdsim/internal/addrmap"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
+	"fbdsim/internal/snapshot"
 )
 
 const ns = clock.Nanosecond
@@ -263,19 +265,22 @@ func TestLinkByteAccounting(t *testing.T) {
 }
 
 func TestIsFastRead(t *testing.T) {
-	ch, _ := apChannel(t, nil)
-	if ch.IsFastRead(64) {
+	ch, m := apChannel(t, nil)
+	fast := func(c *Channel, m *addrmap.Mapper, line int64) bool {
+		return c.IsFastRead(line, m.Map(line), m.LocalLineID(line))
+	}
+	if fast(ch, m, 64) {
 		t.Error("cold cache: nothing is fast")
 	}
 	ch.ScheduleRead(0, ready12)
-	if !ch.IsFastRead(64) {
+	if !fast(ch, m, 64) {
 		t.Error("prefetched line must be fast")
 	}
-	if ch.IsFastRead(4 * 64) {
+	if fast(ch, m, 4*64) {
 		t.Error("next region must not be fast")
 	}
-	plain, _ := newChannel(t, nil)
-	if plain.IsFastRead(0) {
+	plain, pm := newChannel(t, nil)
+	if fast(plain, pm, 0) {
 		t.Error("no AMB cache and close-page: never fast")
 	}
 }
@@ -292,20 +297,35 @@ func TestHousekeepPreservesFutureScheduling(t *testing.T) {
 	}
 }
 
+// regionStride is the distance between consecutive prefetch regions on one
+// DIMM of the default AMB-prefetching configuration: region IDs advance by
+// channels*dimms.
+func regionStride() int64 {
+	cfg := config.WithAMBPrefetch(config.Default()).Mem
+	return int64(cfg.LogicalChannels*cfg.DIMMsPerChannel*cfg.RegionLines) * 64
+}
+
 // TestEvictionDropsInflight: when a prefetched-but-not-used line is evicted
-// from the AMB cache, its in-flight record must go too (no stale hits).
+// from the AMB cache before it lands, its pending fill goes with it: the
+// line reads as an AMB miss, never as a hit waiting for a stale fill.
 func TestEvictionDropsInflight(t *testing.T) {
-	ch, _ := apChannel(t, func(c *config.Config) {
+	ch, m := apChannel(t, func(c *config.Config) {
 		c.Mem.AMBCacheLines = 4 // tiny cache: one region fills it
 		c.Mem.AMBCacheAssoc = config.FullAssoc
 	})
-	ch.ScheduleRead(0, ready12) // prefetches lines 1..3
-	// Next region on the same DIMM: region IDs advance by channels*dimms.
-	cfg := config.WithAMBPrefetch(config.Default()).Mem
-	next := int64(cfg.LogicalChannels*cfg.DIMMsPerChannel) * 4 * 64
-	ch.ScheduleRead(next, 500*ns) // evicts earlier lines
-	if len(ch.inflight) > 6 {
-		t.Errorf("inflight grew to %d; evicted lines not cleaned", len(ch.inflight))
+	ch.ScheduleRead(0, ready12)            // prefetches lines 1..3
+	ch.ScheduleRead(regionStride(), 20*ns) // FIFO evicts lines 1 and 2 in transit
+	for _, f := range ch.ambs[0].AppendFills(nil) {
+		if f.Line == 64 || f.Line == 128 {
+			t.Errorf("evicted line %d still lands at %v", f.Line/64, f.At)
+		}
+	}
+	if ch.IsFastRead(64, m.Map(64), m.LocalLineID(64)) {
+		t.Error("evicted line still reads as fast")
+	}
+	actBefore := ch.Counters.ACT
+	if _, hit := ch.ScheduleRead(64, 30*ns); hit || ch.Counters.ACT == actBefore {
+		t.Error("evicted line must be refetched from DRAM")
 	}
 }
 
@@ -379,6 +399,121 @@ func TestSoakInvariants(t *testing.T) {
 			}
 		} else if ch.Counters.ColRead != reads {
 			t.Errorf("column reads %d != reads %d", ch.Counters.ColRead, reads)
+		}
+	}
+}
+
+// TestScheduleReadMissAllocatesNothing: a steady-state AMB miss fetches its
+// group through the channel's own buffer.
+func TestScheduleReadMissAllocatesNothing(t *testing.T) {
+	ch, _ := apChannel(t, nil)
+	var addr int64
+	ready := ready12
+	miss := func() {
+		addr += regionStride() // a new region on DIMM 0: always a miss
+		ready += 100 * ns
+		if _, hit := ch.ScheduleRead(addr, ready); hit {
+			t.Fatalf("read of %#x hit the AMB cache", addr)
+		}
+		ch.Housekeep(ready)
+	}
+	for i := 0; i < 100; i++ {
+		miss()
+	}
+	if n := testing.AllocsPerRun(200, miss); n != 0 {
+		t.Errorf("an AMB miss allocates %v times, want 0", n)
+	}
+}
+
+// TestFunctionalReadAllocatesNothing: the functional path's group install
+// reuses the same buffer.
+func TestFunctionalReadAllocatesNothing(t *testing.T) {
+	ch, _ := apChannel(t, nil)
+	var addr int64
+	miss := func() {
+		addr += regionStride()
+		ch.FunctionalRead(addr)
+	}
+	for i := 0; i < 100; i++ {
+		miss()
+	}
+	if n := testing.AllocsPerRun(200, miss); n != 0 {
+		t.Errorf("a functional AMB miss allocates %v times, want 0", n)
+	}
+	if s := ch.AMBStats(); s.Hits != 0 || s.Prefetched != 3*s.Reads {
+		t.Errorf("every functional read must miss and install K-1 lines: %+v", s)
+	}
+}
+
+// encodeChannel returns a snapshot file holding c's state.
+func encodeChannel(c *Channel) []byte {
+	w := snapshot.NewWriter("fbdchan")
+	c.Snapshot(w.Section("ch"))
+	return w.Finish()
+}
+
+// restoreChannel restores the state in file into c and returns the
+// decoder's verdict.
+func restoreChannel(t *testing.T, c *Channel, file []byte) error {
+	t.Helper()
+	r, err := snapshot.Open(file, "fbdchan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("ch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Restore(d)
+	return d.Done()
+}
+
+// TestRestorePendingFills: pending fills survive a snapshot round trip, and
+// a snapshot with a pending fill for a line that is not resident in its
+// DIMM's AMB cache is refused.
+func TestRestorePendingFills(t *testing.T) {
+	src, m := apChannel(t, nil)
+	src.ScheduleRead(0, ready12) // lines 1..3 in transit
+	file := encodeChannel(src)
+	dst, _ := apChannel(t, nil)
+	if err := restoreChannel(t, dst, file); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !bytes.Equal(encodeChannel(dst), file) {
+		t.Error("restored channel snapshots differently")
+	}
+	if got, want := len(dst.ambs[0].AppendFills(nil)), 3; got != want {
+		t.Errorf("%d pending fills after restore, want %d", got, want)
+	}
+
+	// Line 64 belongs to DIMM 0; planting it in DIMM 1's cache puts a
+	// pending fill in the snapshot that DIMM 0's cache cannot own.
+	bad, _ := apChannel(t, nil)
+	if m.Map(64).DIMM == 1 {
+		t.Fatal("test assumes line 1 is not on DIMM 1")
+	}
+	bad.ambs[1].InsertPrefetchAt(64, m.LocalLineID(64), 100*ns)
+	fresh, _ := apChannel(t, nil)
+	if err := restoreChannel(t, fresh, encodeChannel(bad)); err == nil {
+		t.Error("restore accepted a pending fill for a line not in its AMB cache")
+	}
+}
+
+// BenchmarkChannelScheduling micro-benchmarks the FB-DIMM channel model:
+// scheduling cost per transaction.
+func BenchmarkChannelScheduling(b *testing.B) {
+	cfg := config.WithAMBPrefetch(config.Default())
+	mem := cfg.Mem
+	ch := New(&mem, addrmap.New(&mem))
+	b.ReportAllocs()
+	b.ResetTimer()
+	ready := clock.Time(0)
+	for i := 0; i < b.N; i++ {
+		addr := int64(i%4096) * 64
+		ready += 12 * clock.Nanosecond
+		ch.ScheduleRead(addr, ready)
+		if i%1024 == 0 {
+			ch.Housekeep(ready)
 		}
 	}
 }

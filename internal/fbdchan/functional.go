@@ -18,15 +18,12 @@ func (c *Channel) FunctionalRead(addr int64) {
 	loc := c.mapper.Map(addr)
 	line := c.mapper.LineAddr(addr)
 	amb := c.ambs[loc.DIMM]
-	if amb.LookupRead(line, c.mapper.LocalLineID(line)) {
+	if _, hit := amb.LookupRead(line, c.mapper.LocalLineID(line)); hit {
 		return
 	}
-	for _, la := range c.mapper.Group(addr)[1:] {
-		if evicted, was := amb.InsertPrefetch(la, c.mapper.LocalLineID(la)); was {
-			delete(c.inflight, evicted)
-		}
-		// No inflight entry: the line is resident as of now.
-		delete(c.inflight, la)
+	c.group = c.mapper.AppendGroup(c.group[:0], addr)
+	for _, la := range c.group[1:] {
+		amb.InsertPrefetch(la, c.mapper.LocalLineID(la)) // resident as of now
 	}
 }
 
@@ -40,5 +37,4 @@ func (c *Channel) FunctionalWrite(addr int64) {
 	loc := c.mapper.Map(addr)
 	line := c.mapper.LineAddr(addr)
 	c.ambs[loc.DIMM].Invalidate(line, c.mapper.LocalLineID(line))
-	delete(c.inflight, line)
 }

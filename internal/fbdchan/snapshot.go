@@ -1,14 +1,16 @@
 package fbdchan
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"fbdsim/internal/ambcache"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/snapshot"
 )
 
 // Snapshot serializes the channel's mutable state: link and DIMM-bus
-// timelines, bank FSMs, AMB caches, the in-flight prefetch table and the
+// timelines, bank FSMs, AMB caches, the prefetches still in transit and the
 // accumulated counters. Geometry and timing are construction-derived and
 // not written. The fault injector is owned (and serialized) by the
 // controller, which shares it across channels.
@@ -27,17 +29,16 @@ func (c *Channel) Snapshot(e *snapshot.Encoder) {
 	for _, a := range c.ambs {
 		a.Snapshot(e)
 	}
-	// The in-flight map is written in sorted key order so identical machine
-	// states produce identical snapshot bytes.
-	lines := make([]int64, 0, len(c.inflight))
-	for line := range c.inflight {
-		lines = append(lines, line)
+	// Pending fills are written in line order, across all AMBs.
+	var fills []ambcache.Fill
+	for _, a := range c.ambs {
+		fills = a.AppendFills(fills)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	e.Int(len(lines))
-	for _, line := range lines {
-		e.I64(line)
-		e.I64(int64(c.inflight[line]))
+	slices.SortFunc(fills, func(a, b ambcache.Fill) int { return cmp.Compare(a.Line, b.Line) })
+	e.Int(len(fills))
+	for _, f := range fills {
+		e.I64(f.Line)
+		e.I64(int64(f.At))
 	}
 	c.Counters.Snapshot(e)
 	e.I64(c.Links.BytesNorth)
@@ -73,11 +74,16 @@ func (c *Channel) Restore(d *snapshot.Decoder) {
 	for _, a := range c.ambs {
 		a.Restore(d)
 	}
+	// A pending fill belongs to a resident line: the caches restored just
+	// above must hold every one.
 	n := d.Count(16)
-	c.inflight = make(map[int64]clock.Time, n)
 	for i := 0; i < n; i++ {
-		line := d.I64()
-		c.inflight[line] = clock.Time(d.I64())
+		line, at := d.I64(), clock.Time(d.I64())
+		if c.ambs == nil || line < 0 ||
+			!c.ambs[c.mapper.Map(line).DIMM].SetFill(line, c.mapper.LocalLineID(line), at) {
+			d.Fail("fbdchan: snapshot has a pending fill for line %#x, which is not resident in its AMB cache", line)
+			return
+		}
 	}
 	c.Counters.Restore(d)
 	c.Links = LinkStats{BytesNorth: d.I64(), BytesSouth: d.I64()}

@@ -23,7 +23,10 @@ import (
 
 // channelModel is the contract both interconnect models satisfy.
 type channelModel interface {
-	IsFastRead(addr int64) bool
+	// IsFastRead reports whether a read would be served without a full
+	// DRAM access, given its line address already decoded (see
+	// memreq.Request.Loc).
+	IsFastRead(line int64, loc addrmap.Location, localID int64) bool
 	ScheduleRead(addr int64, ready clock.Time) (dataAt clock.Time, ambHit bool)
 	// ScheduleWrite handles a batch of writebacks that share one DRAM row.
 	ScheduleWrite(addrs []int64, ready clock.Time) clock.Time
@@ -197,7 +200,7 @@ func (c *Controller) TCK() clock.Time { return c.tck }
 // CanAccept reports whether the channel serving addr has buffer space for
 // another transaction of the given kind.
 func (c *Controller) CanAccept(addr int64, kind memreq.Kind) bool {
-	ch := c.mapper.Map(addr).Channel
+	ch := c.mapper.Channel(addr)
 	if kind == memreq.Read {
 		return len(c.readQ[ch]) < c.cfg.QueueEntries
 	}
@@ -213,13 +216,21 @@ func (c *Controller) Enqueue(req *memreq.Request, now clock.Time) bool {
 		return false
 	}
 	req.Arrived = now
-	ch := c.mapper.Map(req.Addr).Channel
+	c.decode(req)
+	ch := req.Loc.Channel
 	if req.Kind == memreq.Read {
 		c.readQ[ch] = append(c.readQ[ch], req)
 	} else {
 		c.writeQ[ch] = append(c.writeQ[ch], req)
 	}
 	return true
+}
+
+// decode stores the DRAM location and DIMM-local line ID of req.Addr on
+// req.
+func (c *Controller) decode(req *memreq.Request) {
+	req.Loc = c.mapper.Map(req.Addr)
+	req.LocalID = c.mapper.LocalLineID(req.Addr)
 }
 
 // QueuedReads returns the number of reads buffered across all channels
@@ -293,7 +304,6 @@ func (c *Controller) Tick(now clock.Time) {
 // recordEvent converts a completed request into a memtrace event. Only
 // called while tracing is enabled.
 func (c *Controller) recordEvent(req *memreq.Request, ch int) {
-	loc := c.mapper.Map(req.Addr)
 	created := req.Created
 	if created == 0 || created > req.Arrived {
 		created = req.Arrived
@@ -306,8 +316,8 @@ func (c *Controller) recordEvent(req *memreq.Request, ch int) {
 		SWPrefetch: req.SWPrefetch,
 		AMBHit:     req.AMBHit,
 		Channel:    ch,
-		DIMM:       loc.DIMM,
-		Bank:       loc.Bank,
+		DIMM:       req.Loc.DIMM,
+		Bank:       req.Loc.Bank,
 		Created:    created,
 		Arrived:    req.Arrived,
 		Issued:     req.T.Issued,
@@ -419,7 +429,7 @@ func (c *Controller) pickRead(ch int, now clock.Time, model channelModel) (*memr
 		if req.Arrived+c.cfg.CtrlOverhead > now+c.TCK() {
 			continue // still in the controller pipeline
 		}
-		if model.IsFastRead(req.Addr) {
+		if model.IsFastRead(req.Addr, req.Loc, req.LocalID) {
 			return req, i // oldest fast read wins immediately
 		}
 		if oldest < 0 {
@@ -482,7 +492,7 @@ func (c *Controller) startRead(req *memreq.Request, model channelModel, now cloc
 	if hit {
 		c.Stats.AMBHits++
 	}
-	ch := c.mapper.Map(req.Addr).Channel
+	ch := req.Loc.Channel
 	c.inflight[ch]++
 	c.pushCompletion(completion{at: dataAt, req: req, ch: ch})
 }
@@ -504,7 +514,7 @@ func (c *Controller) startWrites(batch []*memreq.Request, model channelModel, no
 	doneAt := model.ScheduleWrite(addrs, ready)
 	c.scratchAddrs = addrs[:0]
 	c.Stats.Writes += int64(len(batch))
-	ch := c.mapper.Map(batch[0].Addr).Channel
+	ch := batch[0].Loc.Channel
 	var cmdAt, serviceAt clock.Time
 	if c.rec != nil {
 		cmdAt, serviceAt = model.LastTiming()

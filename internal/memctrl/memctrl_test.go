@@ -304,3 +304,80 @@ func TestManyRequestsAllComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestReadPathAllocatesNothing: one read through Enqueue, the controller's
+// ticks and completion allocates nothing once the queues have grown.
+func TestReadPathAllocatesNothing(t *testing.T) {
+	c := newCtrl(t, func(cfg *config.Config) { *cfg = config.WithAMBPrefetch(*cfg) })
+	var now clock.Time
+	var addr int64
+	req := &memreq.Request{}
+	done := false
+	onDone := func(*memreq.Request) { done = true }
+	one := func() {
+		addr += 1 << 20 // a new prefetch region every time: an AMB miss
+		*req = memreq.Request{Addr: addr, Kind: memreq.Read, OnDone: onDone}
+		done = false
+		now += c.TCK()
+		if !c.Enqueue(req, now) {
+			t.Fatal("an idle controller refused a read")
+		}
+		for !done {
+			c.Tick(now)
+			now += c.TCK()
+		}
+	}
+	for i := 0; i < 100; i++ {
+		one()
+	}
+	if n := testing.AllocsPerRun(200, one); n != 0 {
+		t.Errorf("a read allocates %v times, want 0", n)
+	}
+	if c.Stats.AMBHits != 0 {
+		t.Errorf("%d reads hit the AMB cache; the test wants misses", c.Stats.AMBHits)
+	}
+}
+
+// BenchmarkTickFullReadQueue times one controller tick with every channel's
+// read queue full, the state a memory-bound mix keeps it in: hit-first
+// scheduling probes every eligible queued read on every tick. A fixed set of
+// requests, twice what the queues hold, circulates as in a closed loop: a
+// completed read comes back as a read of a new random line on the channel
+// whose queue has room.
+func BenchmarkTickFullReadQueue(b *testing.B) {
+	cfg := config.WithAMBPrefetch(config.Default())
+	c := New(&cfg.Mem)
+	var pool memreq.Pool
+	for i := 0; i < 2*cfg.Mem.QueueEntries*len(c.readQ); i++ {
+		pool.Put(&memreq.Request{})
+	}
+	onDone := func(r *memreq.Request) { pool.Put(r) }
+	rng := uint64(88172645463325252)
+	var now clock.Time
+	tick := func() {
+		for ch := range c.readQ {
+			for len(c.readQ[ch]) < cfg.Mem.QueueEntries && pool.Len() > 0 {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				addr := int64(rng%(1<<24)) * 64
+				if c.mapper.Channel(addr) != ch {
+					continue
+				}
+				req := pool.Get()
+				req.Addr, req.Kind, req.OnDone = addr, memreq.Read, onDone
+				c.Enqueue(req, now)
+			}
+		}
+		c.Tick(now)
+		now += c.TCK()
+	}
+	for i := 0; i < 10000; i++ {
+		tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
+	}
+}

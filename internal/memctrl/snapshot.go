@@ -78,14 +78,14 @@ func (c *Controller) Restore(d *snapshot.Decoder, onRead, onWrite func(*memreq.R
 		n := d.Count(64)
 		c.readQ[ch] = c.readQ[ch][:0]
 		for i := 0; i < n; i++ {
-			req := restoreReq(d)
+			req := c.restoreReq(d)
 			rewire(req)
 			c.readQ[ch] = append(c.readQ[ch], req)
 		}
 		n = d.Count(64)
 		c.writeQ[ch] = c.writeQ[ch][:0]
 		for i := 0; i < n; i++ {
-			req := restoreReq(d)
+			req := c.restoreReq(d)
 			rewire(req)
 			c.writeQ[ch] = append(c.writeQ[ch], req)
 		}
@@ -96,7 +96,7 @@ func (c *Controller) Restore(d *snapshot.Decoder, onRead, onWrite func(*memreq.R
 	c.completions = c.completions[:0]
 	for i := 0; i < n; i++ {
 		comp := completion{at: clock.Time(d.I64())}
-		comp.req = restoreReq(d)
+		comp.req = c.restoreReq(d)
 		rewire(comp.req)
 		comp.ch = d.Int()
 		if comp.ch < 0 || comp.ch >= len(c.chans) {
@@ -120,7 +120,7 @@ func (c *Controller) Restore(d *snapshot.Decoder, onRead, onWrite func(*memreq.R
 }
 
 // snapshotReq serializes one transaction. OnDone is a closure and is
-// rewired at restore time by kind.
+// rewired at restore time by kind; Loc and LocalID are decoded again.
 func snapshotReq(e *snapshot.Encoder, req *memreq.Request) {
 	e.I64(req.ID)
 	e.I64(req.Addr)
@@ -136,8 +136,8 @@ func snapshotReq(e *snapshot.Encoder, req *memreq.Request) {
 	e.I64(int64(req.T.Service))
 }
 
-func restoreReq(d *snapshot.Decoder) *memreq.Request {
-	return &memreq.Request{
+func (c *Controller) restoreReq(d *snapshot.Decoder) *memreq.Request {
+	req := &memreq.Request{
 		ID:         d.I64(),
 		Addr:       d.I64(),
 		Kind:       memreq.Kind(d.Int()),
@@ -153,4 +153,6 @@ func restoreReq(d *snapshot.Decoder) *memreq.Request {
 			Service: clock.Time(d.I64()),
 		},
 	}
+	c.decode(req)
+	return req
 }

@@ -5,7 +5,7 @@
 // A snapshot file is a single self-describing blob:
 //
 //	magic        8 bytes  "FBDSNAP\x00"
-//	version      u32      format version (currently 1)
+//	version      u32      format version (currently 2)
 //	fingerprint  str      SHA-256 identity of (config, workload) — see Fingerprint
 //	nsections    u32
 //	section ×n   str tag, u64 payload length, payload bytes
