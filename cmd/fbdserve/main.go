@@ -13,7 +13,7 @@
 //	     -d '{"preset": "fbd-ap", "benchmarks": ["swim", "applu"], "seed": 1}'
 //	curl localhost:8077/v1/jobs/job-1
 //	curl -N localhost:8077/v1/jobs/job-1/events      # live SSE stream
-//	curl localhost:8077/v1/jobs/job-1/stats          # latest epoch window
+//	curl localhost:8077/v1/jobs/job-1/stats          # measured epoch window
 //	curl -X DELETE localhost:8077/v1/jobs/job-1
 //	curl localhost:8077/metrics
 //	curl localhost:8077/v1/dashboard?format=txt      # terminal dashboard
@@ -32,9 +32,14 @@
 // -log-level the threshold. Every request logs one line with a request ID
 // (honoring an incoming X-Request-ID) plus job/sweep correlation.
 //
+// Every job and sweep keeps one append-only event log, so a late or
+// reconnecting reader replays the whole history and no reader is ever
+// dropped. Jobs are not retried: a failed simulation would fail the same
+// way again.
+//
 // On SIGINT/SIGTERM the server stops accepting work, drains in-flight
 // jobs for -grace, then cancels whatever is still running. Live SSE
-// streams close as soon as shutdown begins.
+// streams and ?follow=1 result tails close as soon as shutdown begins.
 package main
 
 import (
@@ -63,7 +68,6 @@ func main() {
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job execution deadline (0 = none)")
 		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		maxInsts   = flag.Int64("max-insts", 0, "cap on per-job instruction budgets (0 = none)")
-		jobRetries = flag.Int("job-retries", 3, "cap on per-job transient-failure retries clients may request")
 		sweepPar   = flag.Int("sweep-parallel", 0, "cap on per-sweep shard parallelism clients may request (0 = workers)")
 		sweepCap   = flag.Int("max-sweep-points", 0, "cap on the grid size of one sweep submission (0 = 4096)")
 		grace      = flag.Duration("grace", 30*time.Second, "shutdown grace period before in-flight jobs are cancelled")
@@ -86,7 +90,6 @@ func main() {
 		JobTimeout:     *jobTimeout,
 		RetryAfter:     *retryAfter,
 		MaxInsts:       *maxInsts,
-		MaxJobRetries:  *jobRetries,
 		SweepParallel:  *sweepPar,
 		MaxSweepPoints: *sweepCap,
 		Logger:         logger,
@@ -129,9 +132,9 @@ func main() {
 	graceCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	// Drain the listener and the worker pool concurrently: sim.Shutdown
-	// signals live SSE streams to end, which is exactly what lets
-	// httpSrv.Shutdown finish draining instead of waiting out the grace
-	// period on a long-lived streaming connection.
+	// signals live SSE streams and result tails to end, which is exactly
+	// what lets httpSrv.Shutdown finish draining instead of waiting out
+	// the grace period on a long-lived streaming connection.
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {

@@ -67,17 +67,9 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := fbdsim.Default()
-	switch *memKind {
-	case "ddr2":
-		cfg = fbdsim.DDR2Baseline()
-	case "fbd":
-	case "fbd-ap":
-		cfg = fbdsim.WithAMBPrefetch(cfg)
-	case "fbd-apfl":
-		cfg = fbdsim.WithFullLatencyHits(cfg)
-	default:
-		fatalf("unknown -mem %q (want ddr2, fbd, fbd-ap, fbd-apfl)", *memKind)
+	cfg, err := config.Preset(*memKind)
+	if err != nil {
+		fatalf("-mem: %v", err)
 	}
 	cfg.MaxInsts = *insts
 	cfg.WarmupInsts = *warmup

@@ -511,6 +511,24 @@ func WithFullLatencyHits(c Config) Config {
 	return c
 }
 
+// Preset returns the named memory-system configuration: ddr2
+// (DDR2Baseline), fbd (Default), fbd-ap (WithAMBPrefetch) or fbd-apfl
+// (WithFullLatencyHits). It is the one name table behind fbdsim -mem and
+// fbdserve's "preset" field.
+func Preset(name string) (Config, error) {
+	switch name {
+	case "ddr2":
+		return DDR2Baseline(), nil
+	case "fbd":
+		return Default(), nil
+	case "fbd-ap":
+		return WithAMBPrefetch(Default()), nil
+	case "fbd-apfl":
+		return WithFullLatencyHits(Default()), nil
+	}
+	return Config{}, fmt.Errorf("unknown preset %q (want ddr2, fbd, fbd-ap, fbd-apfl)", name)
+}
+
 // Validate reports the first configuration error found, or nil.
 func (c *Config) Validate() error {
 	switch {

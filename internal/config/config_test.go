@@ -1,6 +1,7 @@
 package config
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,6 +121,27 @@ func TestPresets(t *testing.T) {
 	}
 	if err := fl.Validate(); err != nil {
 		t.Errorf("APFL preset invalid: %v", err)
+	}
+}
+
+// TestPresetNames: Preset maps every name onto its constructor and lists
+// the valid names when it refuses an unknown one.
+func TestPresetNames(t *testing.T) {
+	for name, want := range map[string]Config{
+		"ddr2":     DDR2Baseline(),
+		"fbd":      Default(),
+		"fbd-ap":   WithAMBPrefetch(Default()),
+		"fbd-apfl": WithFullLatencyHits(Default()),
+	} {
+		got, err := Preset(name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("Preset(%q) = %+v, %v; want %+v", name, got.Mem, err, want.Mem)
+		}
+	}
+	for _, bad := range []string{"", "ddr9", "FBD"} {
+		if _, err := Preset(bad); err == nil || !strings.Contains(err.Error(), "ddr2, fbd, fbd-ap, fbd-apfl") {
+			t.Errorf("Preset(%q) error = %v, want one listing the valid names", bad, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -198,6 +199,48 @@ func TestRunnerJournalResume(t *testing.T) {
 	}
 	if s := r.Summary(); s.Simulations >= int64(len(ref)) {
 		t.Errorf("resume re-simulated everything (%d sims for %d points)", s.Simulations, len(ref))
+	}
+}
+
+// TestEveryFigureAbortsThroughJournal: each of Figures 4–13, run on its own
+// with a journal and AbortAfterPoints 1, writes a journal and stops with
+// ErrAborted — the contract behind paperexp's exit code 3 and the
+// kill/resume smoke, which holds only for figures that run their
+// simulations through the sweep engine.
+func TestEveryFigureAbortsThroughJournal(t *testing.T) {
+	figures := []struct {
+		name string
+		run  func(*Runner) error
+	}{
+		{"Figure4", func(r *Runner) error { _, err := Figure4(r); return err }},
+		{"Figure5", func(r *Runner) error { _, err := Figure5(r); return err }},
+		{"Figure6", func(r *Runner) error { _, err := Figure6(r); return err }},
+		{"Figure7", func(r *Runner) error { _, err := Figure7(r); return err }},
+		{"Figure8", func(r *Runner) error { _, err := Figure8(r); return err }},
+		{"Figure9", func(r *Runner) error { _, err := Figure9(r); return err }},
+		{"Figure10", func(r *Runner) error { _, err := Figure10(r); return err }},
+		{"Figure11", func(r *Runner) error { _, err := Figure11(r); return err }},
+		{"Figure12", func(r *Runner) error { _, err := Figure12(r); return err }},
+		{"Figure13", func(r *Runner) error { _, err := Figure13(r); return err }},
+	}
+	for _, fig := range figures {
+		t.Run(fig.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := NewRunner(Options{
+				MaxInsts:         20_000,
+				WarmupInsts:      2_000,
+				Parallel:         1,
+				Workloads:        []workload.Workload{{Name: "1C-swim", Benchmarks: []string{"swim"}}},
+				Journal:          dir,
+				AbortAfterPoints: 1,
+			})
+			if err := fig.run(r); !errors.Is(err, ErrAborted) {
+				t.Fatalf("err = %v, want ErrAborted", err)
+			}
+			if files, err := os.ReadDir(dir); err != nil || len(files) == 0 {
+				t.Errorf("no journal written (%v)", err)
+			}
+		})
 	}
 }
 

@@ -95,33 +95,34 @@ type Figure5Data struct {
 
 func avgKey(cores int, sys string) string { return fmt.Sprintf("%dC/%s", cores, sys) }
 
-// Figure5 reproduces Figure 5 from the same runs as Figure 4.
+// Figure5 reproduces Figure 5 from the same runs as Figure 4: one sweep
+// per core count over {DDR2, FBD} × that core count's workloads.
 func Figure5(r *Runner) (Figure5Data, error) {
 	d := Figure5Data{AvgBW: map[string]float64{}, AvgLat: map[string]float64{}}
-	systems := []struct {
-		name string
-		cfg  config.Config
-	}{
-		{"DDR2", config.DDR2Baseline()},
-		{"FBD", config.FBDIMMBaseline()},
+	systems := []sweep.NamedConfig{
+		{Name: "DDR2", Config: config.DDR2Baseline()},
+		{Name: "FBD", Config: config.FBDIMMBaseline()},
 	}
 	for _, g := range r.coreGroups() {
-		for _, sys := range systems {
+		pts, err := r.sweep("figure5", systems, g.Workloads)
+		if err != nil {
+			return d, err
+		}
+		// Points arrive in grid order: every workload of one system, then
+		// the next system.
+		for s, sys := range systems {
 			var bws, lats []float64
-			for _, w := range g.Workloads {
-				res, err := r.Run(sys.cfg, w.Benchmarks)
-				if err != nil {
-					return d, err
-				}
+			for i, w := range g.Workloads {
+				res := pts[s*len(g.Workloads)+i].Results
 				d.Rows = append(d.Rows, Figure5Row{
-					Workload: w.Name, Cores: g.Cores, System: sys.name,
+					Workload: w.Name, Cores: g.Cores, System: sys.Name,
 					BandwidthGBs: res.UtilizedBandwidthGBs, LatencyNS: res.AvgReadLatencyNS,
 				})
 				bws = append(bws, res.UtilizedBandwidthGBs)
 				lats = append(lats, res.AvgReadLatencyNS)
 			}
-			d.AvgBW[avgKey(g.Cores, sys.name)] = mean(bws)
-			d.AvgLat[avgKey(g.Cores, sys.name)] = mean(lats)
+			d.AvgBW[avgKey(g.Cores, sys.Name)] = mean(bws)
+			d.AvgLat[avgKey(g.Cores, sys.Name)] = mean(lats)
 		}
 	}
 	return d, nil
@@ -442,20 +443,22 @@ type Figure10Row struct {
 type Figure10Data struct{ Rows []Figure10Row }
 
 // Figure10 reproduces Figure 10: for every workload, AMB prefetching should
-// raise utilized bandwidth and cut average latency.
+// raise utilized bandwidth and cut average latency. Each core count is one
+// sweep over {FBD, FBD-AP} × its workloads.
 func Figure10(r *Runner) (Figure10Data, error) {
 	var d Figure10Data
-	apCfg := config.WithAMBPrefetch(config.Default())
+	systems := []sweep.NamedConfig{
+		{Name: "FBD", Config: config.FBDIMMBaseline()},
+		{Name: "FBD-AP", Config: config.WithAMBPrefetch(config.Default())},
+	}
 	for _, g := range r.coreGroups() {
-		for _, w := range g.Workloads {
-			base, err := r.Run(config.FBDIMMBaseline(), w.Benchmarks)
-			if err != nil {
-				return d, err
-			}
-			ap, err := r.Run(apCfg, w.Benchmarks)
-			if err != nil {
-				return d, err
-			}
+		pts, err := r.sweep("figure10", systems, g.Workloads)
+		if err != nil {
+			return d, err
+		}
+		n := len(g.Workloads)
+		for i, w := range g.Workloads {
+			base, ap := pts[i].Results, pts[n+i].Results
 			d.Rows = append(d.Rows, Figure10Row{
 				Workload: w.Name, Cores: g.Cores,
 				FBDBW: base.UtilizedBandwidthGBs, FBDLat: base.AvgReadLatencyNS,

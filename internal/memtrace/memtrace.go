@@ -178,10 +178,11 @@ type Gauges struct {
 }
 
 // Sink receives live epoch rows as the recorder appends them, turning the
-// post-mortem time-series into a streaming one (the telemetry hub attaches
-// one per traced serving job). Both methods run on the simulation
-// goroutine: implementations must be fast and must never block. A nil sink
-// costs one pointer check per epoch flush — nothing per request.
+// post-mortem time-series into a streaming one (fbdserve attaches one per
+// traced job, feeding the job's telemetry stream). Both methods run on the
+// simulation goroutine: implementations must be fast and must never block.
+// A nil sink costs one pointer check per epoch flush — nothing per
+// request.
 type Sink interface {
 	// EpochSample is called exactly when a row is appended to the epoch
 	// series, with the appended row (rows dropped past MaxEpochs are not

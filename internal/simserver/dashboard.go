@@ -15,7 +15,7 @@ import (
 	"fbdsim/internal/textplot"
 )
 
-// This file is the human end of the telemetry hub: GET /v1/dashboard
+// This file is the human end of the telemetry streams: GET /v1/dashboard
 // renders the server's live state — worker-pool occupancy, queue depth,
 // every job and sweep with its lifecycle state, and per-traced-job strips
 // of the streaming epoch series (utilization, AMB hit rate, queue depth)
@@ -112,7 +112,7 @@ func (s *Server) dashboardText() string {
 		if tier == "" {
 			tier = "cycle-acc"
 		}
-		line := fmt.Sprintf("  %-8s %-9s %-10s %-24s attempts=%d", v.ID, v.State, tier, strings.Join(v.Benchmarks, "+"), v.Attempts)
+		line := fmt.Sprintf("  %-8s %-9s %-10s %-24s", v.ID, v.State, tier, strings.Join(v.Benchmarks, "+"))
 		if v.TotalIPC > 0 {
 			line += fmt.Sprintf("  ipc=%.3f", v.TotalIPC)
 			if v.IPCCI95 > 0 {
@@ -126,7 +126,7 @@ func (s *Server) dashboardText() string {
 			line += "  error: " + v.Error
 		}
 		sb.WriteString(line + "\n")
-		// Traced jobs get live strips from the hub's latest window.
+		// Traced jobs get live strips from their stream's measurement window.
 		writeJobStrips(&sb, j.stream.Snapshot(0))
 	}
 

@@ -21,7 +21,6 @@ type Metrics struct {
 	Paused    *stats.Counter // jobs checkpointed and stopped via pause
 	Rejected  *stats.Counter // submissions refused with 429 (queue full)
 	Panics    *stats.Counter // simulation panics recovered by the worker pool
-	Retries   *stats.Counter // transient-failure job retries performed
 	SimCycles *stats.Counter // simulated CPU cycles across completed jobs
 
 	// Result cache.
@@ -59,7 +58,6 @@ func newMetrics() *Metrics {
 		Paused:      reg.Counter("jobs_paused"),
 		Rejected:    reg.Counter("jobs_rejected"),
 		Panics:      reg.Counter("job_panics"),
-		Retries:     reg.Counter("job_retries"),
 		SimCycles:   reg.Counter("sim_cycles_total"),
 		CacheHits:   reg.Counter("cache_hits"),
 		CacheMisses: reg.Counter("cache_misses"),

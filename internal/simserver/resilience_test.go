@@ -62,123 +62,6 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestPanicsNotRetried: even with a retry budget, a panic is treated as a
-// deterministic model bug and the job fails on the first attempt.
-func TestPanicsNotRetried(t *testing.T) {
-	var calls atomic.Int64
-	s, ts := newTestServer(t, Options{
-		Workers:      1,
-		RetryBackoff: time.Millisecond,
-		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
-			calls.Add(1)
-			panic("always broken")
-		},
-	})
-	_, v, _ := postJob(t, ts, `{"benchmarks": ["swim"], "retries": 3}`)
-	final := waitState(t, ts, v.ID, StateFailed)
-	if got := calls.Load(); got != 1 {
-		t.Errorf("attempts = %d, want 1 (panics must not retry)", got)
-	}
-	if final.Attempts != 1 {
-		t.Errorf("reported attempts = %d, want 1", final.Attempts)
-	}
-	if r := s.Metrics().Retries.Value(); r != 0 {
-		t.Errorf("retries counter = %d, want 0", r)
-	}
-}
-
-// TestTransientRetrySucceeds: a job submitted with a retry budget survives
-// transient failures, reporting its attempt count and the retry metric.
-func TestTransientRetrySucceeds(t *testing.T) {
-	var calls atomic.Int64
-	s, ts := newTestServer(t, Options{
-		Workers:      1,
-		RetryBackoff: time.Millisecond,
-		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
-			if calls.Add(1) < 3 {
-				return system.Results{}, fmt.Errorf("transient I/O wobble")
-			}
-			return system.Results{Benchmarks: benchmarks}, nil
-		},
-	})
-	_, v, _ := postJob(t, ts, `{"benchmarks": ["swim"], "retries": 3}`)
-	final := waitState(t, ts, v.ID, StateDone)
-	if final.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", final.Attempts)
-	}
-	if r := s.Metrics().Retries.Value(); r != 2 {
-		t.Errorf("retries counter = %d, want 2", r)
-	}
-	if c := s.Metrics().Completed.Value(); c != 1 {
-		t.Errorf("completed counter = %d, want 1", c)
-	}
-}
-
-// TestRetryBudgetClampedAndDefaultOff: without "retries" a transient
-// failure fails immediately; an oversized budget is clamped to the server
-// cap.
-func TestRetryBudgetClampedAndDefaultOff(t *testing.T) {
-	var calls atomic.Int64
-	fail := func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
-		calls.Add(1)
-		return system.Results{}, fmt.Errorf("always failing")
-	}
-
-	_, ts := newTestServer(t, Options{Workers: 1, RetryBackoff: time.Millisecond, Run: fail})
-	_, v, _ := postJob(t, ts, `{"benchmarks": ["swim"], "seed": 1}`)
-	waitState(t, ts, v.ID, StateFailed)
-	if got := calls.Load(); got != 1 {
-		t.Errorf("attempts without a retry budget = %d, want 1", got)
-	}
-
-	calls.Store(0)
-	_, ts2 := newTestServer(t, Options{
-		Workers: 1, MaxJobRetries: 2, RetryBackoff: time.Millisecond, Run: fail,
-	})
-	_, v2, _ := postJob(t, ts2, `{"benchmarks": ["swim"], "seed": 2, "retries": 100}`)
-	final := waitState(t, ts2, v2.ID, StateFailed)
-	if got := calls.Load(); got != 3 {
-		t.Errorf("attempts with clamped budget = %d, want 1 + MaxJobRetries = 3", got)
-	}
-	if final.Attempts != 3 {
-		t.Errorf("reported attempts = %d, want 3", final.Attempts)
-	}
-}
-
-// TestCancelInterruptsBackoff: cancelling a job that is waiting out a
-// retry backoff terminates it promptly instead of after the full wait.
-func TestCancelInterruptsBackoff(t *testing.T) {
-	var calls atomic.Int64
-	attempted := make(chan struct{}, 1)
-	_, ts := newTestServer(t, Options{
-		Workers:         1,
-		RetryBackoff:    10 * time.Second, // would stall the worker without ctx plumbing
-		RetryBackoffMax: 10 * time.Second,
-		Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
-			calls.Add(1)
-			select {
-			case attempted <- struct{}{}:
-			default:
-			}
-			return system.Results{}, fmt.Errorf("transient")
-		},
-	})
-	_, v, _ := postJob(t, ts, `{"benchmarks": ["swim"], "retries": 5}`)
-	<-attempted // first attempt failed; the worker is now in backoff
-
-	begin := time.Now()
-	status, final := deleteJob(t, ts, v.ID)
-	if status != http.StatusOK {
-		t.Fatalf("DELETE status %d", status)
-	}
-	if elapsed := time.Since(begin); elapsed > time.Second {
-		t.Errorf("cancel during backoff took %v; backoff is not context-aware", elapsed)
-	}
-	if final.State != string(StateCancelled) {
-		t.Errorf("state = %q, want cancelled", final.State)
-	}
-}
-
 func readyStatus(t *testing.T, ts *httptest.Server) (int, map[string]any) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -323,7 +206,7 @@ func TestConcurrentCancelVsWorker(t *testing.T) {
 			t.Fatalf("round %d: job ended in %q", round, final.State)
 		}
 		// A cancelled-while-queued job must not have run.
-		if final.State == string(StateCancelled) && final.Attempts > 0 && calls.Load() > 0 &&
+		if final.State == string(StateCancelled) && calls.Load() > 0 &&
 			s.Metrics().Cancelled.Value() == 0 {
 			t.Fatalf("round %d: cancelled job ran without being counted", round)
 		}

@@ -39,10 +39,9 @@
 // drains in-flight jobs for a grace period, then cancels survivors.
 //
 // Resilience: a panic inside a simulation run is recovered by the worker —
-// the job fails with the panic message, the pool survives. Jobs submitted
-// with "retries": N re-run transient failures up to N times (capped by the
-// server) with exponential backoff; panics, cancellations and deadline
-// expiries are never retried.
+// the job fails with the panic message, the pool survives. Jobs are never
+// retried: every error a simulation returns is deterministic and would
+// repeat on a re-run.
 package simserver
 
 import (
@@ -63,7 +62,6 @@ import (
 	"fbdsim/internal/config"
 	"fbdsim/internal/fidelity"
 	"fbdsim/internal/memtrace"
-	"fbdsim/internal/retry"
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
 	"fbdsim/internal/telemetry"
@@ -93,15 +91,6 @@ type Options struct {
 	// MaxInsts caps the per-job instruction budget a client may request;
 	// 0 means no cap.
 	MaxInsts int64
-	// MaxJobRetries caps the per-job transient-failure retries a client
-	// may request with the submit body's "retries" field (default 3).
-	// Jobs retry only when they ask to; panics, cancellations and
-	// deadline expiries are never retried.
-	MaxJobRetries int
-	// RetryBackoff is the first retry's delay, doubled per attempt
-	// (default 50ms); RetryBackoffMax caps the doubling (default 2s).
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 	// SweepParallel caps the per-sweep shard parallelism a client may
 	// request (default: Workers). Each sweep runs its own bounded pool;
 	// this keeps one greedy sweep from oversubscribing the host.
@@ -113,9 +102,6 @@ type Options struct {
 	// sweep transitions, shutdown). Defaults to a discard logger so
 	// embedding tests stay quiet; fbdserve passes its process logger.
 	Logger *slog.Logger
-	// Telemetry sizes the live-telemetry hub's per-stream rings; the zero
-	// value takes the hub defaults.
-	Telemetry telemetry.Options
 	// Run overrides the simulation function (tests).
 	Run RunFunc
 	// FastWorkers is the size of the dedicated pool draining the
@@ -137,15 +123,6 @@ func (o Options) norm() Options {
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
-	}
-	if o.MaxJobRetries <= 0 {
-		o.MaxJobRetries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
-	if o.RetryBackoffMax <= 0 {
-		o.RetryBackoffMax = 2 * time.Second
 	}
 	if o.SweepParallel <= 0 {
 		o.SweepParallel = o.Workers
@@ -200,9 +177,6 @@ type job struct {
 	// traced or checkpointed.
 	fidelity  string
 	submitted time.Time
-	// retries is the client-requested transient-failure retry budget,
-	// clamped to Options.MaxJobRetries at submission.
-	retries int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -214,7 +188,7 @@ type job struct {
 	pauseTrig *system.Trigger
 	restore   []byte
 
-	// stream is the job's live-telemetry channel: lifecycle state events
+	// stream is the job's live-telemetry log: lifecycle state events
 	// always, epoch samples when the job is traced. Set at registration,
 	// closed with the terminal state.
 	stream *telemetry.Stream
@@ -223,7 +197,6 @@ type job struct {
 	state    State
 	res      system.Results
 	errMsg   string
-	attempts int
 	started  time.Time
 	finished time.Time
 	// checkpoint is the snapshot captured by a pause, stored before the
@@ -241,7 +214,6 @@ func (j *job) snapshotView(withResults bool) jobView {
 		State:           string(j.state),
 		Benchmarks:      j.benchmarks,
 		Fidelity:        j.fidelity,
-		Attempts:        j.attempts,
 		Error:           j.errMsg,
 		CheckpointBytes: len(j.checkpoint),
 	}
@@ -291,7 +263,7 @@ func (j *job) finish(state State, res system.Results, errMsg string) {
 	j.finished = time.Now()
 	j.mu.Unlock()
 	close(j.done)
-	j.closeStream(state)
+	j.stream.Close(string(state))
 }
 
 func (j *job) currentState() State {
@@ -310,7 +282,6 @@ type Server struct {
 	// pool: a sub-second estimate never waits behind queued
 	// cycle-accurate simulations.
 	fastQueue chan *job
-	hub       *telemetry.Hub
 	log       *slog.Logger
 	started   time.Time
 	occ       occHistory
@@ -321,10 +292,6 @@ type Server struct {
 	// streaming handlers (SSE) end promptly instead of pinning the HTTP
 	// drain until the grace period expires.
 	shutdownCh chan struct{}
-
-	// retryPol backs off transient job-retry attempts: capped exponential
-	// with full jitter (internal/retry), built from Options.RetryBackoff.
-	retryPol retry.Policy
 
 	mu          sync.Mutex
 	jobs        map[string]*job
@@ -350,18 +317,14 @@ func New(opts Options) *Server {
 		cache:      sweep.NewCache(o.CacheEntries),
 		queue:      make(chan *job, o.QueueDepth),
 		fastQueue:  make(chan *job, o.QueueDepth),
-		hub:        telemetry.NewHub(o.Telemetry),
 		log:        o.Logger,
 		started:    time.Now(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		shutdownCh: make(chan struct{}),
-		retryPol: retry.Policy{
-			Initial: o.RetryBackoff, Max: o.RetryBackoffMax, Jitter: true,
-		},
-		jobs:   make(map[string]*job),
-		byKey:  make(map[string]*job),
-		sweeps: make(map[string]*sweepJob),
+		jobs:       make(map[string]*job),
+		byKey:      make(map[string]*job),
+		sweeps:     make(map[string]*sweepJob),
 	}
 	reg := s.metrics.Registry()
 	reg.Func("queue_depth", func() any { return len(s.queue) })
@@ -420,38 +383,16 @@ func (s *Server) fastWorker() {
 	}
 }
 
-// panicError marks a job failure caused by a recovered simulation panic.
-// Panics are deterministic model bugs, never retried.
-type panicError struct{ msg string }
-
-func (e *panicError) Error() string { return e.msg }
-
-// retryable reports whether a failed attempt may be retried: cancellation,
-// deadline expiry, panics and pauses are final; other errors are treated as
-// transient when the job asked for retries.
-func retryable(err error) bool {
-	var pe *panicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	return !errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded) &&
-		!errors.Is(err, system.ErrPaused)
-}
-
-// runSim executes one simulation attempt, converting a panic in the
+// runSim executes a job's simulation, converting a panic in the
 // simulation into an error so a crashing run fails its job instead of
 // killing the worker (and with it the whole server).
 func (s *Server) runSim(ctx context.Context, j *job) (res system.Results, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.Panics.Inc()
-			res, err = system.Results{}, &panicError{msg: fmt.Sprintf("simulation panicked: %v", r)}
+			res, err = system.Results{}, fmt.Errorf("simulation panicked: %v", r)
 		}
 	}()
-	j.mu.Lock()
-	j.attempts++
-	j.mu.Unlock()
 	return s.opts.Run(ctx, fidelity.Tier(j.fidelity), j.cfg, j.benchmarks, j.runOptions())
 }
 
@@ -481,24 +422,23 @@ func (j *job) runOptions() system.Options {
 	if j.restore != nil {
 		opts.Restore = &system.RestoreSpec{Data: j.restore}
 	}
-	// Traced jobs publish their epoch series live: the hub sink rides the
-	// recorder's epoch-flush seam, so untraced jobs pay nothing and traced
-	// ones pay one publish per 1024-cycle measurement boundary.
-	if j.cfg.Trace.Enabled && j.stream != nil {
+	// Traced jobs publish their epoch series live: the job's sink rides
+	// the recorder's epoch-flush seam, so untraced jobs pay nothing and
+	// traced ones pay one publish per 1024-cycle measurement boundary.
+	if j.cfg.Trace.Enabled {
 		opts.EpochSink = telemetry.NewJobSink(j.stream)
 	}
 	return opts
 }
 
-// runJob executes one job — retrying transient failures up to the job's
-// requested budget — and records its outcome.
+// runJob executes one job and records its outcome.
 func (s *Server) runJob(j *job) {
 	if !j.tryStart() {
 		// Cancelled while queued; cancelJob already finished it.
 		return
 	}
 	s.metrics.ObserveQueueWait(time.Since(j.submitted))
-	j.publishState(StateRunning)
+	j.stream.PublishState(string(StateRunning))
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
 
@@ -509,21 +449,7 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 	start := time.Now()
-	var (
-		res system.Results
-		err error
-	)
-	for attempt := 1; ; attempt++ {
-		res, err = s.runSim(ctx, j)
-		if err == nil || attempt > j.retries || !retryable(err) {
-			break
-		}
-		s.metrics.Retries.Inc()
-		if s.retryPol.Sleep(ctx, attempt) != nil {
-			err = ctx.Err()
-			break
-		}
-	}
+	res, err := s.runSim(ctx, j)
 	wall := time.Since(start)
 
 	s.mu.Lock()
@@ -551,12 +477,9 @@ func (s *Server) runJob(j *job) {
 		s.metrics.Failed.Inc()
 		j.finish(StateFailed, system.Results{}, err.Error())
 	}
-	j.mu.Lock()
-	state, attempts := j.state, j.attempts
-	j.mu.Unlock()
 	s.log.Info("job finished",
-		"job_id", j.id, "state", string(state),
-		"wall_ms", float64(wall)/float64(time.Millisecond), "attempts", attempts)
+		"job_id", j.id, "state", string(j.currentState()),
+		"wall_ms", float64(wall)/float64(time.Millisecond))
 }
 
 // Shutdown stops intake, then waits for queued and running jobs to drain.
@@ -619,15 +542,11 @@ type submitRequest struct {
 	// work; sampled and analytic jobs cannot be traced, paused or
 	// checkpointed.
 	Fidelity string `json:"fidelity"`
-	// Retries requests up to this many transient-failure retries (capped
-	// by the server's MaxJobRetries). Cancellations, deadline expiries
-	// and panics are never retried.
-	Retries int `json:"retries"`
 	// FromCheckpoint names a paused job whose snapshot this submission
 	// resumes. The new job runs the source job's exact configuration and
-	// workload from the checkpointed cycle; every other field except
-	// retries must be left unset (the snapshot's fingerprint pins the
-	// machine identity, so overrides could only fail at restore time).
+	// workload from the checkpointed cycle; every other field must be
+	// left unset (the snapshot's fingerprint pins the machine identity,
+	// so overrides could only fail at restore time).
 	FromCheckpoint string `json:"from_checkpoint"`
 }
 
@@ -647,10 +566,9 @@ type jobView struct {
 	IPCCI95   float64 `json:"ipc_ci95,omitempty"`
 	Coalesced bool    `json:"coalesced,omitempty"`
 	Cached    bool    `json:"cached,omitempty"`
-	Attempts  int     `json:"attempts,omitempty"`
 	WallMS    float64 `json:"wall_ms,omitempty"`
 	// SimCyclesPerSec is the completed job's simulation throughput:
-	// simulated CPU cycles divided by the attempt's wall time.
+	// simulated CPU cycles divided by the run's wall time.
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec,omitempty"`
 	// CheckpointBytes is the size of a paused job's snapshot artifact.
 	CheckpointBytes int             `json:"checkpoint_bytes,omitempty"`
@@ -741,22 +659,16 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, errorView{Error: errorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
-// resolveConfig materializes a preset name plus an optional strict JSON
-// overlay into a Config. It is the shared front half of job and sweep
-// config resolution.
+// resolveConfig materializes a preset name ("" means fbd) plus an optional
+// strict JSON overlay into a Config. It is the shared front half of job and
+// sweep config resolution.
 func resolveConfig(preset string, overlay json.RawMessage) (config.Config, error) {
-	var cfg config.Config
-	switch preset {
-	case "", "fbd":
-		cfg = config.Default()
-	case "ddr2":
-		cfg = config.DDR2Baseline()
-	case "fbd-ap":
-		cfg = config.WithAMBPrefetch(config.Default())
-	case "fbd-apfl":
-		cfg = config.WithFullLatencyHits(config.Default())
-	default:
-		return config.Config{}, fmt.Errorf("unknown preset %q (want ddr2, fbd, fbd-ap, fbd-apfl)", preset)
+	if preset == "" {
+		preset = "fbd"
+	}
+	cfg, err := config.Preset(preset)
+	if err != nil {
+		return config.Config{}, err
 	}
 	if len(overlay) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(overlay))
@@ -848,7 +760,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
-	s.admit(w, fidelity.Key(tier, cfg, req.Benchmarks), cfg, req.Benchmarks, req.Retries, nil, fid)
+	s.admit(w, fidelity.Key(tier, cfg, req.Benchmarks), cfg, req.Benchmarks, nil, fid)
 }
 
 // resumeFromCheckpoint admits a job that continues a paused job's simulation
@@ -859,7 +771,7 @@ func (s *Server) resumeFromCheckpoint(w http.ResponseWriter, req *submitRequest)
 	if req.Preset != "" || len(req.Config) > 0 || len(req.Benchmarks) > 0 ||
 		req.Seed != 0 || req.MaxInsts != 0 || req.Warmup != 0 || req.Trace {
 		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"from_checkpoint resumes the source job's exact configuration; only \"retries\" may accompany it")
+			"from_checkpoint resumes the source job's exact configuration; no other field may accompany it")
 		return
 	}
 	src := s.lookup(req.FromCheckpoint)
@@ -875,13 +787,13 @@ func (s *Server) resumeFromCheckpoint(w http.ResponseWriter, req *submitRequest)
 			"job %s is %s; only a paused job's checkpoint can be resumed", src.id, state)
 		return
 	}
-	s.admit(w, src.key, src.cfg, src.benchmarks, req.Retries, data, "")
+	s.admit(w, src.key, src.cfg, src.benchmarks, data, "")
 }
 
 // admit runs the shared admission path: cache fast path, in-flight
 // coalescing, then enqueue. restore, when non-nil, is the snapshot the job
 // starts from.
-func (s *Server) admit(w http.ResponseWriter, key string, cfg config.Config, benchmarks []string, retries int, restore []byte, fid string) {
+func (s *Server) admit(w http.ResponseWriter, key string, cfg config.Config, benchmarks []string, restore []byte, fid string) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -891,7 +803,7 @@ func (s *Server) admit(w http.ResponseWriter, key string, cfg config.Config, ben
 	// Fast path 1: an identical completed run is cached.
 	if res, ok := s.cache.Get(key); ok {
 		id := s.newIDLocked()
-		j := s.newJobLocked(id, key, cfg, benchmarks, 0)
+		j := s.newJobLocked(id, key, cfg, benchmarks)
 		j.fidelity = fid
 		j.finish(StateDone, res, "")
 		j.cancel() // release the job context; nothing will run
@@ -918,7 +830,7 @@ func (s *Server) admit(w http.ResponseWriter, key string, cfg config.Config, ben
 	// the fast lane — its dedicated workers guarantee they never wait
 	// behind queued cycle-accurate simulations.
 	id := s.newIDLocked()
-	j := s.newJobLocked(id, key, cfg, benchmarks, retries)
+	j := s.newJobLocked(id, key, cfg, benchmarks)
 	j.fidelity = fid
 	j.restore = restore
 	lane := s.queue
@@ -952,13 +864,7 @@ func (s *Server) newIDLocked() string {
 }
 
 // newJobLocked creates and registers a job record; caller holds s.mu.
-func (s *Server) newJobLocked(id, key string, cfg config.Config, benchmarks []string, retries int) *job {
-	if retries < 0 {
-		retries = 0
-	}
-	if retries > s.opts.MaxJobRetries {
-		retries = s.opts.MaxJobRetries
-	}
+func (s *Server) newJobLocked(id, key string, cfg config.Config, benchmarks []string) *job {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &job{
 		id:         id,
@@ -966,15 +872,14 @@ func (s *Server) newJobLocked(id, key string, cfg config.Config, benchmarks []st
 		cfg:        cfg,
 		benchmarks: append([]string(nil), benchmarks...),
 		submitted:  time.Now(),
-		retries:    retries,
 		ctx:        ctx,
 		cancel:     cancel,
 		done:       make(chan struct{}),
 		state:      StateQueued,
 		pauseTrig:  &system.Trigger{},
-		stream:     s.hub.Open(id),
+		stream:     telemetry.NewStream(id),
 	}
-	j.publishState(StateQueued)
+	j.stream.PublishState(string(StateQueued))
 	s.jobs[id] = j
 	return j
 }
@@ -1062,7 +967,7 @@ func (s *Server) cancelJob(j *job) {
 		j.finished = time.Now()
 		j.mu.Unlock()
 		close(j.done)
-		j.closeStream(StateCancelled)
+		j.stream.Close(string(StateCancelled))
 		s.mu.Lock()
 		if s.byKey[j.key] == j {
 			delete(s.byKey, j.key)

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,12 +24,13 @@ import (
 	"fbdsim/internal/telemetry"
 )
 
-// This file is the acceptance suite for the live-telemetry API (ISSUE 7):
-// SSE streams deliver lifecycle states, epoch samples and a terminal end
+// This file is the acceptance suite for the live-telemetry API: SSE
+// streams deliver lifecycle states, epoch samples and a terminal end
 // event; the streamed epoch series is byte-equal to the job's final
-// timeline CSV; cancel and shutdown close streams promptly; a stalled
-// subscriber never blocks the simulation; and the stats/version/dashboard
-// endpoints render what the hub retains. Everything here runs under -race.
+// timeline CSV; a late reader replays the whole history; cancel and
+// shutdown close streams promptly; a stalled reader never blocks the
+// simulation; and the stats/version/dashboard endpoints render what the
+// stream holds. Everything here runs under -race.
 
 // sseFrame is one parsed Server-Sent Events frame.
 type sseFrame struct {
@@ -126,7 +128,7 @@ func (r *sseReader) collect(t *testing.T) []sseFrame {
 // real system does: when the config enables tracing it drives a genuine
 // memtrace.Recorder — one warmup epoch, a measurement reset, three full
 // epochs and a trailing partial one — with the run's EpochSink attached, so
-// the hub sees exactly the rows the final Summary retains.
+// the stream sees exactly the rows the final Summary retains.
 func sinkRun() RunFunc {
 	return func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 		res := system.Results{Benchmarks: benchmarks, Cores: len(benchmarks), IPC: []float64{1}}
@@ -407,17 +409,13 @@ func TestSSEShutdownClosesStream(t *testing.T) {
 }
 
 // TestSSESlowSubscriberDoesNotBlockJob: a subscriber that never reads must
-// not stall the simulation feeding the hub — the hub drops it instead.
-// Tiny buffers make the drop certain; the assertion is that the job still
+// not stall the simulation feeding its stream — publishing appends to the
+// log and never waits on a reader. The assertion is that the job still
 // finishes promptly.
 func TestSSESlowSubscriberDoesNotBlockJob(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	_, ts := newTestServer(t, Options{
-		Workers:   1,
-		Run:       burstRun(500, started, release),
-		Telemetry: telemetry.Options{SubBuffer: 1, MaxEvents: 32, MaxSamples: 16},
-	})
+	_, ts := newTestServer(t, Options{Workers: 1, Run: burstRun(500, started, release)})
 
 	_, v, _ := postJob(t, ts, `{"benchmarks": ["swim"], "trace": true}`)
 	<-started
@@ -433,8 +431,9 @@ func TestSSESlowSubscriberDoesNotBlockJob(t *testing.T) {
 	waitState(t, ts, v.ID, StateDone) // 5s deadline inside
 }
 
-// TestJobStatsWindow: the stats endpoint serves the retained sample
-// window, fused with dynamic energy, and validates ?window.
+// TestJobStatsWindow: the stats endpoint serves the samples published
+// since the measurement reset, fused with dynamic energy, and validates
+// ?window.
 func TestJobStatsWindow(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, Run: sinkRun()})
 	_, v, _ := postJob(t, ts, `{"benchmarks": ["swim"], "trace": true}`)
@@ -485,6 +484,35 @@ func TestJobStatsWindow(t *testing.T) {
 	}
 	if code, _, _ := getBody(t, ts.URL+"/v1/jobs/nope/stats"); code != http.StatusNotFound {
 		t.Errorf("unknown job stats status = %d, want 404", code)
+	}
+}
+
+// TestSSELateSubscriberReplaysWholeHistory: a reader connecting after a
+// traced job finished gets every event from id 1 with no gap, even when the
+// job published more events than a 4096-entry ring would hold.
+func TestSSELateSubscriberReplaysWholeHistory(t *testing.T) {
+	release := make(chan struct{})
+	close(release)
+	_, ts := newTestServer(t, Options{Workers: 1, Run: burstRun(5000, nil, release)})
+	_, v, _ := postJob(t, ts, `{"benchmarks": ["swim"], "trace": true}`)
+	waitState(t, ts, v.ID, StateDone)
+
+	frames := openSSE(t, ts.URL+"/v1/jobs/"+v.ID+"/events").collect(t)
+	epochs := 0
+	for i, f := range frames {
+		if f.id != strconv.Itoa(i+1) {
+			t.Fatalf("frame %d has id %q, want %d: the replay has a gap", i, f.id, i+1)
+		}
+		if f.event == "epoch" {
+			epochs++
+		}
+	}
+	// 5000 full epochs plus the trailing partial one Summarize flushes.
+	if epochs != 5001 {
+		t.Errorf("replayed %d epoch events, want 5001", epochs)
+	}
+	if last := frames[len(frames)-1]; last.event != "end" {
+		t.Errorf("last frame = %+v, want end", last)
 	}
 }
 
@@ -544,6 +572,83 @@ func TestSweepSSE(t *testing.T) {
 	if last.event != "end" || !strings.Contains(last.data, "done") {
 		t.Errorf("last frame = %+v, want end/done", last)
 	}
+}
+
+// TestSweepSSEPointsMatchNDJSON: the data lines of a sweep's SSE point
+// events equal the lines of its ?follow=1 NDJSON stream byte for byte, in
+// the same order, for followers attached while the sweep runs.
+func TestSweepSSEPointsMatchNDJSON(t *testing.T) {
+	var calls atomic.Int64
+	release := make(chan struct{})
+	_, ts := newTestServer(t, Options{Workers: 2, Run: fakeRun(&calls, nil, release)})
+	_, v := postSweep(t, ts, `{
+		"configs": [{"preset": "fbd"}, {"preset": "fbd-ap"}],
+		"workloads": [{"benchmarks": ["swim"]}, {"benchmarks": ["applu"]}],
+		"seeds": [1]}`)
+
+	sse := openSSE(t, ts.URL+"/v1/sweeps/"+v.ID+"/events")
+	ndjson := openSSERaw(t, ts.URL+"/v1/sweeps/"+v.ID+"/results?follow=1", "")
+	if ndjson.StatusCode != http.StatusOK {
+		t.Fatalf("follow status = %d", ndjson.StatusCode)
+	}
+	close(release)
+
+	var fromSSE []string
+	for _, f := range sse.collect(t) {
+		if f.event == "point" {
+			fromSSE = append(fromSSE, f.data)
+		}
+	}
+	body, err := io.ReadAll(ndjson.Body) // ends with the sweep
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromNDJSON := strings.SplitAfter(string(body), "\n")
+	if fromNDJSON[len(fromNDJSON)-1] != "" {
+		t.Fatalf("NDJSON stream does not end with a newline: %q", body)
+	}
+	fromNDJSON = fromNDJSON[:len(fromNDJSON)-1]
+	if len(fromSSE) != 4 || len(fromNDJSON) != 4 {
+		t.Fatalf("SSE points = %d, NDJSON lines = %d, want 4 each", len(fromSSE), len(fromNDJSON))
+	}
+	for i := range fromSSE {
+		if fromSSE[i]+"\n" != fromNDJSON[i] {
+			t.Errorf("point %d differs:\n  SSE:    %s\n  NDJSON: %s", i, fromSSE[i], fromNDJSON[i])
+		}
+	}
+}
+
+// TestSweepFollowEndsAtShutdown: a ?follow=1 tail on a running sweep ends
+// when server shutdown begins, like an SSE stream, instead of holding the
+// HTTP drain until the sweep finishes.
+func TestSweepFollowEndsAtShutdown(t *testing.T) {
+	var calls atomic.Int64
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Options{Workers: 1, Run: fakeRun(&calls, started, release)})
+	_, v := postSweep(t, ts, `{
+		"configs": [{"preset": "fbd"}],
+		"workloads": [{"benchmarks": ["swim"]}],
+		"parallel": 1}`)
+	<-started
+
+	tail := openSSERaw(t, ts.URL+"/v1/sweeps/"+v.ID+"/results?follow=1", "")
+	shutdownDone := make(chan struct{})
+	go func() {
+		defer close(shutdownDone)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	begin := time.Now()
+	if _, err := io.ReadAll(tail.Body); err != nil {
+		t.Fatalf("follow body: %v", err)
+	}
+	if elapsed := time.Since(begin); elapsed > 3*time.Second {
+		t.Errorf("follow tail took %v to end after shutdown began", elapsed)
+	}
+	close(release) // let the drain finish
+	<-shutdownDone
 }
 
 // TestVersionAndBuildInfo: /v1/version reports the build, and the metrics
@@ -729,7 +834,7 @@ func instantRun(ctx context.Context, tier fidelity.Tier, cfg config.Config, benc
 
 // TestSSEResumeSkipsConsumedPrefix: a reconnect carrying Last-Event-ID
 // resumes after that sequence number instead of replaying the whole
-// retained history, and a reconnect that already saw the terminal event
+// history, and a reconnect that already saw the terminal event
 // gets 204 No Content.
 func TestSSEResumeSkipsConsumedPrefix(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, Run: instantRun})

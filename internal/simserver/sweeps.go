@@ -83,8 +83,8 @@ type sweepView struct {
 	WallMS float64 `json:"wall_ms,omitempty"`
 }
 
-// sweepJob is one tracked sweep plus its accumulated points. progress is
-// the engine's live counter snapshot (sweep.Engine.Progress).
+// sweepJob is one tracked sweep. progress is the engine's live counter
+// snapshot (sweep.Engine.Progress); the completed points live in stream.
 type sweepJob struct {
 	id          string
 	name        string
@@ -94,20 +94,20 @@ type sweepJob struct {
 	cancel      context.CancelFunc
 	done        chan struct{} // closed on terminal transition
 
-	// stream is the sweep's live-telemetry channel: lifecycle states plus
-	// one point event per completed grid point.
+	// stream is the sweep's live-telemetry log: lifecycle states plus one
+	// point event per completed grid point, which is also what the NDJSON
+	// results endpoint serves.
 	stream *telemetry.Stream
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast on point append and terminal transition
 	state    State
-	points   []sweep.Point
+	emitted  int // grid points received from the engine
 	errMsg   string
 	started  time.Time
 	finished time.Time
 }
 
-func newSweepJob(id string, spec sweep.Spec, total int, progress func() sweep.Progress, cancel context.CancelFunc, stream *telemetry.Stream) *sweepJob {
+func newSweepJob(id string, spec sweep.Spec, total int, progress func() sweep.Progress, cancel context.CancelFunc) *sweepJob {
 	sj := &sweepJob{
 		id:          id,
 		name:        spec.Name,
@@ -116,14 +116,11 @@ func newSweepJob(id string, spec sweep.Spec, total int, progress func() sweep.Pr
 		progress:    progress,
 		cancel:      cancel,
 		done:        make(chan struct{}),
-		stream:      stream,
+		stream:      telemetry.NewStream(id),
 		state:       StateRunning,
 		started:     time.Now(),
 	}
-	sj.cond = sync.NewCond(&sj.mu)
-	if stream != nil {
-		stream.PublishState(string(StateRunning))
-	}
+	sj.stream.PublishState(string(StateRunning))
 	return sj
 }
 
@@ -136,7 +133,7 @@ func (sj *sweepJob) view() sweepView {
 		State:       string(sj.state),
 		Fingerprint: sj.fingerprint,
 		Progress:    sj.progress(),
-		Points:      len(sj.points),
+		Points:      sj.emitted,
 		Error:       sj.errMsg,
 	}
 	if !sj.finished.IsZero() {
@@ -151,7 +148,8 @@ func (sj *sweepJob) currentState() State {
 	return sj.state
 }
 
-// finish records the terminal state and wakes pollers and followers.
+// finish records the terminal state and ends the stream, which wakes
+// followers.
 func (sj *sweepJob) finish(state State, errMsg string) {
 	sj.mu.Lock()
 	closed := sj.state.terminal()
@@ -161,9 +159,8 @@ func (sj *sweepJob) finish(state State, errMsg string) {
 		sj.finished = time.Now()
 		close(sj.done)
 	}
-	sj.cond.Broadcast()
 	sj.mu.Unlock()
-	if !closed && sj.stream != nil {
+	if !closed {
 		sj.stream.Close(string(state))
 	}
 }
@@ -280,7 +277,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextSweepID++
 	id := fmt.Sprintf("sweep-%d", s.nextSweepID)
-	sj := newSweepJob(id, spec, eng.Total(), eng.Progress, cancel, s.hub.Open(id))
+	sj := newSweepJob(id, spec, eng.Total(), eng.Progress, cancel)
 	s.sweeps[sj.id] = sj
 	s.sweepWG.Add(1)
 	s.mu.Unlock()
@@ -291,25 +288,25 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, sj.view())
 }
 
-// drainSweep accumulates the engine's point stream into the sweep record
-// and settles its terminal state once the stream closes.
+// drainSweep publishes the engine's points onto the sweep's stream and
+// settles its terminal state once the engine's channel closes.
 func (s *Server) drainSweep(sj *sweepJob, ctx context.Context, ch <-chan sweep.Point) {
 	defer s.sweepWG.Done()
 	emitted := 0
 	for p := range ch {
-		sj.mu.Lock()
-		sj.points = append(sj.points, p)
-		sj.cond.Broadcast()
-		sj.mu.Unlock()
 		emitted++
 		s.metrics.SweepPoints.Inc()
-		if sj.stream != nil {
-			// Same JSON rendering the NDJSON results endpoint streams, so
-			// SSE followers and ?follow=1 tails see identical documents.
-			if data, err := json.Marshal(p); err == nil {
-				sj.stream.PublishPoint(data)
-			}
+		// One rendering serves SSE point events and NDJSON lines alike.
+		if data, err := json.Marshal(p); err != nil {
+			s.log.Error("sweep point not rendered", "sweep_id", sj.id, "index", p.Index, "err", err)
+		} else {
+			sj.stream.PublishPoint(data)
 		}
+		// Counted after publishing, so a view's points are always readable
+		// at /results.
+		sj.mu.Lock()
+		sj.emitted = emitted
+		sj.mu.Unlock()
 	}
 	// The engine emits one point per grid slot (failed points carry Err);
 	// anything short means cancellation stopped dispatch.
@@ -364,56 +361,25 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sj.view())
 }
 
-// handleSweepResults streams the sweep's completed points as NDJSON, one
-// sweep.Point per line in completion order. Without ?follow=1 it returns
-// the points completed so far and ends; with it, the stream stays open and
-// tails new points until the sweep reaches a terminal state or the client
-// disconnects.
+// handleSweepResults streams the sweep's completed points as NDJSON: the
+// data of each point event on the sweep's stream, one per line in
+// completion order. Without ?follow=1 it returns the points completed so
+// far and ends; with it, it tails new points until the sweep reaches a
+// terminal state, the client disconnects or the server shuts down.
 func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 	sj := s.sweepFromPath(w, r)
 	if sj == nil {
 		return
 	}
-	follow := r.URL.Query().Get("follow") == "1"
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	// A disconnecting follower must not sleep on the condition variable
-	// forever; wake it so the wait loop can observe the dead request.
-	stopWatch := context.AfterFunc(r.Context(), func() {
-		sj.mu.Lock()
-		sj.cond.Broadcast()
-		sj.mu.Unlock()
+	s.follow(w, r, sj.stream, 0, r.URL.Query().Get("follow") == "1", func(ev telemetry.Event) error {
+		if ev.Type != telemetry.EventPoint {
+			return nil
+		}
+		_, err := fmt.Fprintf(w, "%s\n", ev.Data)
+		return err
 	})
-	defer stopWatch()
-
-	next := 0
-	for {
-		sj.mu.Lock()
-		if follow {
-			for next >= len(sj.points) && !sj.state.terminal() && r.Context().Err() == nil {
-				sj.cond.Wait()
-			}
-		}
-		batch := append([]sweep.Point(nil), sj.points[next:]...)
-		next += len(batch)
-		terminal := sj.state.terminal()
-		sj.mu.Unlock()
-
-		for _, p := range batch {
-			if err := enc.Encode(p); err != nil {
-				return
-			}
-		}
-		if flusher != nil && len(batch) > 0 {
-			flusher.Flush()
-		}
-		if !follow || terminal || r.Context().Err() != nil {
-			return
-		}
-	}
 }
 
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {

@@ -9,41 +9,24 @@ import (
 )
 
 // This file is the live-telemetry half of the API: every job and sweep owns
-// a telemetry.Stream in the server's hub, fed with lifecycle state events,
+// an append-only telemetry.Stream, fed with lifecycle state events,
 // per-epoch samples (traced jobs) and completed grid points (sweeps).
 //
 //	GET /v1/jobs/{id}/events    SSE stream: state transitions, epoch samples, end
-//	GET /v1/jobs/{id}/stats     latest-window JSON snapshot of the epoch series
+//	GET /v1/jobs/{id}/stats     JSON snapshot of the measured epoch samples
 //	GET /v1/sweeps/{id}/events  SSE stream: state transitions, grid points, end
 //
-// The SSE wire format is one frame per hub event,
+// The SSE wire format is one frame per stream event,
 //
 //	id: <seq>
 //	event: <state|epoch|reset|point|end>
 //	data: <json>
 //
-// where seq is the stream's monotonically increasing sequence number, so a
-// reconnecting client can detect gaps. A new subscriber first receives the
-// stream's retained history (bounded by the hub's event ring), then live
-// events until the entity reaches a terminal state (the "end" event), the
-// client disconnects, or the server shuts down. Subscribers that fall
-// behind are dropped — never allowed to block the simulation publishing
-// into the hub.
-
-// publishState forwards a lifecycle transition to the job's stream.
-// Nil-safe so tests that construct bare jobs keep working.
-func (j *job) publishState(state State) {
-	if j.stream != nil {
-		j.stream.PublishState(string(state))
-	}
-}
-
-// closeStream ends the job's stream with its terminal state.
-func (j *job) closeStream(state State) {
-	if j.stream != nil {
-		j.stream.Close(string(state))
-	}
-}
+// where seq is the stream's monotonically increasing sequence number. A new
+// reader first receives the stream's whole history, then live events until
+// the entity reaches a terminal state (the "end" event), the client
+// disconnects, or the server shuts down. A reader that falls behind is only
+// behind: the publisher never waits for it and it is never dropped.
 
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFromPath(w, r)
@@ -61,10 +44,10 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	s.serveSSE(w, r, sj.stream)
 }
 
-// handleJobStats serves the latest telemetry window as one JSON document:
-// the retained epoch samples (?window=N trims to the most recent N), the
-// last published state, and the stream counters. Cheap to poll — one
-// lock-scoped copy, no subscription.
+// handleJobStats serves the telemetry window as one JSON document: the
+// epoch samples published since the last measurement reset (?window=N
+// trims to the most recent N), the last published state, and the stream
+// counters. Cheap to poll — one lock-scoped read, no subscription.
 func (s *Server) handleJobStats(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFromPath(w, r)
 	if j == nil {
@@ -87,14 +70,12 @@ func (s *Server) handleJobStats(w http.ResponseWriter, r *http.Request) {
 //
 // Reconnects resume: every frame carries its sequence number in the id:
 // field, browsers and spec-conforming clients echo the last one seen back
-// as a Last-Event-ID header, and the replay then skips everything at or
-// below it — the client sees each event once across any number of
-// reconnects (within the hub's retained ring). A reconnect after the
-// stream already delivered its terminal event answers 204 No Content: the
-// client has everything and should stop reconnecting.
+// as a Last-Event-ID header, and that number becomes the reader's cursor —
+// the client sees each event once across any number of reconnects. A
+// reconnect after the stream already delivered its terminal event answers
+// 204 No Content: the client has everything and should stop reconnecting.
 func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, st *telemetry.Stream) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		writeError(w, http.StatusInternalServerError, codeInternal, "response writer does not support streaming")
 		return
 	}
@@ -108,7 +89,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, st *telemetry.
 		}
 		after = n
 	}
-	if lastSeq, closed := st.Terminal(); closed && after >= lastSeq {
+	if events, ended, _ := st.Since(after); ended && len(events) == 0 {
 		// The stream is terminal and the client already consumed its last
 		// event (including "end"); nothing will ever follow.
 		w.WriteHeader(http.StatusNoContent)
@@ -118,29 +99,37 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, st *telemetry.
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
+	// Data is compact JSON (no raw newlines), so a single data: line is
+	// always valid.
+	s.follow(w, r, st, after, true, func(ev telemetry.Event) error {
+		_, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data)
+		return err
+	})
+}
 
-	// History and live registration are atomic in the hub: nothing is both
-	// missing from the replay and absent from the channel.
-	replay, sub := st.SubscribeFrom(after)
-	defer sub.Cancel()
-	for _, ev := range replay {
-		if !writeSSE(w, ev) {
+// follow hands write every event of st after sequence number seq, oldest
+// first, flushing after each batch. With wait it then tails the stream
+// until the end event, the client disconnecting or server shutdown;
+// without, it stops at the events already published. A write error (the
+// client is gone) stops it too.
+func (s *Server) follow(w http.ResponseWriter, r *http.Request, st *telemetry.Stream, seq int64, wait bool, write func(telemetry.Event) error) {
+	flusher, _ := w.(http.Flusher)
+	for {
+		events, ended, changed := st.Since(seq)
+		for _, ev := range events {
+			if write(ev) != nil {
+				return
+			}
+			seq = ev.Seq
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if ended || !wait {
 			return
 		}
-	}
-	flusher.Flush()
-	for {
 		select {
-		case ev, open := <-sub.C:
-			if !open {
-				// Stream closed (terminal state already delivered) or this
-				// subscriber fell behind and was dropped.
-				return
-			}
-			if !writeSSE(w, ev) {
-				return
-			}
-			flusher.Flush()
+		case <-changed:
 		case <-r.Context().Done():
 			return
 		case <-s.shutdownCh:
@@ -149,11 +138,4 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, st *telemetry.
 			return
 		}
 	}
-}
-
-// writeSSE emits one event frame; false when the client is gone. Data is
-// compact JSON (no raw newlines), so a single data: line is always valid.
-func writeSSE(w http.ResponseWriter, ev telemetry.Event) bool {
-	_, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data)
-	return err == nil
 }

@@ -1,27 +1,24 @@
-// Package telemetry is the live-introspection hub of the serving layer: a
-// bounded, in-process time-series broker that running simulations publish
-// into at every epoch boundary and that HTTP handlers (SSE streams, the
-// stats endpoint, the dashboard) read out of without ever touching the
-// simulation goroutine.
+// Package telemetry is the live-introspection log of the serving layer:
+// one append-only Stream per job or sweep, which the running simulation
+// publishes into at every epoch boundary and which HTTP handlers (SSE
+// streams, the NDJSON follower, the stats endpoint, the dashboard) read out
+// of without ever touching the simulation goroutine.
 //
-// The design goals, in order:
+// The design, in order:
 //
-//  1. The publisher never blocks. Publishing appends to a fixed-size ring
-//     under a mutex and hands copies to subscriber channels with a
-//     non-blocking send; a subscriber that cannot keep up is dropped
-//     (its channel closed) rather than allowed to stall the simulation.
-//  2. Zero cost when nobody is looking. A stream with no subscribers costs
-//     one short critical section per epoch (microseconds of simulated
-//     time apart); an untraced job publishes only a handful of lifecycle
-//     state events over its whole life.
-//  3. Bounded memory. Both the event ring and the sample window are
-//     fixed-capacity; old entries are overwritten, and the drop counters
-//     are exported so truncation is visible, never silent.
+//  1. The publisher never blocks. Publishing appends one event under the
+//     stream's mutex and closes a notify channel; it never waits on a
+//     reader.
+//  2. Readers cannot be dropped. A reader holds only a cursor (the last
+//     sequence number it consumed) and asks Since for everything after it,
+//     so a slow reader is merely behind, a late one replays the whole
+//     history, and a reconnect resumes exactly where it stopped.
+//  3. The producers bound the log. memtrace hands the sink at most
+//     MaxEpochs rows per measurement window, and a sweep emits one point
+//     per grid slot, so the log needs no ring and no drop counters.
 //
-// One Stream exists per serving entity (job or sweep), keyed by its public
-// ID. Events carry a monotonically increasing per-stream sequence number,
-// which the SSE layer exposes as the event id so clients can detect gaps
-// after a reconnect.
+// Events carry a per-stream sequence number starting at 1, which the SSE
+// layer exposes as the event id.
 package telemetry
 
 import (
@@ -43,17 +40,17 @@ const (
 	// boundary): every epoch published before it belongs to warmup and is
 	// not part of the final exported series.
 	EventReset = "reset"
-	// EventPoint carries one completed sweep grid point; Data is the same
-	// JSON rendering the sweep NDJSON endpoint streams.
+	// EventPoint carries one completed sweep grid point; Data is the
+	// point's JSON, one line of the sweep NDJSON endpoint.
 	EventPoint = "point"
 	// EventEnd is the terminal event of a stream; Data is {"state": ...}.
-	// No events follow it and subscriber channels close after delivering
-	// it.
+	// No events follow it.
 	EventEnd = "end"
 )
 
 // Event is one published stream entry. Data is pre-marshaled at publish
-// time so fan-out to N subscribers shares one rendering.
+// time so every reader shares one rendering. Events are never modified
+// after publication.
 type Event struct {
 	Seq  int64           `json:"seq"`
 	Type string          `json:"type"`
@@ -76,218 +73,57 @@ type Sample struct {
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
 }
 
-// Hub owns one Stream per live serving entity. The zero value is not
-// usable; call NewHub.
-type Hub struct {
-	mu      sync.Mutex
-	streams map[string]*Stream
-	opts    Options
-}
-
-// Options sizes a Hub's streams. The zero value gets defaults.
-type Options struct {
-	// MaxEvents bounds each stream's replayable event ring (default
-	// 4096). Subscribers joining late replay at most this many events.
-	MaxEvents int
-	// MaxSamples bounds each stream's retained sample window for the
-	// stats endpoint and the dashboard (default 512).
-	MaxSamples int
-	// SubBuffer is each subscriber channel's capacity (default 256); a
-	// subscriber this far behind is dropped.
-	SubBuffer int
-}
-
-func (o Options) norm() Options {
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = 4096
-	}
-	if o.MaxSamples <= 0 {
-		o.MaxSamples = 512
-	}
-	if o.SubBuffer <= 0 {
-		o.SubBuffer = 256
-	}
-	return o
-}
-
-// NewHub builds an empty hub.
-func NewHub(opts Options) *Hub {
-	return &Hub{streams: make(map[string]*Stream), opts: opts.norm()}
-}
-
-// Open returns the stream for id, creating it if needed.
-func (h *Hub) Open(id string) *Stream {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if st, ok := h.streams[id]; ok {
-		return st
-	}
-	st := &Stream{
-		id:      id,
-		events:  make([]Event, 0, min(h.opts.MaxEvents, 64)),
-		samples: make([]Sample, 0, min(h.opts.MaxSamples, 64)),
-		opts:    h.opts,
-		subs:    make(map[*Subscriber]struct{}),
-	}
-	h.streams[id] = st
-	return st
-}
-
-// Get returns the stream for id, or nil when none was opened.
-func (h *Hub) Get(id string) *Stream {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.streams[id]
-}
-
-// Stream is the bounded event log plus sample window of one entity.
+// Stream is the append-only event log of one entity plus the epoch samples
+// of its current measurement window. The zero value is not usable; call
+// NewStream.
 type Stream struct {
-	id   string
-	opts Options
+	id string
 
-	mu  sync.Mutex
-	seq int64
-	// events is a ring: when full, eventHead marks the oldest entry and
-	// appends overwrite in place.
-	events    []Event
-	eventHead int
-	// samples is the same ring structure over epoch samples only, the
-	// latest-window view the stats endpoint serves.
-	samples    []Sample
-	sampleHead int
-
-	subs        map[*Subscriber]struct{}
-	closed      bool
-	state       string
-	droppedSubs int64
-	resets      int64
+	mu sync.Mutex
+	// events[i] has Seq i+1.
+	events []Event
+	// samples holds the epoch samples published since the last reset. A
+	// reset starts a fresh slice instead of overwriting this one, so
+	// slices handed out by Snapshot stay valid.
+	samples []Sample
+	// changed is closed, and replaced, by every append.
+	changed chan struct{}
+	closed  bool
+	state   string
+	resets  int64
 }
 
-// ID returns the stream's key (the job or sweep ID).
-func (st *Stream) ID() string { return st.id }
-
-// Subscriber is one live listener. Receive events from C; the channel
-// closes when the stream ends, the subscriber falls too far behind, or
-// Cancel is called.
-type Subscriber struct {
-	C    <-chan Event
-	ch   chan Event
-	st   *Stream
-	dead bool // guarded by st.mu
+// NewStream builds an empty stream keyed by id (the job or sweep ID).
+func NewStream(id string) *Stream {
+	return &Stream{id: id, changed: make(chan struct{})}
 }
 
-// Cancel detaches the subscriber and closes its channel. Safe to call more
-// than once, and safe concurrently with stream publishes.
-func (sub *Subscriber) Cancel() {
-	st := sub.st
+// Since returns every event with a sequence number above seq (which must
+// not be negative), oldest first; seq 0 returns the whole history. ended
+// reports that the stream has published its end event, so a reader that
+// has consumed the returned events has everything. Otherwise changed is
+// closed by the next publish: wait on it, then call Since again with the
+// last sequence number read. Because the events and the channel come from
+// one critical section, no event can be missed or delivered twice between
+// two calls. The returned slice is shared and must not be modified.
+func (st *Stream) Since(seq int64) (events []Event, ended bool, changed <-chan struct{}) {
 	st.mu.Lock()
-	st.dropLocked(sub)
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	if n := int64(len(st.events)); seq < n {
+		events = st.events[seq:n:n]
+	}
+	return events, st.closed, st.changed
 }
 
-// dropLocked removes a subscriber and closes its channel exactly once.
-// Caller holds st.mu.
-func (st *Stream) dropLocked(sub *Subscriber) {
-	if sub.dead {
+// publishLocked appends one event and wakes every waiting reader. Caller
+// holds st.mu; publishes after the end event are dropped.
+func (st *Stream) publishLocked(typ string, data json.RawMessage) {
+	if st.closed {
 		return
 	}
-	sub.dead = true
-	delete(st.subs, sub)
-	close(sub.ch)
-}
-
-// Subscribe registers a listener and returns the replayable history along
-// with it: every event still in the ring, atomically consistent with the
-// subscription point (no event is both missing from the replay and never
-// sent to the channel). On a closed stream the subscriber's channel is
-// already closed; the replay still carries the history including the end
-// event.
-func (st *Stream) Subscribe() (replay []Event, sub *Subscriber) {
-	return st.SubscribeFrom(0)
-}
-
-// SubscribeFrom is Subscribe for a reconnecting client that has already
-// consumed every event up to and including sequence number after: the
-// replay carries only the ring's events with Seq > after, so a resumed
-// SSE connection (Last-Event-ID) picks up where it left off instead of
-// re-reading the whole history. after <= 0 replays everything retained.
-// Events older than the ring bound are gone either way; the caller can
-// detect that gap by comparing the first replayed Seq against after+1.
-func (st *Stream) SubscribeFrom(after int64) (replay []Event, sub *Subscriber) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	replay = st.eventsLocked()
-	if after > 0 {
-		// The ring is Seq-ordered oldest-first; skip the consumed prefix.
-		i := 0
-		for i < len(replay) && replay[i].Seq <= after {
-			i++
-		}
-		replay = replay[i:]
-	}
-	ch := make(chan Event, st.opts.SubBuffer)
-	sub = &Subscriber{C: ch, ch: ch, st: st}
-	if st.closed {
-		sub.dead = true
-		close(ch)
-		return replay, sub
-	}
-	st.subs[sub] = struct{}{}
-	return replay, sub
-}
-
-// Terminal reports the stream's last published sequence number and
-// whether the stream has closed (published its end event). A reconnect
-// that has already consumed through lastSeq of a closed stream has
-// nothing left to read.
-func (st *Stream) Terminal() (lastSeq int64, closed bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.seq, st.closed
-}
-
-// eventsLocked copies the ring oldest-first. Caller holds st.mu.
-func (st *Stream) eventsLocked() []Event {
-	if len(st.events) == 0 {
-		return nil
-	}
-	out := make([]Event, 0, len(st.events))
-	out = append(out, st.events[st.eventHead:]...)
-	out = append(out, st.events[:st.eventHead]...)
-	return out
-}
-
-// publish appends one event and fans it out. The send to each subscriber
-// is non-blocking: a full channel means the subscriber is consuming slower
-// than the simulation produces, and it is dropped on the spot — the
-// simulation goroutine never waits on a network peer.
-func (st *Stream) publish(typ string, data json.RawMessage) Event {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.publishLocked(typ, data)
-}
-
-func (st *Stream) publishLocked(typ string, data json.RawMessage) Event {
-	if st.closed {
-		return Event{}
-	}
-	st.seq++
-	ev := Event{Seq: st.seq, Type: typ, Data: data}
-	if len(st.events) < st.opts.MaxEvents {
-		st.events = append(st.events, ev)
-	} else {
-		st.events[st.eventHead] = ev
-		st.eventHead = (st.eventHead + 1) % len(st.events)
-	}
-	for sub := range st.subs {
-		select {
-		case sub.ch <- ev:
-		default:
-			st.droppedSubs++
-			st.dropLocked(sub)
-		}
-	}
-	return ev
+	st.events = append(st.events, Event{Seq: int64(len(st.events)) + 1, Type: typ, Data: data})
+	close(st.changed)
+	st.changed = make(chan struct{})
 }
 
 func marshal(v any) json.RawMessage {
@@ -315,48 +151,43 @@ func (st *Stream) PublishState(state string) {
 	st.publishLocked(EventState, marshal(stateBody{State: state}))
 }
 
-// PublishSample records one fused epoch sample: into the sample window and
-// out to subscribers as an epoch event.
+// PublishSample records one fused epoch sample: into the stats window and
+// onto the log as an epoch event.
 func (st *Stream) PublishSample(s Sample) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return
 	}
-	if len(st.samples) < st.opts.MaxSamples {
-		st.samples = append(st.samples, s)
-	} else {
-		st.samples[st.sampleHead] = s
-		st.sampleHead = (st.sampleHead + 1) % len(st.samples)
-	}
+	st.samples = append(st.samples, s)
 	st.publishLocked(EventEpoch, marshal(&s))
 }
 
-// PublishReset clears the sample window (the epochs published so far were
-// warmup) and tells subscribers to do the same.
+// PublishReset empties the stats window (the epochs published so far were
+// warmup) and tells readers to do the same.
 func (st *Stream) PublishReset() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return
 	}
-	st.samples = st.samples[:0]
-	st.sampleHead = 0
+	st.samples = nil
 	st.resets++
 	st.publishLocked(EventReset, marshal(struct {
 		Reason string `json:"reason"`
 	}{Reason: "measurement_start"}))
 }
 
-// PublishPoint records one completed sweep grid point (pre-marshaled by
-// the caller so the stream shares the NDJSON endpoint's exact rendering).
+// PublishPoint records one completed sweep grid point, pre-marshaled by
+// the caller.
 func (st *Stream) PublishPoint(data json.RawMessage) {
-	st.publish(EventPoint, data)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.publishLocked(EventPoint, data)
 }
 
-// Close publishes the terminal end event carrying finalState and closes
-// every subscriber channel. Further publishes are no-ops. Safe to call
-// more than once.
+// Close publishes the terminal end event carrying finalState. Further
+// publishes are no-ops. Safe to call more than once.
 func (st *Stream) Close(finalState string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -366,12 +197,9 @@ func (st *Stream) Close(finalState string) {
 	st.state = finalState
 	st.publishLocked(EventEnd, marshal(stateBody{State: finalState}))
 	st.closed = true
-	for sub := range st.subs {
-		st.dropLocked(sub)
-	}
 }
 
-// Stats is the latest-window snapshot the polling endpoint serves.
+// Stats is the measurement-window snapshot the polling endpoint serves.
 type Stats struct {
 	ID    string `json:"id"`
 	State string `json:"state,omitempty"`
@@ -380,35 +208,26 @@ type Stats struct {
 	Seq int64 `json:"seq"`
 	// Resets counts measurement-window restarts (1 once warmup ended).
 	Resets int64 `json:"resets"`
-	// DroppedSubscribers counts listeners dropped for falling behind.
-	DroppedSubscribers int64 `json:"dropped_subscribers"`
-	// Samples is the retained latest window, oldest first; Latest
+	// Samples is the window since the last reset, oldest first; Latest
 	// duplicates its last entry for cheap single-value consumers.
 	Samples []Sample `json:"samples,omitempty"`
 	Latest  *Sample  `json:"latest,omitempty"`
 }
 
-// Snapshot returns the latest-window view: up to lastN samples (0 or
-// negative means the whole retained window) plus the stream counters.
+// Snapshot returns the measurement-window view: the newest lastN samples
+// since the last reset (0 or negative means all of them) plus the stream
+// counters. The samples are shared and must not be modified.
 func (st *Stream) Snapshot(lastN int) Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := Stats{
-		ID:                 st.id,
-		State:              st.state,
-		Seq:                st.seq,
-		Resets:             st.resets,
-		DroppedSubscribers: st.droppedSubs,
-	}
+	out := Stats{ID: st.id, State: st.state, Seq: int64(len(st.events)), Resets: st.resets}
 	n := len(st.samples)
 	if n == 0 {
 		return out
 	}
-	samples := make([]Sample, 0, n)
-	samples = append(samples, st.samples[st.sampleHead:]...)
-	samples = append(samples, st.samples[:st.sampleHead]...)
-	if lastN > 0 && lastN < len(samples) {
-		samples = samples[len(samples)-lastN:]
+	samples := st.samples[:n:n]
+	if lastN > 0 && lastN < n {
+		samples = samples[n-lastN:]
 	}
 	out.Samples = samples
 	out.Latest = &samples[len(samples)-1]
@@ -418,7 +237,7 @@ func (st *Stream) Snapshot(lastN int) Stats {
 // JobSink adapts a Stream to the memtrace.Sink seam, fusing each epoch row
 // with the power-model energy delta and the live simulation speed. It runs
 // on the simulation goroutine; both methods do a bounded amount of work and
-// never block (Stream publishes are non-blocking by construction).
+// never block.
 type JobSink struct {
 	st       *Stream
 	weights  power.Weights
@@ -464,11 +283,4 @@ func EpochDynamicEnergy(ep memtrace.Epoch, w power.Weights) float64 {
 		pairs = ep.PREs
 	}
 	return float64(pairs)*w.ACTPREPair + float64(ep.ColReads+ep.ColWrites)*w.ColumnAccess
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

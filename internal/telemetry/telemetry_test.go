@@ -13,16 +13,27 @@ func sampleAt(i int) Sample {
 	return Sample{Epoch: memtrace.Epoch{StartNS: float64(i) * 256, EndNS: float64(i+1) * 256, Reads: int64(i)}}
 }
 
+// isClosed reports whether ch is closed without blocking.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// A reader replays the history, then sees a live publish through the
+// changed channel, then the end event.
 func TestSubscribeReplayThenLive(t *testing.T) {
-	hub := NewHub(Options{})
-	st := hub.Open("job-1")
+	st := NewStream("job-1")
 	st.PublishState("queued")
 	st.PublishState("running")
 	st.PublishSample(sampleAt(0))
 
-	replay, sub := st.Subscribe()
-	if len(replay) != 3 {
-		t.Fatalf("replay = %d events, want 3", len(replay))
+	replay, ended, changed := st.Since(0)
+	if len(replay) != 3 || ended {
+		t.Fatalf("replay = %d events (ended %v), want 3 live", len(replay), ended)
 	}
 	if replay[0].Type != EventState || replay[2].Type != EventEpoch {
 		t.Fatalf("replay types = %q, %q", replay[0].Type, replay[2].Type)
@@ -32,14 +43,20 @@ func TestSubscribeReplayThenLive(t *testing.T) {
 			t.Fatalf("replay[%d].Seq = %d, want %d", i, ev.Seq, i+1)
 		}
 	}
+	if isClosed(changed) {
+		t.Fatal("changed closed before any new publish")
+	}
 
 	st.PublishSample(sampleAt(1))
-	ev := <-sub.C
-	if ev.Type != EventEpoch || ev.Seq != 4 {
-		t.Fatalf("live event = %+v", ev)
+	if !isClosed(changed) {
+		t.Fatal("publish did not close the changed channel")
+	}
+	live, _, changed := st.Since(3)
+	if len(live) != 1 || live[0].Type != EventEpoch || live[0].Seq != 4 {
+		t.Fatalf("live events = %+v, want one epoch with seq 4", live)
 	}
 	var got Sample
-	if err := json.Unmarshal(ev.Data, &got); err != nil {
+	if err := json.Unmarshal(live[0].Data, &got); err != nil {
 		t.Fatalf("unmarshal live sample: %v", err)
 	}
 	if got.Reads != 1 {
@@ -47,44 +64,28 @@ func TestSubscribeReplayThenLive(t *testing.T) {
 	}
 
 	st.Close("done")
-	end := <-sub.C
-	if end.Type != EventEnd {
-		t.Fatalf("terminal event type = %q, want %q", end.Type, EventEnd)
+	if !isClosed(changed) {
+		t.Fatal("Close did not close the changed channel")
 	}
-	if _, ok := <-sub.C; ok {
-		t.Fatal("channel still open after end event")
-	}
-}
-
-func TestEventRingBounded(t *testing.T) {
-	hub := NewHub(Options{MaxEvents: 8})
-	st := hub.Open("job-1")
-	for i := 0; i < 20; i++ {
-		st.PublishSample(sampleAt(i))
-	}
-	replay, sub := st.Subscribe()
-	defer sub.Cancel()
-	if len(replay) != 8 {
-		t.Fatalf("replay = %d events, want ring cap 8", len(replay))
-	}
-	// Oldest-first, ending at the most recent publish.
-	if replay[0].Seq != 13 || replay[7].Seq != 20 {
-		t.Fatalf("replay seq range = [%d, %d], want [13, 20]", replay[0].Seq, replay[7].Seq)
+	end, ended, _ := st.Since(4)
+	if len(end) != 1 || end[0].Type != EventEnd || !ended {
+		t.Fatalf("after close: events %+v ended %v, want the end event and ended", end, ended)
 	}
 }
 
+// The stats window holds every sample since the last reset; lastN trims
+// it to the newest N.
 func TestSampleWindowBounded(t *testing.T) {
-	hub := NewHub(Options{MaxSamples: 4})
-	st := hub.Open("job-1")
+	st := NewStream("job-1")
 	for i := 0; i < 10; i++ {
 		st.PublishSample(sampleAt(i))
 	}
 	stats := st.Snapshot(0)
-	if len(stats.Samples) != 4 {
-		t.Fatalf("window = %d samples, want 4", len(stats.Samples))
+	if len(stats.Samples) != 10 {
+		t.Fatalf("window = %d samples, want all 10", len(stats.Samples))
 	}
-	if stats.Samples[0].Reads != 6 || stats.Samples[3].Reads != 9 {
-		t.Fatalf("window reads = [%d..%d], want [6..9]", stats.Samples[0].Reads, stats.Samples[3].Reads)
+	if stats.Samples[0].Reads != 0 || stats.Samples[9].Reads != 9 {
+		t.Fatalf("window reads = [%d..%d], want [0..9]", stats.Samples[0].Reads, stats.Samples[9].Reads)
 	}
 	if stats.Latest == nil || stats.Latest.Reads != 9 {
 		t.Fatalf("latest = %+v, want Reads 9", stats.Latest)
@@ -97,10 +98,10 @@ func TestSampleWindowBounded(t *testing.T) {
 }
 
 func TestResetClearsWindow(t *testing.T) {
-	hub := NewHub(Options{})
-	st := hub.Open("job-1")
+	st := NewStream("job-1")
 	st.PublishSample(sampleAt(0))
 	st.PublishSample(sampleAt(1))
+	before := st.Snapshot(0)
 	st.PublishReset()
 	st.PublishSample(sampleAt(2))
 
@@ -111,109 +112,74 @@ func TestResetClearsWindow(t *testing.T) {
 	if len(stats.Samples) != 1 || stats.Samples[0].Reads != 2 {
 		t.Fatalf("post-reset window = %+v, want one sample with Reads 2", stats.Samples)
 	}
-}
-
-// A subscriber that stops reading must be dropped — its channel closed —
-// without the publisher ever blocking.
-func TestSlowSubscriberDropped(t *testing.T) {
-	hub := NewHub(Options{SubBuffer: 2})
-	st := hub.Open("job-1")
-	_, slow := st.Subscribe()
-	_, fast := st.Subscribe()
-
-	// Publish from this goroutine with nobody draining slow: 2 events fill
-	// slow's buffer, the 3rd drops it, and no publish ever blocks. fast is
-	// drained after each publish, so it stays within its buffer and lives.
-	for i := 0; i < 5; i++ {
-		st.PublishSample(sampleAt(i))
-		if _, ok := <-fast.C; !ok {
-			t.Fatal("fast subscriber dropped while keeping up")
-		}
+	// A snapshot taken before the reset is not overwritten by later samples.
+	if len(before.Samples) != 2 || before.Samples[0].Reads != 0 || before.Samples[1].Reads != 1 {
+		t.Fatalf("pre-reset snapshot changed under the reader: %+v", before.Samples)
 	}
-
-	// slow got the buffered 2 then a close.
-	n := 0
-	for range slow.C {
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("slow subscriber received %d events before drop, want 2", n)
-	}
-	if got := st.Snapshot(0).DroppedSubscribers; got != 1 {
-		t.Fatalf("dropped_subscribers = %d, want 1", got)
-	}
-	fast.Cancel()
 }
 
 func TestSubscribeAfterClose(t *testing.T) {
-	hub := NewHub(Options{})
-	st := hub.Open("job-1")
+	st := NewStream("job-1")
 	st.PublishState("running")
 	st.Close("failed")
 	st.PublishSample(sampleAt(0)) // no-op after close
+	st.PublishPoint(json.RawMessage(`{}`))
 
-	replay, sub := st.Subscribe()
-	if len(replay) != 2 || replay[1].Type != EventEnd {
-		t.Fatalf("post-close replay = %+v, want [state, end]", replay)
-	}
-	if _, ok := <-sub.C; ok {
-		t.Fatal("post-close subscriber channel not closed")
+	replay, ended, _ := st.Since(0)
+	if len(replay) != 2 || replay[1].Type != EventEnd || !ended {
+		t.Fatalf("post-close replay = %+v (ended %v), want [state, end]", replay, ended)
 	}
 	if st.Snapshot(0).State != "failed" {
 		t.Fatalf("state = %q, want failed", st.Snapshot(0).State)
 	}
-	sub.Cancel() // double-cancel safe
-	sub.Cancel()
-}
-
-func TestHubOpenIdempotent(t *testing.T) {
-	hub := NewHub(Options{})
-	a := hub.Open("x")
-	b := hub.Open("x")
-	if a != b {
-		t.Fatal("Open returned distinct streams for one id")
-	}
-	if hub.Get("x") != a {
-		t.Fatal("Get missed an opened stream")
-	}
-	if hub.Get("y") != nil {
-		t.Fatal("Get invented a stream")
+	st.Close("done") // idempotent
+	if again, _, _ := st.Since(0); len(again) != 2 {
+		t.Fatalf("second Close appended: %+v", again)
 	}
 }
 
-// Concurrent publishers, subscribers, snapshotters, and cancels: the test
-// is the race detector. Subscribers drain until their channel closes —
-// which the hub guarantees happens, via drop (slow), Cancel (voluntary) or
-// stream Close (terminal) — so nothing here can block forever.
+// Concurrent publishers, followers and snapshotters: the test is the race
+// detector plus the follower invariant. Every follower reads with its own
+// cursor until the end event and must see each sequence number exactly
+// once, in order — whether it started before, during or after the
+// publishes.
 func TestConcurrentPublishSubscribe(t *testing.T) {
-	hub := NewHub(Options{MaxEvents: 32, MaxSamples: 16, SubBuffer: 4})
-	st := hub.Open("job-1")
+	st := NewStream("job-1")
+	const pubs, perPub = 4, 200
 	var pubWG, subWG sync.WaitGroup
-	for p := 0; p < 4; p++ {
+	for p := 0; p < pubs; p++ {
 		pubWG.Add(1)
 		go func(p int) {
 			defer pubWG.Done()
-			for i := 0; i < 200; i++ {
-				st.PublishSample(sampleAt(p*200 + i))
+			for i := 0; i < perPub; i++ {
+				st.PublishSample(sampleAt(p*perPub + i))
 			}
 		}(p)
 	}
+	follow := func() {
+		defer subWG.Done()
+		var seq int64
+		for {
+			events, ended, changed := st.Since(seq)
+			for _, ev := range events {
+				if ev.Seq != seq+1 {
+					t.Errorf("follower saw seq %d after %d", ev.Seq, seq)
+					return
+				}
+				seq = ev.Seq
+			}
+			if ended {
+				if seq != pubs*perPub+1 {
+					t.Errorf("follower ended at seq %d, want %d", seq, pubs*perPub+1)
+				}
+				return
+			}
+			<-changed
+		}
+	}
 	for s := 0; s < 4; s++ {
 		subWG.Add(1)
-		go func(s int) {
-			defer subWG.Done()
-			for i := 0; i < 10; i++ {
-				_, sub := st.Subscribe()
-				n := 0
-				for range sub.C {
-					if n++; s%2 == 0 && n >= 5 {
-						// Voluntary cancel mid-stream; the close makes the
-						// range drain and exit.
-						sub.Cancel()
-					}
-				}
-			}
-		}(s)
+		go follow()
 	}
 	pubWG.Add(1)
 	go func() {
@@ -225,12 +191,13 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	pubWG.Wait()
 	st.Close("done")
 	st.Close("done") // idempotent
+	subWG.Add(1)
+	follow() // a late follower replays everything
 	subWG.Wait()
 }
 
 func TestJobSinkFusion(t *testing.T) {
-	hub := NewHub(Options{})
-	st := hub.Open("job-1")
+	st := NewStream("job-1")
 	sink := NewJobSink(st)
 
 	ep := memtrace.Epoch{StartNS: 0, EndNS: 256, ACTs: 10, PREs: 12, ColReads: 30, ColWrites: 10}
@@ -276,16 +243,15 @@ func TestEpochDynamicEnergyPairsRule(t *testing.T) {
 	}
 }
 
+// A reader resuming from a cursor gets exactly the events after it.
 func TestSubscribeFromSkipsConsumedPrefix(t *testing.T) {
-	hub := NewHub(Options{})
-	st := hub.Open("job-1")
+	st := NewStream("job-1")
 	st.PublishState("queued")
 	st.PublishState("running")
 	st.PublishSample(sampleAt(0))
 	st.PublishSample(sampleAt(1))
 
-	replay, sub := st.SubscribeFrom(2)
-	defer sub.Cancel()
+	replay, _, _ := st.Since(2)
 	if len(replay) != 2 {
 		t.Fatalf("replay = %d events, want 2", len(replay))
 	}
@@ -293,57 +259,51 @@ func TestSubscribeFromSkipsConsumedPrefix(t *testing.T) {
 		t.Fatalf("replay seqs = %d, %d, want 3, 4", replay[0].Seq, replay[1].Seq)
 	}
 
-	// Fully caught up: empty replay, but the subscription is live.
-	replay2, sub2 := st.SubscribeFrom(4)
-	defer sub2.Cancel()
-	if len(replay2) != 0 {
-		t.Fatalf("caught-up replay = %d events, want 0", len(replay2))
+	// Fully caught up: nothing to read, but the next publish wakes us.
+	replay2, ended, changed := st.Since(4)
+	if len(replay2) != 0 || ended {
+		t.Fatalf("caught-up read = %d events (ended %v), want 0 live", len(replay2), ended)
 	}
 	st.PublishSample(sampleAt(2))
-	ev := <-sub2.C
-	if ev.Seq != 5 {
-		t.Fatalf("live event seq = %d, want 5", ev.Seq)
+	<-changed
+	if ev, _, _ := st.Since(4); len(ev) != 1 || ev[0].Seq != 5 {
+		t.Fatalf("live events = %+v, want seq 5", ev)
 	}
 }
 
-// after beyond the retained ring (or the whole history) degrades to an
-// empty replay, never a panic or a duplicate.
+// A cursor beyond the history reads nothing, never panics or repeats; a
+// cursor inside it reads the whole remainder, because nothing is evicted.
 func TestSubscribeFromBeyondHistory(t *testing.T) {
-	hub := NewHub(Options{MaxEvents: 4})
-	st := hub.Open("job-1")
-	for i := 0; i < 10; i++ {
+	st := NewStream("job-1")
+	for i := 0; i < 5000; i++ {
 		st.PublishSample(sampleAt(i))
 	}
-	replay, sub := st.SubscribeFrom(100)
-	defer sub.Cancel()
-	if len(replay) != 0 {
+	if replay, _, _ := st.Since(10_000); len(replay) != 0 {
 		t.Fatalf("replay = %d events, want 0", len(replay))
 	}
-	// An after older than the ring's oldest entry replays the whole ring:
-	// the gap is visible as first Seq > after+1.
-	replay2, sub2 := st.SubscribeFrom(2)
-	defer sub2.Cancel()
-	if len(replay2) != 4 || replay2[0].Seq != 7 {
-		t.Fatalf("replay = %d events starting at %d, want 4 starting at 7",
-			len(replay2), replay2[0].Seq)
+	replay, _, _ := st.Since(2)
+	if len(replay) != 4998 || replay[0].Seq != 3 || replay[len(replay)-1].Seq != 5000 {
+		t.Fatalf("replay = %d events over [%d, %d], want 4998 over [3, 5000]",
+			len(replay), replay[0].Seq, replay[len(replay)-1].Seq)
 	}
 }
 
 func TestTerminal(t *testing.T) {
-	hub := NewHub(Options{})
-	st := hub.Open("job-1")
+	st := NewStream("job-1")
 	st.PublishState("running")
-	if seq, closed := st.Terminal(); seq != 1 || closed {
-		t.Fatalf("Terminal = (%d, %v), want (1, false)", seq, closed)
+	if events, ended, _ := st.Since(0); len(events) != 1 || ended {
+		t.Fatalf("Since(0) = %d events, ended %v; want 1, false", len(events), ended)
 	}
 	st.Close("done")
-	seq, closed := st.Terminal()
-	if seq != 2 || !closed {
-		t.Fatalf("Terminal after close = (%d, %v), want (2, true)", seq, closed)
+	events, ended, _ := st.Since(0)
+	if len(events) != 2 || !ended {
+		t.Fatalf("Since(0) after close = %d events, ended %v; want 2, true", len(events), ended)
 	}
-	// A caught-up reconnect on the closed stream has nothing to replay.
-	replay, _ := st.SubscribeFrom(seq)
-	if len(replay) != 0 {
-		t.Fatalf("caught-up replay on closed stream = %d events, want 0", len(replay))
+	// A caught-up reconnect on the closed stream has nothing to read.
+	if rest, ended, _ := st.Since(events[1].Seq); len(rest) != 0 || !ended {
+		t.Fatalf("caught-up read on closed stream = %d events, ended %v; want 0, true", len(rest), ended)
+	}
+	if got := st.Snapshot(0).Seq; got != 2 {
+		t.Fatalf("Snapshot Seq = %d, want 2", got)
 	}
 }

@@ -1,11 +1,10 @@
 package fbdsim
 
-// Overhead guard for the live-telemetry hub (ISSUE 7 acceptance
-// criterion): attaching an epoch sink with telemetry compiled in but no
-// subscriber listening must not measurably slow the simulation. The sink
-// fires only at 1024-cycle epoch boundaries and a subscriber-less stream's
-// publish is a short lock-scoped ring write, so the traced-with-sink
-// variant should track the plain traced variant within noise.
+// Overhead guard for the live-telemetry stream: attaching an epoch sink
+// with no reader listening must not measurably slow the simulation. The
+// sink fires only at 1024-cycle epoch boundaries and a publish is a short
+// lock-scoped append, so the traced-with-sink variant should track the
+// plain traced variant within noise.
 
 import (
 	"context"
@@ -17,15 +16,13 @@ import (
 )
 
 // runTelemetryOnce runs the traced overhead workload, optionally feeding a
-// hub stream that nobody subscribes to.
+// stream that nobody reads.
 func runTelemetryOnce(tb testing.TB, withSink bool) (Results, *telemetry.Stream, time.Duration) {
 	tb.Helper()
 	var st *telemetry.Stream
 	var opts system.Options
 	if withSink {
-		// A sample window larger than any plausible epoch count, so the
-		// stream retains the whole series for the parity check below.
-		st = telemetry.NewHub(telemetry.Options{MaxSamples: 1 << 16}).Open("overhead")
+		st = telemetry.NewStream("overhead")
 		opts.EpochSink = telemetry.NewJobSink(st)
 	}
 	start := time.Now()
@@ -36,7 +33,7 @@ func runTelemetryOnce(tb testing.TB, withSink bool) (Results, *telemetry.Stream,
 	return res, st, time.Since(start)
 }
 
-// TestTelemetryOverhead checks the two properties the hub promises:
+// TestTelemetryOverhead checks the two properties the stream promises:
 //
 //  1. Publishing is purely observational — a run feeding an unwatched
 //     stream produces results identical to a plain traced run, and the
@@ -65,8 +62,8 @@ func TestTelemetryOverhead(t *testing.T) {
 		t.Fatal("traced run must carry a trace summary")
 	}
 
-	// The stream's retained window mirrors the summary's epoch series
-	// exactly — same rows, same values — for the post-warmup window.
+	// The stream's measurement window mirrors the summary's epoch series
+	// exactly — same rows, same values — with no option set.
 	win := st.Snapshot(0)
 	if len(win.Samples) != len(resOn.Trace.Epochs) {
 		t.Fatalf("stream retained %d samples, trace summary has %d epochs", len(win.Samples), len(resOn.Trace.Epochs))
