@@ -30,6 +30,8 @@ var (
 // (temp file + rename) and the run continues unperturbed — checkpoint
 // capture never changes Results. Restore the file with WithRestore (same
 // config and benchmarks) to reproduce the rest of the run bit-identically.
+// A run that ends before that boundary writes no snapshot, and Run returns
+// an error naming the boundary it never reached.
 func WithCheckpoint(path string, atCycle int64) Option {
 	return func(s *runSettings) {
 		s.checkpointPath = path
@@ -57,7 +59,11 @@ func (s *runSettings) systemOptions() (system.Options, error) {
 			AtCycle: s.checkpointAt,
 			AtWarm:  s.checkpointAt <= 0,
 			OnCheckpoint: func(cp system.Checkpoint) error {
-				return WriteSnapshotFile(path, cp.Data)
+				if err := WriteSnapshotFile(path, cp.Data); err != nil {
+					return err
+				}
+				s.checkpointWritten = true
+				return nil
 			},
 		}
 	}
@@ -69,6 +75,19 @@ func (s *runSettings) systemOptions() (system.Options, error) {
 		o.Restore = &system.RestoreSpec{Data: data}
 	}
 	return o, nil
+}
+
+// missedCheckpoint reports a completed run that was asked for a snapshot
+// but ended before the checkpoint boundary, so none was written.
+func (s *runSettings) missedCheckpoint() error {
+	if s.checkpointPath == "" || s.checkpointWritten {
+		return nil
+	}
+	at := "the warmup boundary"
+	if s.checkpointAt > 0 {
+		at = fmt.Sprintf("cycle %d", s.checkpointAt)
+	}
+	return fmt.Errorf("fbdsim: no snapshot written to %s: the run ended before %s", s.checkpointPath, at)
 }
 
 // WriteSnapshotFile atomically writes snapshot bytes to path: the data lands

@@ -1,8 +1,7 @@
 // Command fbdserve runs the simulator as an HTTP service: submit
-// simulation jobs or whole parameter sweeps, poll or cancel them, stream
-// live telemetry, and fetch cached results, backed by a bounded worker
-// pool with a shared single-flight LRU result cache (see
-// internal/simserver for the API).
+// simulation jobs, poll, pause or cancel them, and fetch cached results
+// and trace artifacts, backed by a bounded worker pool with a
+// single-flight LRU result cache (see internal/simserver for the API).
 //
 // Examples:
 //
@@ -12,34 +11,18 @@
 //	curl -X POST localhost:8077/v1/jobs \
 //	     -d '{"preset": "fbd-ap", "benchmarks": ["swim", "applu"], "seed": 1}'
 //	curl localhost:8077/v1/jobs/job-1
-//	curl -N localhost:8077/v1/jobs/job-1/events      # live SSE stream
-//	curl localhost:8077/v1/jobs/job-1/stats          # measured epoch window
 //	curl -X DELETE localhost:8077/v1/jobs/job-1
-//	curl localhost:8077/metrics
-//	curl localhost:8077/v1/dashboard?format=txt      # terminal dashboard
-//
-//	curl -X POST localhost:8077/v1/sweeps -d '{
-//	      "name": "prefetch-compare",
-//	      "configs": [{"preset": "fbd"}, {"preset": "fbd-ap"}],
-//	      "workloads": [{"benchmarks": ["swim"]}, {"benchmarks": ["applu"]}],
-//	      "seeds": [1, 2]}'
-//	curl localhost:8077/v1/sweeps/sweep-1
-//	curl localhost:8077/v1/sweeps/sweep-1/results?follow=1
 //
 // The full HTTP contract lives in api/openapi.yaml.
 //
 // Logging is structured (log/slog): -log-format picks text or json,
 // -log-level the threshold. Every request logs one line with a request ID
-// (honoring an incoming X-Request-ID) plus job/sweep correlation.
-//
-// Every job and sweep keeps one append-only event log, so a late or
-// reconnecting reader replays the whole history and no reader is ever
-// dropped. Jobs are not retried: a failed simulation would fail the same
-// way again.
+// (honoring an incoming X-Request-ID) plus job correlation. Jobs are not
+// retried: a failed simulation would fail the same way again.
 //
 // On SIGINT/SIGTERM the server stops accepting work, drains in-flight
-// jobs for -grace, then cancels whatever is still running. Live SSE
-// streams and ?follow=1 result tails close as soon as shutdown begins.
+// jobs for -grace, then cancels whatever is still running. Parameter
+// sweeps run through paperexp, live epoch series through fbdsim -trace.
 package main
 
 import (
@@ -68,8 +51,6 @@ func main() {
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job execution deadline (0 = none)")
 		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		maxInsts   = flag.Int64("max-insts", 0, "cap on per-job instruction budgets (0 = none)")
-		sweepPar   = flag.Int("sweep-parallel", 0, "cap on per-sweep shard parallelism clients may request (0 = workers)")
-		sweepCap   = flag.Int("max-sweep-points", 0, "cap on the grid size of one sweep submission (0 = 4096)")
 		grace      = flag.Duration("grace", 30*time.Second, "shutdown grace period before in-flight jobs are cancelled")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this address (opt-in; keep it private)")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
@@ -84,15 +65,13 @@ func main() {
 	slog.SetDefault(logger)
 
 	sim := simserver.New(simserver.Options{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheEntries:   *cacheSize,
-		JobTimeout:     *jobTimeout,
-		RetryAfter:     *retryAfter,
-		MaxInsts:       *maxInsts,
-		SweepParallel:  *sweepPar,
-		MaxSweepPoints: *sweepCap,
-		Logger:         logger,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheEntries: *cacheSize,
+		JobTimeout:   *jobTimeout,
+		RetryAfter:   *retryAfter,
+		MaxInsts:     *maxInsts,
+		Logger:       logger,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: simserver.AccessLog(logger, sim.Handler())}
 
@@ -131,10 +110,8 @@ func main() {
 	logger.Info("shutting down", "grace", grace.String())
 	graceCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
-	// Drain the listener and the worker pool concurrently: sim.Shutdown
-	// signals live SSE streams and result tails to end, which is exactly
-	// what lets httpSrv.Shutdown finish draining instead of waiting out
-	// the grace period on a long-lived streaming connection.
+	// Drain the listener and the worker pool concurrently, within one
+	// grace period.
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {

@@ -37,8 +37,7 @@
 //
 // Parameter sweeps — grids of configurations × workloads × seeds with
 // bounded parallelism, result caching and journal-based resume — are the
-// internal/sweep engine, exposed through cmd/paperexp and the fbdserve
-// POST /v1/sweeps API.
+// internal/sweep engine, exposed through cmd/paperexp.
 //
 // The experiment harness that regenerates every table and figure of the
 // paper lives in internal/exp and is exposed through cmd/paperexp.
@@ -156,6 +155,9 @@ type runSettings struct {
 	checkpointPath string
 	checkpointAt   int64
 	restorePath    string
+
+	// checkpointWritten records that the WithCheckpoint snapshot landed.
+	checkpointWritten bool
 }
 
 // WithTrace enables the memtrace recorder for this run with settings t
@@ -226,7 +228,14 @@ func Run(ctx context.Context, cfg Config, benchmarks []string, opts ...Option) (
 	if err != nil {
 		return Results{}, err
 	}
-	return fidelity.Run(ctx, s.fidelity, s.cfg, benchmarks, o)
+	res, err := fidelity.Run(ctx, s.fidelity, s.cfg, benchmarks, o)
+	if err != nil {
+		return Results{}, err
+	}
+	if err := s.missedCheckpoint(); err != nil {
+		return Results{}, err
+	}
+	return res, nil
 }
 
 // LoadConfig reads and validates a JSON configuration file. Fields missing

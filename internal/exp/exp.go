@@ -23,7 +23,6 @@ import (
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
 	"fbdsim/internal/fidelity"
-	"fbdsim/internal/stats"
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
 	"fbdsim/internal/workload"
@@ -150,8 +149,8 @@ type Runner struct {
 
 	// Cache accounting (see Summary): misses are actual simulations,
 	// hits are requests served from (or coalesced onto) a prior run.
-	hits     stats.Counter
-	misses   stats.Counter
+	hits     atomic.Int64
+	misses   atomic.Int64
 	simNanos atomic.Int64
 
 	// abortCtx is cancelled once AbortAfterPoints simulations complete;
@@ -207,8 +206,8 @@ func (r *Runner) simulate(ctx context.Context, tier fidelity.Tier, cfg config.Co
 	if err != nil {
 		return res, err
 	}
-	r.misses.Inc()
-	if n := r.opts.AbortAfterPoints; n > 0 && r.misses.Value() >= int64(n) {
+	r.misses.Add(1)
+	if n := r.opts.AbortAfterPoints; n > 0 && r.misses.Load() >= int64(n) {
 		r.abortCancel()
 	}
 	return res, nil
@@ -232,7 +231,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg config.Config, benchmarks [
 		return r.simulate(ctx, tier, cfg, benchmarks, system.Options{})
 	})
 	if hit {
-		r.hits.Inc()
+		r.hits.Add(1)
 	}
 	return res, err
 }
@@ -297,8 +296,8 @@ type Summary struct {
 // Summary returns the Runner's cache accounting so far.
 func (r *Runner) Summary() Summary {
 	return Summary{
-		Simulations: r.misses.Value(),
-		CacheHits:   r.hits.Value(),
+		Simulations: r.misses.Load(),
+		CacheHits:   r.hits.Load(),
 		SimWall:     time.Duration(r.simNanos.Load()),
 	}
 }

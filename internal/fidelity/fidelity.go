@@ -96,7 +96,7 @@ func Key(t Tier, cfg config.Config, benchmarks []string) string {
 // results do not, which is itself the marker of full detail.
 //
 // Only cycle-accurate runs act on opts. The estimate tiers ignore Progress
-// and EpochSink, and refuse Checkpoint and Restore: the sampled tier
+// and refuse Checkpoint and Restore: the sampled tier
 // drives its machine through windowed stepping, where an armed snapshot
 // would corrupt the measured windows, and the analytic tier has no machine
 // to snapshot.

@@ -177,23 +177,6 @@ type Gauges struct {
 	Prefetched, PrefetchHits int64
 }
 
-// Sink receives live epoch rows as the recorder appends them, turning the
-// post-mortem time-series into a streaming one (fbdserve attaches one per
-// traced job, feeding the job's telemetry stream). Both methods run on the
-// simulation goroutine: implementations must be fast and must never block.
-// A nil sink costs one pointer check per epoch flush — nothing per
-// request.
-type Sink interface {
-	// EpochSample is called exactly when a row is appended to the epoch
-	// series, with the appended row (rows dropped past MaxEpochs are not
-	// delivered, keeping the stream a mirror of the retained series).
-	EpochSample(Epoch)
-	// WindowReset is called when the measurement window restarts (the
-	// warmup boundary): every previously delivered epoch is discarded
-	// from the recorder, and subscribers should do the same.
-	WindowReset()
-}
-
 // Config sizes a Recorder. The zero value gets the documented defaults.
 type Config struct {
 	// Epoch is the time-series sampling interval (default 1 µs).
@@ -298,11 +281,6 @@ type Recorder struct {
 
 	epochs        []Epoch
 	droppedEpochs int64
-
-	// sink, when non-nil, receives every appended epoch row live. Not
-	// serialized by Snapshot/Restore: it is serving-side wiring, not
-	// machine state.
-	sink Sink
 }
 
 // New builds a Recorder. The caller seeds the gauge baseline with the first
@@ -317,16 +295,6 @@ func New(cfg Config) *Recorder {
 
 // Enabled reports whether the recorder is live (false for nil).
 func (r *Recorder) Enabled() bool { return r != nil }
-
-// SetSink attaches (or, with nil, detaches) a live epoch sink. Nil-safe;
-// call before simulation starts. The sink is invoked on the simulation
-// goroutine at epoch boundaries only, never per request.
-func (r *Recorder) SetSink(s Sink) {
-	if r == nil {
-		return
-	}
-	r.sink = s
-}
 
 // Complete records one finished request. Nil-safe.
 func (r *Recorder) Complete(ev Event) {
@@ -434,9 +402,6 @@ func (r *Recorder) flushEpoch(now clock.Time, g Gauges) {
 		ep.PrefetchAccuracy = float64(g.PrefetchHits-r.prev.PrefetchHits) / float64(dp)
 	}
 	r.epochs = append(r.epochs, ep)
-	if r.sink != nil {
-		r.sink.EpochSample(ep)
-	}
 }
 
 // ResetMeasurement discards everything recorded so far and restarts the
@@ -460,9 +425,6 @@ func (r *Recorder) ResetMeasurement(now clock.Time, g Gauges) {
 	r.start = now
 	r.cur = epochAccum{start: now}
 	r.prev = g
-	if r.sink != nil {
-		r.sink.WindowReset()
-	}
 }
 
 // StageStats summarizes one lifecycle stage's latency distribution.

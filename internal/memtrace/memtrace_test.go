@@ -214,22 +214,13 @@ func TestResetMeasurementClearsWindow(t *testing.T) {
 	}
 }
 
-// countingSink records how many epoch rows arrive in each measurement
-// window.
-type countingSink struct{ windows []int }
-
-func (c *countingSink) EpochSample(Epoch) { c.windows[len(c.windows)-1]++ }
-func (c *countingSink) WindowReset()      { c.windows = append(c.windows, 0) }
-
-// TestSinkBoundedPerWindow pins the bound the serving layer's telemetry log
-// relies on: the sink receives at most MaxEpochs rows per measurement
-// window, both before and after ResetMeasurement, and the rows it receives
-// are the rows the summary retains.
-func TestSinkBoundedPerWindow(t *testing.T) {
+// TestEpochsBoundedPerWindow: the summary retains at most MaxEpochs rows
+// per measurement window, before and after ResetMeasurement, and counts
+// every row past the cap — the trailing partial epoch included — in
+// DroppedEpochs.
+func TestEpochsBoundedPerWindow(t *testing.T) {
 	const maxEpochs = 16
-	sink := &countingSink{windows: []int{0}}
 	r := New(Config{Epoch: 100 * ns, MaxEpochs: maxEpochs})
-	r.SetSink(sink)
 	var g Gauges
 	now := clock.Time(0)
 	sample := func(epochs int) {
@@ -240,15 +231,15 @@ func TestSinkBoundedPerWindow(t *testing.T) {
 		}
 	}
 	sample(3 * maxEpochs)
+	if s := r.Summarize(now, g); len(s.Epochs) != maxEpochs || s.DroppedEpochs != 2*maxEpochs {
+		t.Errorf("before reset: summary kept %d epochs and dropped %d, want %d and %d",
+			len(s.Epochs), s.DroppedEpochs, maxEpochs, 2*maxEpochs)
+	}
 	r.ResetMeasurement(now, g)
 	sample(3 * maxEpochs)
 	s := r.Summarize(now+50*ns, g) // the trailing partial epoch is over the cap too
-
-	if len(sink.windows) != 2 || sink.windows[0] != maxEpochs || sink.windows[1] != maxEpochs {
-		t.Errorf("sink rows per window = %v, want [%d %d]", sink.windows, maxEpochs, maxEpochs)
-	}
 	if len(s.Epochs) != maxEpochs || s.DroppedEpochs != 2*maxEpochs+1 {
-		t.Errorf("summary kept %d epochs and dropped %d, want %d and %d",
+		t.Errorf("after reset: summary kept %d epochs and dropped %d, want %d and %d",
 			len(s.Epochs), s.DroppedEpochs, maxEpochs, 2*maxEpochs+1)
 	}
 }

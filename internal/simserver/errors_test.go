@@ -71,11 +71,6 @@ func TestErrorEnvelope(t *testing.T) {
 		{"trace before done", "GET", "/v1/jobs/" + running.ID + "/trace", "", 409, codeConflict},
 		{"timeline before done", "GET", "/v1/jobs/" + running.ID + "/timeline", "", 409, codeConflict},
 		{"result not found", "GET", "/v1/results/deadbeef", "", 404, codeNotFound},
-		{"sweep bad json", "POST", "/v1/sweeps", `{`, 400, codeBadRequest},
-		{"sweep empty grid", "POST", "/v1/sweeps", `{}`, 400, codeBadRequest},
-		{"sweep not found", "GET", "/v1/sweeps/sweep-999", "", 404, codeNotFound},
-		{"sweep results not found", "GET", "/v1/sweeps/sweep-999/results", "", 404, codeNotFound},
-		{"sweep cancel not found", "DELETE", "/v1/sweeps/sweep-999", "", 404, codeNotFound},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -103,7 +98,7 @@ func TestErrorEnvelope(t *testing.T) {
 }
 
 // TestErrorEnvelopeShutdown: submissions after shutdown carry the
-// shutting_down code on both the job and the sweep door.
+// shutting_down code.
 func TestErrorEnvelopeShutdown(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
@@ -117,13 +112,8 @@ func TestErrorEnvelopeShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, c := range []struct{ path, body string }{
-		{"/v1/jobs", `{"benchmarks": ["swim"]}`},
-		{"/v1/sweeps", `{"configs": [{"preset": "fbd"}], "workloads": [{"benchmarks": ["swim"]}]}`},
-	} {
-		status, ev, raw := doRequest(t, ts, "POST", c.path, c.body)
-		if status != http.StatusServiceUnavailable || ev.Error.Code != codeShuttingDown {
-			t.Errorf("%s after shutdown: status %d code %q (body %s)", c.path, status, ev.Error.Code, raw)
-		}
+	status, ev, raw := doRequest(t, ts, "POST", "/v1/jobs", `{"benchmarks": ["swim"]}`)
+	if status != http.StatusServiceUnavailable || ev.Error.Code != codeShuttingDown {
+		t.Errorf("/v1/jobs after shutdown: status %d code %q (body %s)", status, ev.Error.Code, raw)
 	}
 }

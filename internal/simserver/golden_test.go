@@ -110,41 +110,6 @@ func TestGoldenJobView(t *testing.T) {
 	checkGolden(t, "jobview.golden.json", normalize(t, raw, "wall_ms", "sim_cycles_per_sec"))
 }
 
-// TestGoldenSweepView pins the public JSON shape of a completed sweep
-// response (GET /v1/sweeps/{id}).
-func TestGoldenSweepView(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, Run: goldenRun})
-	_, v := postSweep(t, ts, `{
-		"name": "golden",
-		"configs": [{"name": "fbd", "preset": "fbd"}],
-		"workloads": [{"benchmarks": ["swim"]}, {"benchmarks": ["applu"]}],
-		"seeds": [42],
-		"max_insts": 10000,
-		"parallel": 1
-	}`)
-	waitSweepState(t, ts, v.ID, StateDone)
-	raw := goldenBody(t, ts, "/v1/sweeps/"+v.ID)
-	checkGolden(t, "sweepview.golden.json", normalize(t, raw, "wall_ms"))
-}
-
-// TestGoldenSweepPoints pins the NDJSON point stream of a sweep: Point
-// deliberately carries no volatile fields, so the stream is byte-stable
-// with parallel=1.
-func TestGoldenSweepPoints(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, Run: goldenRun})
-	_, v := postSweep(t, ts, `{
-		"name": "golden",
-		"configs": [{"name": "fbd", "preset": "fbd"}],
-		"workloads": [{"benchmarks": ["swim"]}, {"benchmarks": ["applu"]}],
-		"seeds": [42],
-		"max_insts": 10000,
-		"parallel": 1
-	}`)
-	waitSweepState(t, ts, v.ID, StateDone)
-	raw := goldenBody(t, ts, "/v1/sweeps/"+v.ID+"/results")
-	checkGolden(t, "sweeppoints.golden.ndjson", raw)
-}
-
 // TestGoldenSampledJobView pins the JSON shape of a sampled job: the
 // fidelity field on the view, the results' Estimate block (tier, CI,
 // window accounting) and the headline ipc_ci95.
@@ -154,25 +119,6 @@ func TestGoldenSampledJobView(t *testing.T) {
 	waitState(t, ts, v.ID, StateDone)
 	raw := goldenBody(t, ts, "/v1/jobs/"+v.ID)
 	checkGolden(t, "jobview_sampled.golden.json", normalize(t, raw, "wall_ms", "sim_cycles_per_sec"))
-}
-
-// TestGoldenSweepPointsFidelity pins the NDJSON point stream of a
-// mixed-fidelity sweep: the cycle-accurate point carries no fidelity field
-// (pre-fidelity journal compatibility), the analytic point is tagged and
-// its key tier-prefixed.
-func TestGoldenSweepPointsFidelity(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, Run: goldenRun})
-	_, v := postSweep(t, ts, `{
-		"name": "golden-fidelity",
-		"configs": [{"name": "fbd", "preset": "fbd"}, {"name": "fbd-triage", "preset": "fbd", "fidelity": "analytic"}],
-		"workloads": [{"benchmarks": ["swim"]}],
-		"seeds": [42],
-		"max_insts": 10000,
-		"parallel": 1
-	}`)
-	waitSweepState(t, ts, v.ID, StateDone)
-	raw := goldenBody(t, ts, "/v1/sweeps/"+v.ID+"/results")
-	checkGolden(t, "sweeppoints_fidelity.golden.ndjson", raw)
 }
 
 // TestGoldenErrorEnvelope pins the error envelope itself.

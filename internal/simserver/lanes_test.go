@@ -2,7 +2,6 @@ package simserver
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -103,23 +102,12 @@ func (r *laneRig) dispatched() []string {
 	return append([]string(nil), r.order...)
 }
 
-// checkDepths asserts both reporting surfaces of the lane depths: /metrics
-// carries queue_depth (FIFO lane) and fast_queue_depth, /readyz the FIFO
-// lane's depth against its capacity.
+// checkDepths asserts the lane depths: both lanes' queued counts, and the
+// FIFO lane's depth against its capacity as /readyz reports it.
 func (r *laneRig) checkDepths(t *testing.T, fifo, fast int) {
 	t.Helper()
-	resp, err := http.Get(r.ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m["queue_depth"] != float64(fifo) || m["fast_queue_depth"] != float64(fast) {
-		t.Errorf("metrics queue_depth/fast_queue_depth = %v/%v, want %d/%d",
-			m["queue_depth"], m["fast_queue_depth"], fifo, fast)
+	if got, gotFast := len(r.s.queue), len(r.s.fastQueue); got != fifo || gotFast != fast {
+		t.Errorf("queued FIFO/fast = %d/%d, want %d/%d", got, gotFast, fifo, fast)
 	}
 	_, ready := readyStatus(t, r.ts)
 	if ready["queue_depth"] != float64(fifo) || ready["queue_capacity"] != float64(cap(r.s.queue)) {
@@ -253,57 +241,5 @@ func TestFairnessUnderFlood(t *testing.T) {
 		if want := fmt.Sprintf("cycle/%d", 2+i); d != want {
 			t.Fatalf("flood dispatch %d = %s, want %s (FIFO order)", i, d, want)
 		}
-	}
-}
-
-// TestAcquireSlotClosedScheduler: sweep points take their slots from the
-// sweep's own pool, never from the job lanes, so closing the lanes at
-// shutdown does not gate them. Points that acquire the slot after Shutdown
-// began still run, and Shutdown drains the sweep in full.
-func TestAcquireSlotClosedScheduler(t *testing.T) {
-	var calls atomic.Int64
-	started := make(chan struct{}, 4)
-	release := make(chan struct{})
-	s, ts := newTestServer(t, Options{Workers: 1, SweepParallel: 1, Run: fakeRun(&calls, started, release)})
-
-	status, sv := postSweep(t, ts, `{
-		"configs": [{"preset": "fbd"}],
-		"workloads": [{"benchmarks": ["swim"]}],
-		"seeds": [1, 2, 3]
-	}`)
-	if status != http.StatusAccepted {
-		t.Fatalf("sweep submit: status %d", status)
-	}
-	select {
-	case <-started: // the first point holds the sweep's only slot
-	case <-time.After(5 * time.Second):
-		t.Fatal("first sweep point never started")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	shut := make(chan error, 1)
-	go func() { shut <- s.Shutdown(ctx) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, body := readyStatus(t, ts); body["status"] == "shutting down" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Shutdown never closed intake")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	close(release)
-	if err := <-shut; err != nil {
-		t.Fatalf("Shutdown = %v, want a full drain", err)
-	}
-	_, final := getSweep(t, ts, sv.ID)
-	if final.State != string(StateDone) || final.Progress.Completed != 3 {
-		t.Fatalf("sweep after shutdown: state %q, %d/3 points", final.State, final.Progress.Completed)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("simulations = %d, want 3", got)
 	}
 }

@@ -13,14 +13,11 @@ import (
 // so every request emits one slog line with method, path, status, bytes,
 // duration and a correlation ID — the client's X-Request-ID when it sent
 // one, a server-minted one otherwise (echoed back in the response header
-// either way). Requests touching a job or sweep also carry job_id /
-// sweep_id attributes, so one `grep job-17` joins the access log with the
-// server's lifecycle log for that job.
+// either way). Requests touching a job also carry a job_id attribute, so
+// one `grep job-17` joins the access log with the server's lifecycle log
+// for that job.
 
-// statusWriter captures the response status and size. It passes Flush
-// through — the SSE and NDJSON streaming handlers type-assert their writer
-// to http.Flusher, and a middleware that swallowed it would silently turn
-// live streams into fully buffered responses.
+// statusWriter captures the response status and size.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -43,35 +40,25 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush implements http.Flusher when the underlying writer does.
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // Unwrap supports http.ResponseController passthrough.
 func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // reqSeq mints process-unique request IDs for clients that send none.
 var reqSeq atomic.Int64
 
-// entityID extracts the job or sweep ID a request path addresses, so log
-// lines correlate with the lifecycle log. Empty strings when the path
-// carries neither.
-func entityID(path string) (jobID, sweepID string) {
-	const jobs, sweeps = "/v1/jobs/", "/v1/sweeps/"
-	switch {
-	case strings.HasPrefix(path, jobs):
-		jobID, _, _ = strings.Cut(path[len(jobs):], "/")
-	case strings.HasPrefix(path, sweeps):
-		sweepID, _, _ = strings.Cut(path[len(sweeps):], "/")
+// jobID extracts the job ID a request path addresses, so log lines
+// correlate with the lifecycle log. Empty when the path carries none.
+func jobID(path string) string {
+	const jobs = "/v1/jobs/"
+	if !strings.HasPrefix(path, jobs) {
+		return ""
 	}
-	return jobID, sweepID
+	id, _, _ := strings.Cut(path[len(jobs):], "/")
+	return id
 }
 
 // AccessLog wraps next so every request logs one structured line to
-// logger, correlated by request ID (and job/sweep ID when addressed).
+// logger, correlated by request ID (and job ID when addressed).
 func AccessLog(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get("X-Request-ID")
@@ -95,10 +82,8 @@ func AccessLog(logger *slog.Logger, next http.Handler) http.Handler {
 			"duration_ms", float64(time.Since(start)) / float64(time.Millisecond),
 			"request_id", reqID,
 		}
-		if jobID, sweepID := entityID(r.URL.Path); jobID != "" {
-			attrs = append(attrs, "job_id", jobID)
-		} else if sweepID != "" {
-			attrs = append(attrs, "sweep_id", sweepID)
+		if id := jobID(r.URL.Path); id != "" {
+			attrs = append(attrs, "job_id", id)
 		}
 		logger.Info("http", attrs...)
 	})

@@ -14,8 +14,9 @@ import (
 
 // TestRunOptionsWiring pins the engine options each kind of job hands its
 // RunFunc: cycle-accurate jobs arm a checkpoint carrying the job's pause
-// Trigger, resumed jobs also restore the paused job's snapshot, only traced
-// jobs stream epochs, and estimate-tier jobs run with no options at all.
+// Trigger, resumed jobs also restore the paused job's snapshot, traced jobs
+// get the same options as untraced ones (tracing travels in the config),
+// and estimate-tier jobs run with no options at all.
 func TestRunOptionsWiring(t *testing.T) {
 	type call struct {
 		tier fidelity.Tier
@@ -43,11 +44,11 @@ func TestRunOptionsWiring(t *testing.T) {
 		state State
 		tier  fidelity.Tier
 		// The options the job must get.
-		checkpoint, restore, sink bool
+		checkpoint, restore bool
 	}{
 		{name: "cycle-accurate", body: `{"benchmarks": ["swim"], "seed": 1}`, state: StatePaused, checkpoint: true},
 		{name: "from_checkpoint", body: `{"from_checkpoint": "$PAUSED"}`, state: StateDone, checkpoint: true, restore: true},
-		{name: "traced", body: `{"benchmarks": ["swim"], "seed": 2, "trace": true}`, state: StateDone, checkpoint: true, sink: true},
+		{name: "traced", body: `{"benchmarks": ["swim"], "seed": 2, "trace": true}`, state: StateDone, checkpoint: true},
 		{name: "sampled", body: `{"benchmarks": ["swim"], "seed": 3, "fidelity": "sampled"}`, state: StateDone, tier: fidelity.Sampled},
 		{name: "analytic", body: `{"benchmarks": ["swim"], "seed": 4, "fidelity": "analytic"}`, state: StateDone, tier: fidelity.Analytic},
 	} {
@@ -78,9 +79,6 @@ func TestRunOptionsWiring(t *testing.T) {
 			t.Errorf("%s: restore set %v, want %v", tc.name, got, tc.restore)
 		} else if got && string(o.Restore.Data) != "snapshot" {
 			t.Errorf("%s: restores %q, want the paused job's snapshot", tc.name, o.Restore.Data)
-		}
-		if got := o.EpochSink != nil; got != tc.sink {
-			t.Errorf("%s: epoch sink set %v, want %v", tc.name, got, tc.sink)
 		}
 		if o.Progress != nil {
 			t.Errorf("%s: jobs report no progress callback, got one", tc.name)

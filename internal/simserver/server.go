@@ -1,8 +1,7 @@
 // Package simserver turns the simulator into a service: an HTTP JSON API
 // that queues simulation jobs onto a bounded worker pool, deduplicates
 // identical requests through an LRU result cache and in-flight coalescing,
-// cancels running jobs through the simulator's context plumbing, and
-// exposes its counters on an expvar-style /metrics endpoint.
+// and cancels running jobs through the simulator's context plumbing.
 //
 // API:
 //
@@ -13,14 +12,11 @@
 //	POST   /v1/jobs/{id}/pause      checkpoint a running job at the next boundary and stop it
 //	GET    /v1/jobs/{id}/checkpoint download a paused job's snapshot artifact (binary)
 //	DELETE /v1/jobs/{id}            cancel; returns the job's final state
+//	GET    /v1/jobs                 list every job in submission order
 //	GET    /v1/results/{key}        direct result-cache lookup by canonical key
-//	POST   /v1/sweeps               submit a sweep grid {name, configs, workloads, seeds, ...}
-//	GET    /v1/sweeps/{id}          poll a sweep (state + progress counters)
-//	GET    /v1/sweeps/{id}/results  stream completed grid points as NDJSON (?follow=1 tails)
-//	DELETE /v1/sweeps/{id}          cancel a sweep; returns its final state
+//	GET    /v1/version              module version, VCS revision, Go toolchain, uptime
 //	GET    /healthz                 liveness (503 while shutting down)
 //	GET    /readyz                  readiness (503 when the queue is saturated or shutdown began)
-//	GET    /metrics                 counter registry as JSON (?format=prom for Prometheus text)
 //
 // Every /v1 error response uses one envelope:
 //
@@ -29,10 +25,6 @@
 // where code is a stable machine-readable identifier (bad_request,
 // not_found, conflict, queue_full, shutting_down, cancel_timeout) and
 // message is human-readable detail.
-//
-// Sweeps run the internal/sweep engine against the same single-flight
-// result cache as jobs, so sweep points, concurrent sweeps and individual
-// job submissions all deduplicate against each other.
 //
 // Backpressure: when the job queue is full, submissions are refused with
 // HTTP 429 and a Retry-After header. Shutdown stops intake immediately,
@@ -54,7 +46,9 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,15 +58,14 @@ import (
 	"fbdsim/internal/memtrace"
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
-	"fbdsim/internal/telemetry"
 	"fbdsim/internal/trace"
 )
 
-// RunFunc executes one simulation of a job or sweep point at its fidelity
-// tier under the job's engine options. It is the sweep engine's run
-// function; production uses fidelity.Run and tests substitute fakes. A
-// fake that wraps the real simulator must forward opts, or its jobs never
-// pause, resume or stream.
+// RunFunc executes one job's simulation at its fidelity tier under the
+// job's engine options. It is the sweep engine's run function type;
+// production uses fidelity.Run and tests substitute fakes. A fake that
+// wraps the real simulator must forward opts, or its jobs never pause or
+// resume.
 type RunFunc = sweep.RunFunc
 
 // Options configures a Server. The zero value gets sensible defaults.
@@ -91,15 +84,8 @@ type Options struct {
 	// MaxInsts caps the per-job instruction budget a client may request;
 	// 0 means no cap.
 	MaxInsts int64
-	// SweepParallel caps the per-sweep shard parallelism a client may
-	// request (default: Workers). Each sweep runs its own bounded pool;
-	// this keeps one greedy sweep from oversubscribing the host.
-	SweepParallel int
-	// MaxSweepPoints caps the grid size of one sweep submission
-	// (default 4096).
-	MaxSweepPoints int
-	// Logger receives the server's structured lifecycle log (job and
-	// sweep transitions, shutdown). Defaults to a discard logger so
+	// Logger receives the server's structured lifecycle log (job
+	// transitions, shutdown). Defaults to a discard logger so
 	// embedding tests stay quiet; fbdserve passes its process logger.
 	Logger *slog.Logger
 	// Run overrides the simulation function (tests).
@@ -123,12 +109,6 @@ func (o Options) norm() Options {
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
-	}
-	if o.SweepParallel <= 0 {
-		o.SweepParallel = o.Workers
-	}
-	if o.MaxSweepPoints <= 0 {
-		o.MaxSweepPoints = 4096
 	}
 	if o.Logger == nil {
 		// slog.DiscardHandler is newer than this module's Go baseline;
@@ -175,8 +155,7 @@ type job struct {
 	// fidelity is the job's simulation tier: "" (cycle-accurate),
 	// "sampled" or "analytic". Estimate-tier jobs cannot be paused,
 	// traced or checkpointed.
-	fidelity  string
-	submitted time.Time
+	fidelity string
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -187,11 +166,6 @@ type job struct {
 	// non-nil, is a snapshot the run starts from instead of cycle zero.
 	pauseTrig *system.Trigger
 	restore   []byte
-
-	// stream is the job's live-telemetry log: lifecycle state events
-	// always, epoch samples when the job is traced. Set at registration,
-	// closed with the terminal state.
-	stream *telemetry.Stream
 
 	mu       sync.Mutex
 	state    State
@@ -263,7 +237,6 @@ func (j *job) finish(state State, res system.Results, errMsg string) {
 	j.finished = time.Now()
 	j.mu.Unlock()
 	close(j.done)
-	j.stream.Close(string(state))
 }
 
 func (j *job) currentState() State {
@@ -272,38 +245,29 @@ func (j *job) currentState() State {
 	return j.state
 }
 
-// Server is the simulation service: queue, worker pool, cache, metrics.
+// Server is the simulation service: queues, worker pools, result cache.
 type Server struct {
-	opts    Options
-	metrics *Metrics
-	cache   *sweep.Cache
-	queue   chan *job
+	opts  Options
+	cache *sweep.Cache
+	queue chan *job
 	// fastQueue is the analytic-job lane, drained by its own worker
 	// pool: a sub-second estimate never waits behind queued
 	// cycle-accurate simulations.
 	fastQueue chan *job
 	log       *slog.Logger
 	started   time.Time
-	occ       occHistory
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	// shutdownCh closes the moment Shutdown begins, so long-lived
-	// streaming handlers (SSE) end promptly instead of pinning the HTTP
-	// drain until the grace period expires.
-	shutdownCh chan struct{}
 
-	mu          sync.Mutex
-	jobs        map[string]*job
-	byKey       map[string]*job // queued/running jobs, for coalescing
-	sweeps      map[string]*sweepJob
-	closed      bool
-	nextID      int64
-	nextSweepID int64
+	mu     sync.Mutex
+	jobs   map[string]*job
+	byKey  map[string]*job // queued/running jobs, for coalescing
+	closed bool
+	nextID int64
 
 	busy     atomic.Int64
 	workerWG sync.WaitGroup
-	sweepWG  sync.WaitGroup
 	shutOnce sync.Once
 }
 
@@ -313,7 +277,6 @@ func New(opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       o,
-		metrics:    newMetrics(),
 		cache:      sweep.NewCache(o.CacheEntries),
 		queue:      make(chan *job, o.QueueDepth),
 		fastQueue:  make(chan *job, o.QueueDepth),
@@ -321,20 +284,9 @@ func New(opts Options) *Server {
 		started:    time.Now(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		shutdownCh: make(chan struct{}),
 		jobs:       make(map[string]*job),
 		byKey:      make(map[string]*job),
-		sweeps:     make(map[string]*sweepJob),
 	}
-	reg := s.metrics.Registry()
-	reg.Func("queue_depth", func() any { return len(s.queue) })
-	reg.Func("fast_queue_depth", func() any { return len(s.fastQueue) })
-	reg.Func("workers", func() any { return o.Workers })
-	reg.Func("workers_busy", func() any { return s.busy.Load() })
-	reg.Func("cache_entries", func() any { return s.cache.Len() })
-	reg.Func("sweeps_active", func() any { return s.activeSweeps() })
-	reg.Func("uptime_seconds", func() any { return time.Since(s.started).Seconds() })
-	reg.Func("build_info", func() any { return buildInfo(s.started) })
 	for i := 0; i < o.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -345,9 +297,6 @@ func New(opts Options) *Server {
 	}
 	return s
 }
-
-// Metrics exposes the server's counters (tests, embedding binaries).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // worker drains the queue until it is closed by Shutdown. When the main
 // queue has nothing ready, an idle worker helps the fast lane.
@@ -389,7 +338,6 @@ func (s *Server) fastWorker() {
 func (s *Server) runSim(ctx context.Context, j *job) (res system.Results, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.Panics.Inc()
 			res, err = system.Results{}, fmt.Errorf("simulation panicked: %v", r)
 		}
 	}()
@@ -422,12 +370,6 @@ func (j *job) runOptions() system.Options {
 	if j.restore != nil {
 		opts.Restore = &system.RestoreSpec{Data: j.restore}
 	}
-	// Traced jobs publish their epoch series live: the job's sink rides
-	// the recorder's epoch-flush seam, so untraced jobs pay nothing and
-	// traced ones pay one publish per 1024-cycle measurement boundary.
-	if j.cfg.Trace.Enabled {
-		opts.EpochSink = telemetry.NewJobSink(j.stream)
-	}
 	return opts
 }
 
@@ -437,8 +379,6 @@ func (s *Server) runJob(j *job) {
 		// Cancelled while queued; cancelJob already finished it.
 		return
 	}
-	s.metrics.ObserveQueueWait(time.Since(j.submitted))
-	j.stream.PublishState(string(StateRunning))
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
 
@@ -458,23 +398,15 @@ func (s *Server) runJob(j *job) {
 	}
 	s.mu.Unlock()
 
-	s.metrics.ObserveRunDuration(wall)
-
 	switch {
 	case err == nil:
 		s.cache.Put(j.key, res)
-		s.metrics.ObserveWall(wall)
-		s.metrics.SimCycles.Add(res.Cycles)
-		s.metrics.Completed.Inc()
 		j.finish(StateDone, res, "")
 	case errors.Is(err, system.ErrPaused):
-		s.metrics.Paused.Inc()
 		j.finish(StatePaused, system.Results{}, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.metrics.Cancelled.Inc()
 		j.finish(StateCancelled, system.Results{}, err.Error())
 	default:
-		s.metrics.Failed.Inc()
 		j.finish(StateFailed, system.Results{}, err.Error())
 	}
 	s.log.Info("job finished",
@@ -496,15 +428,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// under s.mu with the closed check, so closing the channels is safe.
 		close(s.queue)
 		close(s.fastQueue)
-		// Wake every SSE handler so streaming connections end now, not at
-		// the end of the HTTP server's grace period.
-		close(s.shutdownCh)
 		s.log.Info("shutdown started")
 	})
 	drained := make(chan struct{})
 	go func() {
 		s.workerWG.Wait()
-		s.sweepWG.Wait()
 		close(drained)
 	}()
 	select {
@@ -596,22 +524,13 @@ func (s *Server) routes() []route {
 		{"GET", "/v1/jobs/{id}", s.handleGet},
 		{"GET", "/v1/jobs/{id}/trace", s.handleTrace},
 		{"GET", "/v1/jobs/{id}/timeline", s.handleTimeline},
-		{"GET", "/v1/jobs/{id}/events", s.handleJobEvents},
-		{"GET", "/v1/jobs/{id}/stats", s.handleJobStats},
 		{"POST", "/v1/jobs/{id}/pause", s.handlePause},
 		{"GET", "/v1/jobs/{id}/checkpoint", s.handleCheckpoint},
 		{"DELETE", "/v1/jobs/{id}", s.handleCancel},
 		{"GET", "/v1/results/{key}", s.handleResult},
-		{"POST", "/v1/sweeps", s.handleSweepSubmit},
-		{"GET", "/v1/sweeps/{id}", s.handleSweepGet},
-		{"GET", "/v1/sweeps/{id}/results", s.handleSweepResults},
-		{"GET", "/v1/sweeps/{id}/events", s.handleSweepEvents},
-		{"DELETE", "/v1/sweeps/{id}", s.handleSweepCancel},
-		{"GET", "/v1/dashboard", s.handleDashboard},
 		{"GET", "/v1/version", s.handleVersion},
 		{"GET", "/healthz", s.handleHealth},
 		{"GET", "/readyz", s.handleReady},
-		{"GET", "/metrics", s.handleMetrics},
 	}
 }
 
@@ -660,8 +579,8 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 }
 
 // resolveConfig materializes a preset name ("" means fbd) plus an optional
-// strict JSON overlay into a Config. It is the shared front half of job and
-// sweep config resolution.
+// strict JSON overlay into a Config: the front half of job config
+// resolution.
 func resolveConfig(preset string, overlay json.RawMessage) (config.Config, error) {
 	if preset == "" {
 		preset = "fbd"
@@ -807,8 +726,6 @@ func (s *Server) admit(w http.ResponseWriter, key string, cfg config.Config, ben
 		j.fidelity = fid
 		j.finish(StateDone, res, "")
 		j.cancel() // release the job context; nothing will run
-		s.metrics.Accepted.Inc()
-		s.metrics.CacheHits.Inc()
 		s.mu.Unlock()
 		v := j.snapshotView(true)
 		v.Cached = true
@@ -818,8 +735,6 @@ func (s *Server) admit(w http.ResponseWriter, key string, cfg config.Config, ben
 	// Fast path 2: an identical job is already queued or running —
 	// coalesce onto it instead of simulating twice.
 	if existing, ok := s.byKey[key]; ok {
-		s.metrics.Accepted.Inc()
-		s.metrics.CacheHits.Inc()
 		s.mu.Unlock()
 		v := existing.snapshotView(false)
 		v.Coalesced = true
@@ -842,15 +757,12 @@ func (s *Server) admit(w http.ResponseWriter, key string, cfg config.Config, ben
 	default:
 		delete(s.jobs, id)
 		j.cancel()
-		s.metrics.Rejected.Inc()
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.opts.RetryAfter.Seconds()+0.5)))
 		writeError(w, http.StatusTooManyRequests, codeQueueFull, "job queue full (depth %d); retry later", s.opts.QueueDepth)
 		return
 	}
 	s.byKey[key] = j
-	s.metrics.Accepted.Inc()
-	s.metrics.CacheMisses.Inc()
 	s.mu.Unlock()
 	s.log.Info("job accepted", "job_id", j.id, "benchmarks", benchmarks,
 		"traced", cfg.Trace.Enabled, "fidelity", fidelity.Tier(fid).String())
@@ -871,15 +783,12 @@ func (s *Server) newJobLocked(id, key string, cfg config.Config, benchmarks []st
 		key:        key,
 		cfg:        cfg,
 		benchmarks: append([]string(nil), benchmarks...),
-		submitted:  time.Now(),
 		ctx:        ctx,
 		cancel:     cancel,
 		done:       make(chan struct{}),
 		state:      StateQueued,
 		pauseTrig:  &system.Trigger{},
-		stream:     telemetry.NewStream(id),
 	}
-	j.stream.PublishState(string(StateQueued))
 	s.jobs[id] = j
 	return j
 }
@@ -907,6 +816,15 @@ func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) *job {
 // total IPC — with its 95% confidence half-width when the job ran sampled.
 type jobsView struct {
 	Jobs []jobView `json:"jobs"`
+}
+
+// idOrder sorts "job-12"-style IDs numerically by suffix.
+func idOrder(ids []string) {
+	sort.Slice(ids, func(a, b int) bool {
+		na, _ := strconv.Atoi(ids[a][strings.LastIndexByte(ids[a], '-')+1:])
+		nb, _ := strconv.Atoi(ids[b][strings.LastIndexByte(ids[b], '-')+1:])
+		return na < nb
+	})
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -967,13 +885,11 @@ func (s *Server) cancelJob(j *job) {
 		j.finished = time.Now()
 		j.mu.Unlock()
 		close(j.done)
-		j.stream.Close(string(StateCancelled))
 		s.mu.Lock()
 		if s.byKey[j.key] == j {
 			delete(s.byKey, j.key)
 		}
 		s.mu.Unlock()
-		s.metrics.Cancelled.Inc()
 		j.cancel()
 		return
 	}
@@ -1069,7 +985,6 @@ type readyView struct {
 	QueueCapacity int    `json:"queue_capacity"`
 	Workers       int    `json:"workers"`
 	WorkersBusy   int64  `json:"workers_busy"`
-	SweepsActive  int    `json:"sweeps_active"`
 }
 
 // handleReady is the load-balancer readiness probe, distinct from liveness:
@@ -1085,7 +1000,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		QueueCapacity: cap(s.queue),
 		Workers:       s.opts.Workers,
 		WorkersBusy:   s.busy.Load(),
-		SweepsActive:  s.activeSweeps(),
 	}
 	switch {
 	case closed:
@@ -1098,16 +1012,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		v.Status = "ready"
 		writeJSON(w, http.StatusOK, v)
 	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.metrics.Registry().WriteProm(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.metrics.Registry().WriteJSON(w)
 }
 
 // traceSummary fetches a done job's memtrace summary, writing the error

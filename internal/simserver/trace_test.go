@@ -111,28 +111,3 @@ func TestTraceArtifactErrors(t *testing.T) {
 		t.Errorf("untraced job timeline = %d: %s", code, body)
 	}
 }
-
-func TestMetricsPromFormat(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, Run: tracedRun()})
-
-	code, body, hdr := getBody(t, ts.URL+"/metrics?format=prom")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
-	}
-	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("prom content-type = %q", ct)
-	}
-	for _, want := range []string{"# TYPE jobs_accepted untyped", "jobs_accepted 0", "queue_depth 0"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("prom output missing %q:\n%s", want, body)
-		}
-	}
-	// Default stays JSON.
-	_, body, hdr = getBody(t, ts.URL+"/metrics")
-	if ct := hdr.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("default content-type = %q", ct)
-	}
-	if !strings.HasPrefix(strings.TrimSpace(body), "{") {
-		t.Errorf("default metrics not JSON: %s", body)
-	}
-}

@@ -5,15 +5,11 @@ import (
 	"runtime"
 	"runtime/debug"
 	"time"
-
-	"fbdsim/internal/stats"
 )
 
 // This file is the build-identity corner of the API: GET /v1/version
 // reports what binary is serving (module version, VCS revision when the
-// build recorded one, Go toolchain, process start time and uptime), and
-// the same facts export as a Prometheus-style build_info metric on
-// /metrics — the constant-1 labeled-sample idiom scrapers join against.
+// build recorded one, Go toolchain, process start time and uptime).
 
 // versionView is the GET /v1/version response.
 type versionView struct {
@@ -42,22 +38,6 @@ func moduleVersion() (version, revision string) {
 		}
 	}
 	return version, revision
-}
-
-// buildInfo renders the build_info registry metric: WriteProm turns a
-// stats.Info into the constant-1 sample build_info{...} 1, WriteJSON into
-// a plain string map.
-func buildInfo(started time.Time) stats.Info {
-	version, revision := moduleVersion()
-	info := stats.Info{
-		"version":    version,
-		"go_version": runtime.Version(),
-		"start_time": started.UTC().Format(time.RFC3339),
-	}
-	if revision != "" {
-		info["revision"] = revision
-	}
-	return info
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {

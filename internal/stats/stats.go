@@ -1,7 +1,7 @@
-// Package stats provides the measurement primitives the experiment harness
+// Package stats provides the measurement primitive the experiment harness
 // builds on: a log-linear latency histogram with percentile queries (memory
 // latency distributions are heavy-tailed, and the tail — not the mean — is
-// what blocks a ROB), and a simple running summary.
+// what blocks a ROB).
 package stats
 
 import (
@@ -198,40 +198,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum += other.sum
 }
 
-// BucketCount is one cumulative histogram bucket: Cumulative observations
-// with value < Upper (bucket bounds are half-open [low, high)).
-type BucketCount struct {
-	Upper      clock.Time
-	Cumulative int64
-}
-
-// CumulativeBuckets returns the histogram's non-empty buckets as cumulative
-// counts keyed by bucket upper bound, lowest first — the shape a Prometheus
-// histogram exposition wants. Empty buckets are elided (Prometheus allows
-// arbitrary bound subsets since counts are cumulative); the total
-// observation count is Count() and observations overflowing the last
-// internal bucket appear only in the +Inf bucket the renderer adds.
-func (h *Histogram) CumulativeBuckets() []BucketCount {
-	var out []BucketCount
-	var cum int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if i == maxBuckets-1 {
-			// The final bucket absorbs clamped overflow values, so its
-			// finite bound would lie; leave that mass to the +Inf bucket.
-			break
-		}
-		out = append(out, BucketCount{Upper: bucketLow(i + 1), Cumulative: cum})
-	}
-	return out
-}
-
-// Sum returns the exact sum of all observed values.
-func (h *Histogram) Sum() clock.Time { return h.sum }
-
 // String summarizes the distribution in nanoseconds.
 func (h *Histogram) String() string {
 	if h.n == 0 {
@@ -291,35 +257,3 @@ func (h *Histogram) Render(width int) string {
 	}
 	return sb.String()
 }
-
-// Summary accumulates a scalar series (IPC, bandwidth, ...) for cheap
-// mean/min/max reporting.
-type Summary struct {
-	n   int64
-	sum float64
-	min float64
-	max float64
-}
-
-// Observe records one value.
-func (s *Summary) Observe(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	s.sum += v
-}
-
-// Count, Mean, Min, Max report the accumulated series.
-func (s *Summary) Count() int64 { return s.n }
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-func (s *Summary) Min() float64 { return s.min }
-func (s *Summary) Max() float64 { return s.max }

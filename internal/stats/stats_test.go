@@ -223,17 +223,3 @@ func TestPercentileMonotonic(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{1, 2, 3, 4} {
-		s.Observe(v)
-	}
-	if s.Count() != 4 || s.Mean() != 2.5 || s.Min() != 1 || s.Max() != 4 {
-		t.Errorf("summary = %+v", s)
-	}
-	var empty Summary
-	if empty.Mean() != 0 {
-		t.Error("empty summary mean")
-	}
-}

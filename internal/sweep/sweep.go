@@ -7,8 +7,7 @@
 // recomputing anything it already finished.
 //
 // Every figure of the paper's evaluation is a sweep (internal/exp builds
-// its figures on this engine), and the simulation service exposes the same
-// engine over HTTP (POST /v1/sweeps in internal/simserver).
+// its figures on this engine).
 //
 // Resume guarantee: results are canonicalized through their JSON encoding
 // before they are journaled or emitted, and stats.Histogram round-trips
@@ -46,10 +45,6 @@ type RunFunc func(ctx context.Context, tier fidelity.Tier, cfg config.Config, be
 type NamedConfig struct {
 	Name   string        `json:"name"`
 	Config config.Config `json:"config"`
-	// Fidelity overrides the spec-level tier for this config's points
-	// ("" inherits; see Spec.Fidelity). A grid can triage most configs
-	// analytically and run the interesting one cycle-accurately.
-	Fidelity string `json:"fidelity,omitempty"`
 }
 
 // Spec declares a sweep grid. The grid is the cross product
@@ -75,10 +70,9 @@ type Spec struct {
 	WarmupInsts int64 `json:"warmup_insts,omitempty"`
 	// Fidelity selects the simulation tier of every point:
 	// "cycle-accurate" (or "", the backward-compatible default),
-	// "sampled" or "analytic". Per-config Fidelity overrides it
-	// point-wise. The tier is part of the result identity — estimate
-	// points cache and journal under tier-tagged keys, so they never
-	// masquerade as full-detail results.
+	// "sampled" or "analytic". The tier is part of the result identity —
+	// estimate points cache and journal under tier-tagged keys, so they
+	// never masquerade as full-detail results.
 	Fidelity string `json:"fidelity,omitempty"`
 	// Parallel bounds concurrently running shards (0 = GOMAXPROCS).
 	Parallel int `json:"parallel,omitempty"`
@@ -134,24 +128,14 @@ func (s Spec) Validate() error {
 	if _, err := fidelity.Parse(s.Fidelity); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
-	for _, nc := range s.Configs {
-		if _, err := fidelity.Parse(nc.Fidelity); err != nil {
-			return fmt.Errorf("sweep: config %q: %w", nc.Name, err)
-		}
-	}
 	return nil
 }
 
-// pointFidelity resolves the effective tier of one grid point: the
-// config-level override, else the spec level, normalized so that the
+// tier resolves the spec's simulation tier, normalized so that the
 // cycle-accurate default is always the empty string (stable JSON, stable
 // fingerprints).
-func (s Spec) pointFidelity(nc NamedConfig) string {
-	f := nc.Fidelity
-	if f == "" {
-		f = s.Fidelity
-	}
-	t, err := fidelity.Parse(f)
+func (s Spec) tier() string {
+	t, err := fidelity.Parse(s.Fidelity)
 	if err != nil || t == fidelity.CycleAccurate {
 		return ""
 	}
@@ -189,11 +173,7 @@ func (s Spec) Fingerprint() string {
 		// a cycle-accurate spec hashes exactly as it always did.
 		Fidelity string `json:"fidelity,omitempty"`
 	}
-	fid := ""
-	if t, err := fidelity.Parse(s.Fidelity); err == nil && t != fidelity.CycleAccurate {
-		fid = string(t)
-	}
-	b, _ := json.Marshal(identity{s.Configs, s.Workloads, s.Seeds, s.MaxInsts, s.WarmupInsts, fid})
+	b, _ := json.Marshal(identity{s.Configs, s.Workloads, s.Seeds, s.MaxInsts, s.WarmupInsts, s.tier()})
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
@@ -250,13 +230,13 @@ func (s Spec) Points() []PointDef {
 	if len(seeds) == 0 {
 		seeds = []int64{0} // sentinel: keep each config's own seed
 	}
+	fid := s.tier()
 	defs := make([]PointDef, 0, len(s.Configs)*len(s.Workloads)*len(seeds))
 	for _, nc := range s.Configs {
 		for _, w := range s.Workloads {
 			for _, seed := range seeds {
 				cfg := s.pointConfig(nc, seed)
 				cfg.CPU.Cores = len(w.Benchmarks)
-				fid := s.pointFidelity(nc)
 				defs = append(defs, PointDef{
 					Index:      len(defs),
 					Config:     nc.Name,
@@ -297,8 +277,8 @@ type Options struct {
 	// simulator, fidelity.Run).
 	Run RunFunc
 	// Cache is a shared single-flight result cache; nil builds a
-	// private unbounded one. Sharing the serving cache lets sweep
-	// points and job submissions deduplicate against each other.
+	// private unbounded one. exp.Runner shares one across figures, so
+	// identical points of different figures simulate once.
 	Cache *Cache
 }
 
@@ -410,8 +390,8 @@ func (e *Engine) Start(ctx context.Context) (<-chan Point, error) {
 		}
 
 		// Replay journaled points first, in index order, and seed the
-		// result cache so dependent reads (figure aggregation, job
-		// submissions) hit instead of re-simulating.
+		// result cache so dependent reads (figure aggregation) hit
+		// instead of re-simulating.
 		indices := make([]int, 0, len(byIndex))
 		for idx := range byIndex {
 			indices = append(indices, idx)

@@ -186,6 +186,57 @@ func TestRunStreamsAllPoints(t *testing.T) {
 	}
 }
 
+// TestSpecFidelityTiersEveryPoint: the spec's tier reaches every point's
+// run and tags its key and Point, and an estimate spec fingerprints apart
+// from the same grid at cycle-accurate — the contract paperexp -fidelity
+// rests on.
+func TestSpecFidelityTiersEveryPoint(t *testing.T) {
+	s := testSpec(2, 2)
+	s.Fidelity = string(fidelity.Analytic)
+	var runs, wrongTier atomic.Int64
+	eng, err := New(s, Options{Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, b []string, opts system.Options) (system.Results, error) {
+		runs.Add(1)
+		if tier != fidelity.Analytic {
+			wrongTier.Add(1)
+		}
+		return fakeRun(ctx, tier, cfg, b, opts)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := eng.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := Collect(ch)
+	if len(pts) != 4 || runs.Load() != 4 {
+		t.Fatalf("got %d points from %d runs, want 4 and 4", len(pts), runs.Load())
+	}
+	if n := wrongTier.Load(); n != 0 {
+		t.Errorf("%d of 4 points ran below the spec's analytic tier", n)
+	}
+	for _, p := range pts {
+		if p.Err != "" {
+			t.Fatalf("point %d failed: %s", p.Index, p.Err)
+		}
+		if p.Fidelity != string(fidelity.Analytic) {
+			t.Errorf("point %d Fidelity = %q, want %q", p.Index, p.Fidelity, fidelity.Analytic)
+		}
+		if !strings.HasPrefix(p.Key, "analytic:") {
+			t.Errorf("point %d key %q lacks the analytic: prefix", p.Index, p.Key)
+		}
+	}
+
+	ca := s
+	ca.Fidelity = string(fidelity.CycleAccurate)
+	if s.Fingerprint() == ca.Fingerprint() {
+		t.Error("analytic and cycle-accurate specs share a fingerprint")
+	}
+	if ca.Fingerprint() != testSpec(2, 2).Fingerprint() {
+		t.Error("an explicit cycle-accurate tier changed the default spec's fingerprint")
+	}
+}
+
 // TestSingleFlightAcrossPoints: two config dimension values with identical
 // content must simulate once; the second point is a cache hit.
 func TestSingleFlightAcrossPoints(t *testing.T) {

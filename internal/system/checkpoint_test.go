@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"fbdsim/internal/config"
-	"fbdsim/internal/memtrace"
 	"fbdsim/internal/snapshot"
 )
 
@@ -300,28 +299,5 @@ func TestRestoreCorruptPayloadLeavesMachineUntouched(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("rejected restore left the machine perturbed")
-	}
-}
-
-// countingSink counts the epoch rows a run delivers live.
-type countingSink struct{ epochs int }
-
-func (c *countingSink) EpochSample(memtrace.Epoch) { c.epochs++ }
-func (c *countingSink) WindowReset()               {}
-
-// TestRestoredRunStreamsEpochs: a run resumed from a checkpoint delivers
-// its epoch rows to Options.EpochSink — the sink reaches the restored
-// machine's recorder, not the one the restore replaced.
-func TestRestoredRunStreamsEpochs(t *testing.T) {
-	cfg := traceTestConfig(config.WithAMBPrefetch(config.Default()), 1)
-	_, data, _ := checkpointAt(t, cfg, []string{"swim"}, 0, true)
-	sink := &countingSink{}
-	res, err := RunWorkload(context.Background(), cfg, []string{"swim"},
-		Options{Restore: &RestoreSpec{Data: data}, EpochSink: sink})
-	if err != nil {
-		t.Fatalf("restored run: %v", err)
-	}
-	if n := len(res.Trace.Epochs); sink.epochs == 0 || sink.epochs != n {
-		t.Fatalf("sink received %d epoch rows, trace summary retains %d", sink.epochs, n)
 	}
 }

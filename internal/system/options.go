@@ -1,7 +1,5 @@
 package system
 
-import "fbdsim/internal/memtrace"
-
 // Options are one run's inputs beyond its configuration and workload. The
 // zero value is a plain run. The context a run takes alongside them carries
 // cancellation only.
@@ -17,13 +15,6 @@ type Options struct {
 	// Restore, when non-nil, names a snapshot RunWorkload restores into the
 	// freshly built machine before running it.
 	Restore *RestoreSpec
-	// EpochSink, when non-nil, is attached to the run's memtrace recorder
-	// and receives epoch rows live as the simulation crosses 1024-cycle
-	// measurement boundaries. It only fires when the run is traced
-	// (Config.Trace.Enabled); an untraced run has no recorder and leaves it
-	// unused. Sink methods run on the simulation goroutine: they must be
-	// fast and must never block, or they slow the simulation they observe.
-	EpochSink memtrace.Sink
 }
 
 // Progress is a liveness snapshot delivered to Options.Progress at

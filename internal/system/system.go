@@ -696,8 +696,5 @@ func RunWorkload(ctx context.Context, cfg config.Config, benchmarks []string, op
 			return Results{}, err
 		}
 	}
-	// After the restore, which replaces the controller and its recorder.
-	// Nil-safe: an untraced run has no recorder and keeps no sink.
-	s.ctrl.Recorder().SetSink(opts.EpochSink)
 	return s.run(ctx, opts, s.fullWindow())
 }

@@ -67,70 +67,6 @@ func BarChart(w io.Writer, title string, bars []Bar, width int, baseline float64
 	}
 }
 
-// sparkGlyphs are the eight block-element levels of a sparkline.
-var sparkGlyphs = []rune("▁▂▃▄▅▆▇█")
-
-// Spark renders a series as a one-line unicode sparkline of at most width
-// glyphs — the live-dashboard strip for utilization, hit-rate and queue
-// depth series. Longer series are downsampled by averaging fixed-size
-// chunks; values scale to the series' own min..max range (a flat series
-// renders mid-height). NaN and Inf values render as spaces.
-func Spark(vals []float64, width int) string {
-	if width <= 0 || len(vals) == 0 {
-		return ""
-	}
-	// Downsample to width points by chunk-averaging.
-	if len(vals) > width {
-		ds := make([]float64, 0, width)
-		for i := 0; i < width; i++ {
-			lo, hi := i*len(vals)/width, (i+1)*len(vals)/width
-			var sum float64
-			n := 0
-			for _, v := range vals[lo:hi] {
-				if !math.IsNaN(v) && !math.IsInf(v, 0) {
-					sum += v
-					n++
-				}
-			}
-			if n == 0 {
-				ds = append(ds, math.NaN())
-				continue
-			}
-			ds = append(ds, sum/float64(n))
-		}
-		vals = ds
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		lo, hi = math.Min(lo, v), math.Max(hi, v)
-	}
-	if lo > hi {
-		return strings.Repeat(" ", len(vals)) // nothing finite
-	}
-	var sb strings.Builder
-	for _, v := range vals {
-		switch {
-		case math.IsNaN(v) || math.IsInf(v, 0):
-			sb.WriteByte(' ')
-		case hi == lo:
-			sb.WriteRune(sparkGlyphs[len(sparkGlyphs)/2])
-		default:
-			idx := int((v - lo) / (hi - lo) * float64(len(sparkGlyphs)-1))
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(sparkGlyphs) {
-				idx = len(sparkGlyphs) - 1
-			}
-			sb.WriteRune(sparkGlyphs[idx])
-		}
-	}
-	return sb.String()
-}
-
 // Point is one scatter-plot sample.
 type Point struct {
 	X, Y  float64

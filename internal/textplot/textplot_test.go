@@ -2,7 +2,7 @@ package textplot
 
 import (
 	"bytes"
-	"math"
+
 	"strings"
 	"testing"
 )
@@ -94,43 +94,5 @@ func TestScatterEmpty(t *testing.T) {
 	Scatter(&buf, "t", "x", "y", nil, 20, 8)
 	if !strings.Contains(buf.String(), "no data") {
 		t.Error("empty scatter must say so")
-	}
-}
-
-func TestSpark(t *testing.T) {
-	// Monotone ramp: first glyph lowest, last glyph highest.
-	s := []rune(Spark([]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8))
-	if len(s) != 8 {
-		t.Fatalf("sparkline length = %d, want 8", len(s))
-	}
-	if s[0] != '▁' || s[7] != '█' {
-		t.Errorf("ramp endpoints = %c..%c, want ▁..█", s[0], s[7])
-	}
-
-	// Longer series downsample to width glyphs.
-	long := make([]float64, 100)
-	for i := range long {
-		long[i] = float64(i)
-	}
-	if got := len([]rune(Spark(long, 16))); got != 16 {
-		t.Errorf("downsampled length = %d, want 16", got)
-	}
-
-	// A flat series renders mid-height, not a divide-by-zero artifact.
-	flat := []rune(Spark([]float64{2, 2, 2}, 8))
-	for _, g := range flat {
-		if g != '▅' {
-			t.Errorf("flat series glyph = %c, want ▅", g)
-		}
-	}
-
-	// NaN renders as a space; finite neighbours still scale.
-	withNaN := []rune(Spark([]float64{0, math.NaN(), 10}, 8))
-	if withNaN[1] != ' ' {
-		t.Errorf("NaN glyph = %q, want space", withNaN[1])
-	}
-
-	if Spark(nil, 8) != "" || Spark([]float64{1}, 0) != "" {
-		t.Error("empty input or zero width must render empty")
 	}
 }
