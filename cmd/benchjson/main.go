@@ -8,10 +8,11 @@
 //	benchjson -compare [-metric ns/op] [-threshold 10] old.json new.json
 //
 // Each benchmark result line ("BenchmarkFoo/case-8  10  123 ns/op  ...")
-// becomes one record holding the iteration count and a metric map keyed by
-// unit (ns/op, B/op, allocs/op, and any custom units such as
-// sim-cycles/s). Context lines (goos, goarch, pkg, cpu) are captured into
-// the document header.
+// becomes one record named without the GOMAXPROCS suffix ("-8"), so runs
+// on hosts with different CPU counts compare by name. The record holds the
+// iteration count and a metric map keyed by unit (ns/op, B/op, allocs/op,
+// and any custom units such as sim-cycles/s). Context lines (goos, goarch,
+// pkg, cpu) are captured into the document header.
 //
 // Compare mode diffs two such documents benchmark by benchmark and prints
 // the per-benchmark delta of one metric. When any shared benchmark regresses
@@ -91,9 +92,10 @@ func main() {
 	}
 }
 
-// parseResult decodes one "BenchmarkName  iters  value unit  value unit..."
-// line; ok is false for lines that merely start with "Benchmark" (e.g. a
-// wrapped name with the measurements on the next line).
+// parseResult decodes one "BenchmarkName-N  iters  value unit  value unit..."
+// line, dropping the "-N" GOMAXPROCS suffix that go test appends to the name
+// when N > 1; ok is false for lines that merely start with "Benchmark" (e.g.
+// a wrapped name with the measurements on the next line).
 func parseResult(line string) (result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
@@ -103,7 +105,13 @@ func parseResult(line string) (result, bool) {
 	if err != nil {
 		return result{}, false
 	}
-	r := result{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+	name := fields[0]
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.ParseUint(name[i+1:], 10, 0); err == nil {
+			name = name[:i]
+		}
+	}
+	r := result{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

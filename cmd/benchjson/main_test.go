@@ -21,6 +21,28 @@ func TestParseResult(t *testing.T) {
 	}
 }
 
+// TestParseResultStripsProcsSuffix: go test appends "-N" (GOMAXPROCS) to
+// every benchmark name when N > 1; the recorded name drops it so baselines
+// taken on hosts with different CPU counts share names. A trailing dash
+// segment that is not all digits is part of the name and stays.
+func TestParseResultStripsProcsSuffix(t *testing.T) {
+	for line, want := range map[string]string{
+		"BenchmarkSampledFidelity/swim-2 1 138773823 ns/op 0.473 ipc-err-pct": "BenchmarkSampledFidelity/swim",
+		"BenchmarkSampledFidelity/swim 1 138773823 ns/op 0.473 ipc-err-pct":   "BenchmarkSampledFidelity/swim",
+		"BenchmarkDecode-16 100 59 ns/op":                                     "BenchmarkDecode",
+		"BenchmarkMix/8C-swim-mcf-4 1 5 ns/op":                                "BenchmarkMix/8C-swim-mcf",
+		"BenchmarkMix/1C-swim 1 5 ns/op":                                      "BenchmarkMix/1C-swim",
+	} {
+		r, ok := parseResult(line)
+		if !ok {
+			t.Fatalf("parseResult rejected %q", line)
+		}
+		if r.Name != want {
+			t.Errorf("parseResult(%q).Name = %q, want %q", line, r.Name, want)
+		}
+	}
+}
+
 func TestParseResultRejectsPartialLines(t *testing.T) {
 	for _, line := range []string{
 		"BenchmarkWrappedName",          // name only, metrics on next line

@@ -513,8 +513,7 @@ func WithFullLatencyHits(c Config) Config {
 
 // Preset returns the named memory-system configuration: ddr2
 // (DDR2Baseline), fbd (Default), fbd-ap (WithAMBPrefetch) or fbd-apfl
-// (WithFullLatencyHits). It is the one name table behind fbdsim -mem and
-// fbdserve's "preset" field.
+// (WithFullLatencyHits). It is the one name table behind fbdsim -mem.
 func Preset(name string) (Config, error) {
 	switch name {
 	case "ddr2":

@@ -169,7 +169,7 @@ func NewRunner(opts Options) *Runner {
 	o := opts.norm()
 	r := &Runner{
 		opts:  o,
-		cache: sweep.NewCache(0),
+		cache: sweep.NewCache(),
 		sem:   make(chan struct{}, o.Parallel),
 	}
 	r.abortCtx, r.abortCancel = context.WithCancel(context.Background())

@@ -4,10 +4,10 @@
 // fast-forward, ~10-50x cheaper at <2% IPC error) and the calibrated
 // analytic queue model (internal/analytic — sub-10ms queries after a short
 // probe). The tier is pure data — a string that travels through
-// configuration files, sweep specs and the fbdserve JSON API — and this
-// package is the single place it is parsed, cache-keyed and executed, so
-// every layer (fbdsim.Run options, sweep shards, server jobs, the
-// experiment harness) agrees on what each tier means.
+// configuration files, sweep specs and journals — and this package is the
+// single place it is parsed, cache-keyed and executed, so every layer
+// (fbdsim.Run options, sweep shards, the experiment harness) agrees on
+// what each tier means.
 package fidelity
 
 import (
@@ -23,8 +23,8 @@ import (
 
 // Tier is one fidelity level. The zero value ("") means cycle-accurate:
 // every API that grew a fidelity field after the fact treats absence as
-// the full-detail default, so pre-existing JSON (sweep specs, journals,
-// job requests) keeps its meaning.
+// the full-detail default, so pre-existing JSON (sweep specs, journals)
+// keeps its meaning.
 type Tier string
 
 const (
@@ -40,9 +40,6 @@ const (
 	// sub-10ms queries.
 	Analytic Tier = "analytic"
 )
-
-// Tiers lists the valid tiers, cheapest last (display and flag help).
-func Tiers() []Tier { return []Tier{CycleAccurate, Sampled, Analytic} }
 
 // Parse maps a wire string to a Tier. The empty string is cycle-accurate
 // (the backward-compatible default); anything else unknown is an error.
@@ -75,10 +72,10 @@ func (t Tier) String() string {
 
 // Key returns the result-cache / journal identity of one (tier, config,
 // workload) request. Cycle-accurate requests keep the bare snapshot
-// fingerprint — the identity every existing cache, journal and job store
-// was built on — so enabling tiers invalidates nothing; the cheaper tiers
-// are tagged so their estimates can never be confused with (or served in
-// place of) full-detail results.
+// fingerprint — the identity every existing cache and journal was built
+// on — so enabling tiers invalidates nothing; the cheaper tiers are tagged
+// so their estimates can never be confused with (or served in place of)
+// full-detail results.
 func Key(t Tier, cfg config.Config, benchmarks []string) string {
 	fp := snapshot.Fingerprint(cfg, benchmarks)
 	if t == "" || t == CycleAccurate {
@@ -89,11 +86,11 @@ func Key(t Tier, cfg config.Config, benchmarks []string) string {
 
 // Run executes one simulation request at tier t under the engine options
 // opts. It is the single run function above the engine: every layer that
-// runs simulations (fbdsim.Run, sweep shards, server jobs, the experiment
-// harness) goes through it or through a wrapper of it. Results from the
-// cheaper tiers carry a non-nil Results.Estimate describing the estimation
-// (tier name, confidence interval, cost accounting); cycle-accurate
-// results do not, which is itself the marker of full detail.
+// runs simulations (fbdsim.Run, sweep shards, the experiment harness)
+// goes through it or through a wrapper of it. Results from the cheaper
+// tiers carry a non-nil Results.Estimate describing the estimation (tier
+// name, confidence interval, cost accounting); cycle-accurate results do
+// not, which is itself the marker of full detail.
 //
 // Only cycle-accurate runs act on opts. The estimate tiers ignore Progress
 // and refuse Checkpoint and Restore: the sampled tier

@@ -450,10 +450,10 @@ func stageStats(name string, h *stats.Histogram) StageStats {
 	}
 }
 
-// Summary is the rendered form of a Recorder: everything the CLI, the
-// serving layer and the exporters need, JSON-serializable inside
-// system.Results. TraceEvents is kept in memory for the exporters but
-// excluded from JSON (it can be large; fetch it as a trace artifact).
+// Summary is the rendered form of a Recorder: everything the CLI and the
+// exporters need, JSON-serializable inside system.Results. TraceEvents is
+// kept in memory for the exporters but excluded from JSON (it can be
+// large; WriteChromeTrace writes it to a file of its own).
 type Summary struct {
 	// StartNS / EndNS delimit the traced (post-warmup) window.
 	StartNS float64 `json:"start_ns"`

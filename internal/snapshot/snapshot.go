@@ -71,7 +71,7 @@ var (
 // SHA-256 over the JSON encodings of the full configuration and the
 // benchmark list. It is the same canonicalization as the sweep engine's
 // result-cache key (sweep.Key delegates here), so a snapshot's identity and
-// the sweep/job identity of the run that produced it always agree.
+// the sweep identity of the run that produced it always agree.
 func Fingerprint(cfg config.Config, benchmarks []string) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
@@ -16,29 +15,21 @@ import (
 // produce identical Results hash identically; any differing knob — timing,
 // geometry, seed, budget, benchmark order — produces a different key.
 //
-// It is the shared identity across the sweep engine, the exp.Runner memo
-// cache and the simserver job/result API, and doubles as the snapshot
-// fingerprint (the canonicalization lives in internal/snapshot so the
-// system layer can use it without an import cycle).
+// It is the shared identity across the sweep engine and the exp.Runner
+// memo cache, and doubles as the snapshot fingerprint (the
+// canonicalization lives in internal/snapshot so the system layer can use
+// it without an import cycle).
 func Key(cfg config.Config, benchmarks []string) string {
 	return snapshot.Fingerprint(cfg, benchmarks)
 }
 
-// Cache is a goroutine-safe LRU cache of completed simulation results with
-// single-flight execution: concurrent Do calls for the same key run the
-// simulation once and share the outcome. A max of 0 (or negative) means
-// unbounded — the exp.Runner memoization mode; the serving path bounds it.
+// Cache is a goroutine-safe, unbounded cache of completed simulation
+// results with single-flight execution: concurrent Do calls for the same
+// key run the simulation once and share the outcome.
 type Cache struct {
 	mu     sync.Mutex
-	max    int
-	order  *list.List // front = most recently used
-	items  map[string]*list.Element
+	items  map[string]system.Results
 	flight map[string]*flight
-}
-
-type cacheItem struct {
-	key string
-	res system.Results
 }
 
 // flight is one in-progress computation; waiters block on done.
@@ -48,59 +39,26 @@ type flight struct {
 	err  error
 }
 
-// NewCache builds a Cache holding at most max results (max <= 0: unbounded).
-func NewCache(max int) *Cache {
+// NewCache builds an empty Cache.
+func NewCache() *Cache {
 	return &Cache{
-		max:    max,
-		order:  list.New(),
-		items:  make(map[string]*list.Element),
+		items:  make(map[string]system.Results),
 		flight: make(map[string]*flight),
 	}
 }
 
-// Get returns the cached result for key, marking it most recently used.
-func (c *Cache) Get(key string) (system.Results, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.getLocked(key)
-}
-
-func (c *Cache) getLocked(key string) (system.Results, bool) {
-	el, ok := c.items[key]
-	if !ok {
-		return system.Results{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheItem).res, true
-}
-
-// Put stores res under key, evicting the least recently used entry when the
-// cache is bounded and full.
+// Put stores res under key.
 func (c *Cache) Put(key string, res system.Results) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(key, res)
-}
-
-func (c *Cache) putLocked(key string, res system.Results) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheItem).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&cacheItem{key: key, res: res})
-	for c.max > 0 && c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheItem).key)
-	}
+	c.items[key] = res
 }
 
 // Len returns the number of cached results.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return len(c.items)
 }
 
 // Do returns the result for key, computing it with fn on a miss. Concurrent
@@ -115,7 +73,7 @@ func (c *Cache) Len() int {
 // further.
 func (c *Cache) Do(ctx context.Context, key string, fn func() (system.Results, error)) (res system.Results, hit bool, err error) {
 	c.mu.Lock()
-	if res, ok := c.getLocked(key); ok {
+	if res, ok := c.items[key]; ok {
 		c.mu.Unlock()
 		return res, true, nil
 	}
@@ -137,7 +95,7 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (system.Results, e
 	c.mu.Lock()
 	delete(c.flight, key)
 	if f.err == nil {
-		c.putLocked(key, f.res)
+		c.items[key] = f.res
 	}
 	c.mu.Unlock()
 	close(f.done)

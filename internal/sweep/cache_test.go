@@ -39,25 +39,8 @@ func TestKeyDistinguishesInputs(t *testing.T) {
 	}
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
-	c.Put("a", system.Results{Cores: 1})
-	c.Put("b", system.Results{Cores: 2})
-	c.Get("a") // a is now most recent
-	c.Put("c", system.Results{Cores: 3})
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("least recently used entry survived")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("recently used entry evicted")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
-	}
-}
-
 func TestCacheUnbounded(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	for i := 0; i < 1000; i++ {
 		c.Put(string(rune(i)), system.Results{Cores: i})
 	}
@@ -67,7 +50,7 @@ func TestCacheUnbounded(t *testing.T) {
 }
 
 func TestCacheDoErrorNotCached(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	boom := errors.New("boom")
 	calls := 0
 	_, _, err := c.Do(context.Background(), "k", func() (system.Results, error) {
@@ -94,7 +77,7 @@ func TestCacheDoErrorNotCached(t *testing.T) {
 // running its own fn. White-box: the flight is planted and completed
 // directly so the ordering is deterministic.
 func TestCacheDoCoalescedWaiterSeesError(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	boom := errors.New("boom")
 	f := &flight{done: make(chan struct{}), err: boom}
 	c.mu.Lock()
@@ -117,7 +100,7 @@ func TestCacheDoCoalescedWaiterSeesError(t *testing.T) {
 // TestCacheDoWaiterContextCancel: a waiter whose context expires while the
 // flight is still running gives up with ctx.Err().
 func TestCacheDoWaiterContextCancel(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	f := &flight{done: make(chan struct{})} // never completes
 	c.mu.Lock()
 	c.flight["k"] = f

@@ -1,11 +1,14 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -181,6 +184,60 @@ func TestJournalLockReleasedOnClose(t *testing.T) {
 	defer j.Close()
 	if len(pts) != 1 {
 		t.Fatalf("replayed %d points, want 1", len(pts))
+	}
+}
+
+// TestJournalFixturesRoundTrip pins the journal's on-disk format, and
+// with it the JSON field names of system.Results that each point line
+// stores. The fixtures are journals that paperexp wrote for
+//
+//	paperexp -fig 8 -quick -insts 20000 -warmup 2000 -seed 1 \
+//	  -journal DIR -abort-after 2 -parallel 1 [-fidelity sampled]
+//
+// (the sampled one carries the Estimate block). Every replayed point must
+// re-encode to its exact line: a renamed or retyped field would otherwise
+// let an old journal resume with that field silently zero.
+func TestJournalFixturesRoundTrip(t *testing.T) {
+	for _, name := range []string{"figure8.ndjson", "figure8_sampled.ndjson"} {
+		t.Run(name, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := splitLines(raw)
+			var h journalHeader
+			if err := json.Unmarshal(lines[0], &h); err != nil {
+				t.Fatalf("header: %v", err)
+			}
+			path := filepath.Join(t.TempDir(), name)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, pts, err := OpenJournal(path, h.Sweep, h.Fingerprint)
+			if err != nil {
+				t.Fatalf("OpenJournal: %v", err)
+			}
+			j.Close()
+			if len(pts) != len(lines)-1 {
+				t.Fatalf("replayed %d points, want %d", len(pts), len(lines)-1)
+			}
+			// Written at -parallel 1, so line order is index order.
+			indices := make([]int, 0, len(pts))
+			for idx := range pts {
+				indices = append(indices, idx)
+			}
+			sort.Ints(indices)
+			for i, idx := range indices {
+				got, err := json.Marshal(pts[idx])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := bytes.TrimSuffix(lines[i+1], []byte("\n"))
+				if !bytes.Equal(got, want) {
+					t.Errorf("point %d re-encodes differently\ngot:  %s\nwant: %s", idx, got, want)
+				}
+			}
+		})
 	}
 }
 

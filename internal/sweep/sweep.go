@@ -1,7 +1,7 @@
 // Package sweep is the parameter-sweep engine: it expands a declarative
 // grid specification — configurations × workloads × seeds — into
 // independently executable shards (one per grid point), runs them on a
-// bounded worker pool behind a single-flight LRU result cache, streams
+// bounded worker pool behind a single-flight result cache, streams
 // per-point results as they complete, and checkpoints completed points to
 // an append-only NDJSON journal so that a killed sweep resumes without
 // recomputing anything it already finished.
@@ -36,9 +36,10 @@ import (
 
 // RunFunc executes one simulation at a fidelity tier ("" is
 // cycle-accurate) under the engine's per-run options. The default is the
-// real simulator, fidelity.Run; tests and embedding servers substitute
-// fakes or instrumented wrappers. A wrapper around the real simulator must
-// forward opts: the shared-warmup checkpoint and restore travel in them.
+// real simulator, fidelity.Run; exp.Runner substitutes an instrumented
+// wrapper and tests substitute fakes. A wrapper around the real simulator
+// must forward opts: the shared-warmup checkpoint and restore travel in
+// them.
 type RunFunc func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error)
 
 // NamedConfig is one configuration dimension value of a sweep grid.
@@ -276,9 +277,9 @@ type Options struct {
 	// Run overrides the simulation function (default: the real
 	// simulator, fidelity.Run).
 	Run RunFunc
-	// Cache is a shared single-flight result cache; nil builds a
-	// private unbounded one. exp.Runner shares one across figures, so
-	// identical points of different figures simulate once.
+	// Cache is a shared single-flight result cache; nil builds a private
+	// one. exp.Runner shares one across figures, so identical points of
+	// different figures simulate once.
 	Cache *Cache
 }
 
@@ -313,7 +314,7 @@ func New(spec Spec, opts Options) (*Engine, error) {
 	}
 	cache := opts.Cache
 	if cache == nil {
-		cache = NewCache(0)
+		cache = NewCache()
 	}
 	return &Engine{
 		spec:       spec,
@@ -488,7 +489,7 @@ func Run(ctx context.Context, spec Spec) (<-chan Point, error) {
 
 // Canonicalize round-trips res through its JSON encoding — the journal's
 // storage format — and strips the memtrace summary (trace artifacts belong
-// to the job API, not to sweep points). Because every Results field
+// to single fbdsim runs, not to sweep points). Because every Results field
 // (including stats.Histogram) marshals losslessly, canonicalization is the
 // identity on trace-free results; applying it to every emitted point makes
 // fresh and journal-replayed points byte-for-byte interchangeable.

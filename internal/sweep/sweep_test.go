@@ -556,7 +556,7 @@ func TestCanonicalizeIsIdentityOnRealRun(t *testing.T) {
 
 // Concurrency smoke: many goroutines share one cache through Do.
 func TestCacheConcurrentDo(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache()
 	var runs atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {

@@ -11,9 +11,6 @@
 package system
 
 import (
-	"errors"
-	"sync/atomic"
-
 	"fbdsim/internal/ambcache"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/fault"
@@ -21,24 +18,6 @@ import (
 	"fbdsim/internal/snapshot"
 	"fbdsim/internal/stats"
 )
-
-// ErrPaused is returned by RunWorkload when a checkpoint Trigger fired: the
-// machine state was delivered to the spec's OnCheckpoint sink and the run
-// stopped at that boundary. It is a clean outcome, not a failure — resubmit
-// the checkpoint to continue.
-var ErrPaused = errors.New("system: run paused at checkpoint")
-
-// Trigger requests an asynchronous pause-checkpoint. Fire may be called from
-// any goroutine; the simulation takes the checkpoint at its next boundary
-// check (within 1024 executed CPU cycles) and returns ErrPaused.
-type Trigger struct {
-	fired atomic.Bool
-}
-
-// Fire requests the checkpoint. Idempotent.
-func (t *Trigger) Fire() { t.fired.Store(true) }
-
-func (t *Trigger) pending() bool { return t != nil && t.fired.Load() }
 
 // Checkpoint is one serialized machine state, delivered to OnCheckpoint.
 type Checkpoint struct {
@@ -50,9 +29,8 @@ type Checkpoint struct {
 	Warm bool
 }
 
-// CheckpointSpec configures checkpoint capture for one run. Any combination
-// of the three triggers may be armed; AtCycle and AtWarm each fire at most
-// once per run.
+// CheckpointSpec configures checkpoint capture for one run. AtCycle and
+// AtWarm may both be armed; each fires at most once per run.
 type CheckpointSpec struct {
 	// AtCycle takes a checkpoint at the first boundary at or after this
 	// cycle (<= 0: disabled).
@@ -61,9 +39,6 @@ type CheckpointSpec struct {
 	// the measurement baseline is captured and the trace window reset —
 	// the state the sweep engine's shared-warmup cache stores.
 	AtWarm bool
-	// Trigger, when non-nil and fired, takes a checkpoint at the next
-	// boundary and ends the run with ErrPaused.
-	Trigger *Trigger
 	// Fingerprint overrides the identity hash embedded in the snapshot
 	// (empty: the run's own config+workload fingerprint). The sweep engine
 	// stamps shared-warmup checkpoints with the warmup group key so every
@@ -98,13 +73,9 @@ type checkpointState struct {
 // maybeCheckpoint runs at every boundary check (both loops, identical
 // machine state): it captures and delivers a checkpoint when a trigger
 // condition holds. justWarmed marks the boundary at which warmup completed.
-// A non-nil return ends the run: ErrPaused for a fired Trigger, or the
-// serialization/sink error.
+// A non-nil return (a serialization or sink error) ends the run.
 func (s *System) maybeCheckpoint(spec *CheckpointSpec, st *checkpointState, cycle int64, warm *warmSnapshot, justWarmed bool) error {
-	take, pause := false, false
-	if spec.Trigger.pending() {
-		take, pause = true, true
-	}
+	take := false
 	if spec.AtWarm && justWarmed && !st.warmTaken {
 		take = true
 		st.warmTaken = true
@@ -121,12 +92,7 @@ func (s *System) maybeCheckpoint(spec *CheckpointSpec, st *checkpointState, cycl
 		return err
 	}
 	if spec.OnCheckpoint != nil {
-		if err := spec.OnCheckpoint(Checkpoint{Data: data, Cycle: cycle, Warm: warm != nil}); err != nil {
-			return err
-		}
-	}
-	if pause {
-		return ErrPaused
+		return spec.OnCheckpoint(Checkpoint{Data: data, Cycle: cycle, Warm: warm != nil})
 	}
 	return nil
 }

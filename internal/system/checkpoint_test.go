@@ -139,46 +139,6 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointTriggerPausesRun: a fired Trigger takes a checkpoint at the
-// next boundary and ends the run with ErrPaused; resubmitting the checkpoint
-// completes the run with the unbroken run's Results.
-func TestCheckpointTriggerPausesRun(t *testing.T) {
-	cfg := config.Default()
-	equivBudgets(&cfg)
-	benchmarks := []string{"swim"}
-
-	base, err := RunWorkload(context.Background(), cfg, benchmarks, Options{})
-	if err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-
-	trig := &Trigger{}
-	trig.Fire()
-	var data []byte
-	opts := Options{Checkpoint: &CheckpointSpec{
-		Trigger: trig,
-		OnCheckpoint: func(cp Checkpoint) error {
-			data = append([]byte(nil), cp.Data...)
-			return nil
-		},
-	}}
-	_, err = RunWorkload(context.Background(), cfg, benchmarks, opts)
-	if !errors.Is(err, ErrPaused) {
-		t.Fatalf("paused run returned %v, want ErrPaused", err)
-	}
-	if data == nil {
-		t.Fatalf("pause did not deliver a checkpoint")
-	}
-
-	got, err := RunWorkload(context.Background(), cfg, benchmarks, Options{Restore: &RestoreSpec{Data: data}})
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("resumed run diverged from unbroken run\nbase:    %+v\nresumed: %+v", base, got)
-	}
-}
-
 // TestRestoreRejectsWrongMachine: a checkpoint only restores into a machine
 // with the same config+workload fingerprint, and a rejected restore leaves
 // the target machine untouched and runnable.
