@@ -34,7 +34,7 @@ func main() {
 		memKind  = flag.String("mem", "fbd", "memory system: ddr2, fbd, fbd-ap, fbd-apfl")
 		wlName   = flag.String("workload", "", "Table 3 workload name (e.g. 4C-1); overrides -bench")
 		benches  = flag.String("bench", "swim", "comma-separated benchmark list, one per core")
-		fid      = flag.String("fidelity", "", "simulation tier: cycle-accurate (default), sampled, analytic")
+		fid      = flag.String("fidelity", "", "simulation tier: cycle-accurate (default) or sampled")
 		insts    = flag.Int64("insts", 300_000, "measured instructions per core")
 		warmup   = flag.Int64("warmup", 40_000, "warmup instructions per core")
 		seed     = flag.Int64("seed", 1, "trace generation seed")

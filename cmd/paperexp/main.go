@@ -45,7 +45,7 @@ func main() {
 		csvDir   = flag.String("csv", "", "directory to write per-figure CSV files into")
 		journal  = flag.String("journal", "", "directory for sweep checkpoint journals; re-running with the same flags resumes")
 		abort    = flag.Int("abort-after", 0, "abort the suite after N fresh simulations (exit 3); used with -journal to test resume")
-		fid      = flag.String("fidelity", "", "simulation tier for every run: cycle-accurate (default), sampled, or analytic")
+		fid      = flag.String("fidelity", "", "simulation tier for every run: cycle-accurate (default) or sampled")
 	)
 	flag.Parse()
 
@@ -68,27 +68,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	runner := exp.NewRunner(opts)
 	plotWanted = *plot
 	csvWanted = *csvDir
 
-	want := map[string]bool{}
-	if *all {
-		for _, f := range []string{"v1", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "e1", "e2", "e3", "e4", "e5", "e6", "e8"} {
-			want[f] = true
-		}
-	}
-	for _, f := range strings.Split(*fig, ",") {
-		if f = strings.TrimSpace(strings.ToLower(f)); f != "" {
-			want[f] = true
-		}
-	}
-	if len(want) == 0 {
-		fmt.Fprintln(os.Stderr, "paperexp: nothing to do; pass -all or -fig N")
-		flag.Usage()
-		os.Exit(2)
-	}
-
+	// The table is complete before the runner exists, so every requested
+	// id is checked before anything simulates; the entries read runner
+	// only when they run.
+	var runner *exp.Runner
 	type experiment struct {
 		id  string
 		run func() error
@@ -121,6 +107,30 @@ func main() {
 		{"e8", runFig(func() (formatter, error) { d, err := exp.ExtensionTieredFidelity(runner); return d, err })},
 	}
 
+	// want maps every id in the table to whether this run selects it.
+	want := map[string]bool{}
+	for _, e := range experiments {
+		want[e.id] = *all
+	}
+	selected := *all
+	for _, f := range strings.Split(*fig, ",") {
+		if f = strings.TrimSpace(strings.ToLower(f)); f == "" {
+			continue
+		}
+		if _, ok := want[f]; !ok {
+			fmt.Fprintf(os.Stderr, "paperexp: unknown experiment %q\n", f)
+			os.Exit(2)
+		}
+		want[f] = true
+		selected = true
+	}
+	if !selected {
+		fmt.Fprintln(os.Stderr, "paperexp: nothing to do; pass -all or -fig N")
+		flag.Usage()
+		os.Exit(2)
+	}
+	runner = exp.NewRunner(opts)
+
 	start := time.Now()
 	ran := 0
 	for _, e := range experiments {
@@ -139,11 +149,6 @@ func main() {
 			os.Exit(1)
 		}
 		ran++
-		delete(want, e.id)
-	}
-	for f := range want {
-		fmt.Fprintf(os.Stderr, "paperexp: unknown experiment %q\n", f)
-		os.Exit(2)
 	}
 	fmt.Println()
 	runner.LogSummary(os.Stdout)

@@ -29,7 +29,8 @@
 //
 // Run accepts functional options for the cross-cutting concerns —
 // WithTrace (per-request pipeline tracing), WithFault (fault injection),
-// WithProgress (liveness callbacks):
+// WithProgress (liveness callbacks), WithFidelity (a sampled estimate
+// instead of the cycle-accurate run; the only other tier):
 //
 //	res, err := fbdsim.Run(ctx, cfg, benchmarks,
 //		fbdsim.WithFault(fbdsim.FaultConfig{SouthErrorRate: 1e-7}),
@@ -137,7 +138,6 @@ type Fidelity = fidelity.Tier
 const (
 	CycleAccurate = fidelity.CycleAccurate
 	Sampled       = fidelity.Sampled
-	Analytic      = fidelity.Analytic
 )
 
 // ParseFidelity maps a wire/flag string to a Fidelity ("" means
@@ -191,11 +191,9 @@ func WithProgress(fn func(Progress)) Option {
 // WithFidelity runs at tier t instead of full cycle-accurate detail:
 // Sampled interleaves functional fast-forward with detailed measured
 // windows (~10-50x cheaper, <2% IPC error, confidence interval in
-// Results.Estimate); Analytic answers from a calibrated queue model in
-// well under ten milliseconds after a one-time probe per (config,
-// workload). Cheaper tiers return estimates — Results.Estimate is non-nil
-// and records the tier — and do not compose with WithTrace, WithFault,
-// WithCheckpoint or WithRestore.
+// Results.Estimate). A sampled run returns an estimate — Results.Estimate
+// is non-nil and records the tier — and does not compose with WithTrace,
+// WithFault, WithCheckpoint or WithRestore.
 func WithFidelity(t Fidelity) Option {
 	return func(s *runSettings) { s.fidelity = t }
 }

@@ -69,9 +69,9 @@ type Options struct {
 	// exercising journal resume (sweeps then fail with ErrAborted).
 	AbortAfterPoints int
 	// Fidelity selects the simulation tier for every run in the suite:
-	// "cycle-accurate" (default), "sampled", or "analytic". Estimate tiers
-	// key the shared cache and journal fingerprints with a tier prefix, so
-	// a triage pass never pollutes cycle-accurate results.
+	// "cycle-accurate" (default) or "sampled". The sampled tier keys the
+	// shared cache and journal fingerprints with a tier prefix, so a
+	// sampled pass never pollutes cycle-accurate results.
 	Fidelity string
 }
 

@@ -510,7 +510,7 @@ func (d E6Data) CSV(w io.Writer) error {
 // ----------------------------------------------------------- Extension E8
 
 // E8Row is one (system, workload) cell of the tiered-fidelity table: the
-// cycle-accurate reference and each estimate tier's accuracy and cost.
+// cycle-accurate reference and the sampled tier's accuracy and cost.
 type E8Row struct {
 	System   string
 	Workload string
@@ -524,20 +524,12 @@ type E8Row struct {
 	SampledErrPct  float64
 	SampledSpeedX  float64
 	SampledReduceX float64
-	// Analytic tier: the estimate, its error, and the per-query latency
-	// after the one-time calibration probe (the probe itself is a short
-	// cycle-accurate run, amortized across every later query).
-	AnalyticIPC    float64
-	AnalyticErrPct float64
-	AnalyticMS     float64
 }
 
-// E8Data is the accuracy-vs-speedup contract of the fidelity tiers: how far
-// each estimate tier strays from the cycle-accurate answer, and what that
-// tolerance buys in wall-clock time. The sampled tier's error should stay
-// within a couple of percent; the analytic tier trades more error for
-// effectively free queries, which is the triage tier a sweep uses before
-// refining its interesting region cycle-accurately.
+// E8Data is the accuracy-vs-speedup contract of the sampled tier: how far
+// its estimate strays from the cycle-accurate answer, and what that
+// tolerance buys in wall-clock time. The error should stay within a couple
+// of percent.
 type E8Data struct {
 	MaxInsts int64
 	Rows     []E8Row
@@ -596,22 +588,6 @@ func ExtensionTieredFidelity(r *Runner) (E8Data, error) {
 			if est := smp.Estimate; est != nil && est.DetailedInsts > 0 {
 				row.SampledReduceX = float64(est.DetailedInsts+est.FunctionalInsts) / float64(est.DetailedInsts)
 			}
-
-			// First analytic call pays the calibration probe; the second
-			// measures the steady-state query latency the tier advertises.
-			an, err := fidelity.Run(ctx, fidelity.Analytic, cfg, w.Benchmarks, system.Options{})
-			if err != nil {
-				return d, err
-			}
-			start = time.Now()
-			an, err = fidelity.Run(ctx, fidelity.Analytic, cfg, w.Benchmarks, system.Options{})
-			if err != nil {
-				return d, err
-			}
-			row.AnalyticMS = float64(time.Since(start).Nanoseconds()) / 1e6
-			row.AnalyticIPC = an.TotalIPC()
-			row.AnalyticErrPct = errPct(row.AnalyticIPC, row.FullIPC)
-
 			d.Rows = append(d.Rows, row)
 		}
 	}
@@ -621,15 +597,13 @@ func ExtensionTieredFidelity(r *Runner) (E8Data, error) {
 // Format writes the extension as a table.
 func (d E8Data) Format(w io.Writer) {
 	fmt.Fprintf(w, "E8  tiered fidelity: accuracy vs speedup (%d insts per run)\n", d.MaxInsts)
-	fmt.Fprintf(w, "%7s %-10s %8s %8s | %8s %6s %7s %8s | %8s %6s %8s\n",
+	fmt.Fprintf(w, "%7s %-10s %8s %8s | %8s %6s %7s %8s\n",
 		"system", "workload", "full-ipc", "full-ms",
-		"smp-ipc", "err%", "speedx", "detailx",
-		"ana-ipc", "err%", "query-ms")
+		"smp-ipc", "err%", "speedx", "detailx")
 	for _, row := range d.Rows {
-		fmt.Fprintf(w, "%7s %-10s %8.3f %8.1f | %8.3f %6.2f %7.1f %8.1f | %8.3f %6.2f %8.3f\n",
+		fmt.Fprintf(w, "%7s %-10s %8.3f %8.1f | %8.3f %6.2f %7.1f %8.1f\n",
 			row.System, row.Workload, row.FullIPC, row.FullMS,
-			row.SampledIPC, row.SampledErrPct, row.SampledSpeedX, row.SampledReduceX,
-			row.AnalyticIPC, row.AnalyticErrPct, row.AnalyticMS)
+			row.SampledIPC, row.SampledErrPct, row.SampledSpeedX, row.SampledReduceX)
 	}
 }
 
@@ -640,11 +614,8 @@ func (d E8Data) CSV(w io.Writer) error {
 		rows = append(rows, []string{r.System, r.Workload,
 			fmt.Sprintf("%.4f", r.FullIPC), fmt.Sprintf("%.1f", r.FullMS),
 			fmt.Sprintf("%.4f", r.SampledIPC), fmt.Sprintf("%.2f", r.SampledErrPct),
-			fmt.Sprintf("%.1f", r.SampledSpeedX), fmt.Sprintf("%.1f", r.SampledReduceX),
-			fmt.Sprintf("%.4f", r.AnalyticIPC), fmt.Sprintf("%.2f", r.AnalyticErrPct),
-			fmt.Sprintf("%.3f", r.AnalyticMS)})
+			fmt.Sprintf("%.1f", r.SampledSpeedX), fmt.Sprintf("%.1f", r.SampledReduceX)})
 	}
 	return writeRecords(w, []string{"system", "workload", "full_ipc", "full_ms",
-		"sampled_ipc", "sampled_err_pct", "sampled_speed_x", "sampled_reduce_x",
-		"analytic_ipc", "analytic_err_pct", "analytic_query_ms"}, rows)
+		"sampled_ipc", "sampled_err_pct", "sampled_speed_x", "sampled_reduce_x"}, rows)
 }

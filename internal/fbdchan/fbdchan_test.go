@@ -445,6 +445,100 @@ func TestFunctionalReadAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFunctionalMatchesTimed: the functional twins leave the AMB tag
+// tables exactly as the timed paths do once each access has drained — the
+// equivalence the sampled tier's functional warming rests on. Two channels
+// see one spatially local read/write stream: one schedules every access
+// and lets it drain (prefetch fills landed, history pruned) before the
+// next, the other only mirrors it functionally. Per-AMB statistics and the
+// residency of every line in the span must agree.
+func TestFunctionalMatchesTimed(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*config.Config)
+	}{
+		{"default", nil},
+		{"page-open", func(c *config.Config) {
+			c.Mem.Interleave = config.PageInterleave
+			c.Mem.PageMode = config.OpenPage
+		}},
+		{"2way-k8", func(c *config.Config) {
+			c.Mem.AMBCacheAssoc = 2
+			c.Mem.RegionLines = 8
+		}},
+		{"direct-k2-32", func(c *config.Config) {
+			c.Mem.AMBCacheAssoc = 1
+			c.Mem.RegionLines = 2
+			c.Mem.AMBCacheLines = 32
+		}},
+		{"lru", func(c *config.Config) { c.Mem.AMBReplacement = config.LRU }},
+		{"write-update", func(c *config.Config) { c.Mem.AMBWriteUpdate = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			timed, m := apChannel(t, tc.mutate)
+			functional, _ := apChannel(t, tc.mutate)
+
+			const span = 1 << 14 // lines
+			rng := uint64(88172645463325252)
+			next := func() uint64 {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				return rng
+			}
+			batch := make([]int64, 1)
+			ready := ready12
+			var line int64
+			for i := 0; i < 40_000; i++ {
+				switch r := next() % 8; {
+				case r < 5:
+					line++ // stream forward
+				case r < 6:
+					line -= int64(next() % 8) // revisit a recent line
+				default:
+					line = int64(next() % span) // jump
+				}
+				line = (line%span + span) % span
+				addr := line * 64
+				var done clock.Time
+				if next()%4 == 0 {
+					batch[0] = addr
+					done = timed.ScheduleWrite(batch, ready)
+					functional.FunctionalWrite(addr)
+				} else {
+					done, _ = timed.ScheduleRead(addr, ready)
+					functional.FunctionalRead(addr)
+				}
+				ready = done + 1000*ns
+				timed.Housekeep(ready)
+			}
+
+			for d := range timed.ambs {
+				if ts, fs := timed.ambs[d].Stats, functional.ambs[d].Stats; ts != fs {
+					t.Errorf("DIMM %d stats: timed %+v, functional %+v", d, ts, fs)
+				}
+			}
+			for l := int64(0); l < span; l++ {
+				addr := l * 64
+				d, id := m.Map(addr).DIMM, m.LocalLineID(addr)
+				if tr, fr := timed.ambs[d].Contains(addr, id), functional.ambs[d].Contains(addr, id); tr != fr {
+					t.Fatalf("line %d: resident timed=%v functional=%v", l, tr, fr)
+				}
+			}
+
+			// The stream must reach every path the twins mirror.
+			s := timed.AMBStats()
+			t.Logf("%+v", s)
+			if s.Hits == 0 || s.Evictions == 0 {
+				t.Errorf("stream exercised no hits or no evictions: %+v", s)
+			}
+			if wantInv := !timed.cfg.AMBWriteUpdate; (s.Invalidations > 0) != wantInv {
+				t.Errorf("invalidations %d, want some: %v", s.Invalidations, wantInv)
+			}
+		})
+	}
+}
+
 // encodeChannel returns a snapshot file holding c's state.
 func encodeChannel(c *Channel) []byte {
 	w := snapshot.NewWriter("fbdchan")

@@ -1,20 +1,17 @@
-// Package fidelity names and dispatches the simulator's three fidelity
-// tiers: the ordinary cycle-accurate run, the SMARTS-style sampled run
+// Package fidelity names and dispatches the simulator's two fidelity
+// tiers: the ordinary cycle-accurate run and the SMARTS-style sampled run
 // (internal/sample — detailed measured windows stitched over functional
-// fast-forward, ~10-50x cheaper at <2% IPC error) and the calibrated
-// analytic queue model (internal/analytic — sub-10ms queries after a short
-// probe). The tier is pure data — a string that travels through
-// configuration files, sweep specs and journals — and this package is the
-// single place it is parsed, cache-keyed and executed, so every layer
-// (fbdsim.Run options, sweep shards, the experiment harness) agrees on
-// what each tier means.
+// fast-forward, ~10-50x cheaper at <2% IPC error). The tier is pure data —
+// a string that travels through configuration files, sweep specs and
+// journals — and this package is the single place it is parsed,
+// cache-keyed and executed, so every layer (fbdsim.Run options, sweep
+// shards, the experiment harness) agrees on what each tier means.
 package fidelity
 
 import (
 	"context"
 	"fmt"
 
-	"fbdsim/internal/analytic"
 	"fbdsim/internal/config"
 	"fbdsim/internal/sample"
 	"fbdsim/internal/snapshot"
@@ -35,10 +32,6 @@ const (
 	// <2% total-IPC error on the seed workloads, with a confidence
 	// interval on the estimate.
 	Sampled Tier = "sampled"
-	// Analytic answers from a calibrated M/D/1 queue model
-	// (internal/analytic): one short probe per (config, workload), then
-	// sub-10ms queries.
-	Analytic Tier = "analytic"
 )
 
 // Parse maps a wire string to a Tier. The empty string is cycle-accurate
@@ -49,10 +42,8 @@ func Parse(s string) (Tier, error) {
 		return CycleAccurate, nil
 	case Sampled:
 		return Sampled, nil
-	case Analytic:
-		return Analytic, nil
 	}
-	return "", fmt.Errorf("fidelity: unknown tier %q (want cycle-accurate, sampled or analytic)", s)
+	return "", fmt.Errorf("fidelity: unknown tier %q (want cycle-accurate or sampled)", s)
 }
 
 // Valid reports whether t is a known tier (the empty string counts, as
@@ -73,8 +64,8 @@ func (t Tier) String() string {
 // Key returns the result-cache / journal identity of one (tier, config,
 // workload) request. Cycle-accurate requests keep the bare snapshot
 // fingerprint — the identity every existing cache and journal was built
-// on — so enabling tiers invalidates nothing; the cheaper tiers are tagged
-// so their estimates can never be confused with (or served in place of)
+// on — so enabling tiers invalidates nothing; the sampled tier is tagged
+// so its estimates can never be confused with (or served in place of)
 // full-detail results.
 func Key(t Tier, cfg config.Config, benchmarks []string) string {
 	fp := snapshot.Fingerprint(cfg, benchmarks)
@@ -87,28 +78,24 @@ func Key(t Tier, cfg config.Config, benchmarks []string) string {
 // Run executes one simulation request at tier t under the engine options
 // opts. It is the single run function above the engine: every layer that
 // runs simulations (fbdsim.Run, sweep shards, the experiment harness)
-// goes through it or through a wrapper of it. Results from the cheaper
-// tiers carry a non-nil Results.Estimate describing the estimation (tier
-// name, confidence interval, cost accounting); cycle-accurate results do
-// not, which is itself the marker of full detail.
+// goes through it or through a wrapper of it. Sampled results carry a
+// non-nil Results.Estimate describing the estimation (tier name,
+// confidence interval, cost accounting); cycle-accurate results do not,
+// which is itself the marker of full detail.
 //
-// Only cycle-accurate runs act on opts. The estimate tiers ignore Progress
-// and refuse Checkpoint and Restore: the sampled tier
-// drives its machine through windowed stepping, where an armed snapshot
-// would corrupt the measured windows, and the analytic tier has no machine
-// to snapshot.
+// Only cycle-accurate runs act on opts. The sampled tier ignores Progress
+// and refuses Checkpoint and Restore: it drives its machine through
+// windowed stepping, where an armed snapshot would corrupt the measured
+// windows.
 func Run(ctx context.Context, t Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 	switch t {
 	case "", CycleAccurate:
 		return system.RunWorkload(ctx, cfg, benchmarks, opts)
-	case Sampled, Analytic:
+	case Sampled:
 		if opts.Checkpoint != nil || opts.Restore != nil {
 			return system.Results{}, fmt.Errorf("fidelity: %s runs cannot checkpoint or restore; only cycle-accurate runs do", t)
 		}
-		if t == Sampled {
-			return sample.Run(ctx, cfg, benchmarks, sample.Options{})
-		}
-		return analytic.Run(ctx, cfg, benchmarks, analytic.Options{})
+		return sample.Run(ctx, cfg, benchmarks, sample.Options{})
 	}
 	return system.Results{}, fmt.Errorf("fidelity: unknown tier %q", t)
 }

@@ -19,8 +19,8 @@ func TestParse(t *testing.T) {
 		{"", CycleAccurate, true},
 		{"cycle-accurate", CycleAccurate, true},
 		{"sampled", Sampled, true},
-		{"analytic", Analytic, true},
 		{"fast", "", false},
+		{"analytic", "", false},
 		{"SAMPLED", "", false},
 	} {
 		got, err := Parse(tc.in)
@@ -45,13 +45,11 @@ func TestKeyCompatibility(t *testing.T) {
 	if Key("", cfg, bench) != plain || Key(CycleAccurate, cfg, bench) != plain {
 		t.Error("cycle-accurate key must equal the bare snapshot fingerprint")
 	}
-	// Cheaper tiers are tagged and mutually distinct.
-	ks, ka := Key(Sampled, cfg, bench), Key(Analytic, cfg, bench)
-	if ks == plain || ka == plain || ks == ka {
-		t.Errorf("tier keys not distinct: %q %q %q", plain, ks, ka)
-	}
-	if !strings.HasPrefix(ks, "sampled:") || !strings.HasPrefix(ka, "analytic:") {
-		t.Errorf("tier keys not tagged: %q %q", ks, ka)
+	// The sampled tier is tagged, so it never shares a key with full
+	// detail.
+	ks := Key(Sampled, cfg, bench)
+	if ks != "sampled:"+plain {
+		t.Errorf("sampled key %q, want the sampled: prefix on %q", ks, plain)
 	}
 }
 
@@ -78,19 +76,12 @@ func TestRunDispatch(t *testing.T) {
 	if sampled.Estimate == nil || sampled.Estimate.Tier != "sampled" {
 		t.Errorf("sampled estimate marker missing: %+v", sampled.Estimate)
 	}
-	analytic, err := Run(ctx, Analytic, cfg, []string{"swim"}, system.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if analytic.Estimate == nil || analytic.Estimate.Tier != "analytic" {
-		t.Errorf("analytic estimate marker missing: %+v", analytic.Estimate)
-	}
 }
 
 // TestRunRefusesSnapshotsOnEstimateTiers: only cycle-accurate runs act on
 // an armed checkpoint or restore. The sampled tier steps its machine in
-// windows an armed snapshot would corrupt, and the analytic tier has no
-// machine, so both refuse either field before running anything.
+// windows an armed snapshot would corrupt, so it refuses either field
+// before running anything.
 func TestRunRefusesSnapshotsOnEstimateTiers(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxInsts = 20_000
@@ -111,12 +102,10 @@ func TestRunRefusesSnapshotsOnEstimateTiers(t *testing.T) {
 	if _, err := Run(ctx, CycleAccurate, cfg, []string{"swim"}, restore); err != nil {
 		t.Fatalf("cycle-accurate run with a restore: %v", err)
 	}
-	for _, tier := range []Tier{Sampled, Analytic} {
-		for name, opts := range map[string]system.Options{"checkpoint": capture, "restore": restore} {
-			if _, err := Run(ctx, tier, cfg, []string{"swim"}, opts); err == nil ||
-				!strings.Contains(err.Error(), "cannot checkpoint or restore") {
-				t.Errorf("%s run with a %s: err %v, want a refusal", tier, name, err)
-			}
+	for name, opts := range map[string]system.Options{"checkpoint": capture, "restore": restore} {
+		if _, err := Run(ctx, Sampled, cfg, []string{"swim"}, opts); err == nil ||
+			!strings.Contains(err.Error(), "cannot checkpoint or restore") {
+			t.Errorf("sampled run with a %s: err %v, want a refusal", name, err)
 		}
 	}
 }

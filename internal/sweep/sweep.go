@@ -35,11 +35,10 @@ import (
 )
 
 // RunFunc executes one simulation at a fidelity tier ("" is
-// cycle-accurate) under the engine's per-run options. The default is the
-// real simulator, fidelity.Run; exp.Runner substitutes an instrumented
-// wrapper and tests substitute fakes. A wrapper around the real simulator
-// must forward opts: the shared-warmup checkpoint and restore travel in
-// them.
+// cycle-accurate) under per-run engine options. The default is the real
+// simulator, fidelity.Run; exp.Runner substitutes an instrumented wrapper
+// and tests substitute fakes. The engine passes zero options: every point
+// runs from cycle zero on its own machine.
 type RunFunc func(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error)
 
 // NamedConfig is one configuration dimension value of a sweep grid.
@@ -70,22 +69,15 @@ type Spec struct {
 	// valid override: no warmup); negative keeps each config's value.
 	WarmupInsts int64 `json:"warmup_insts,omitempty"`
 	// Fidelity selects the simulation tier of every point:
-	// "cycle-accurate" (or "", the backward-compatible default),
-	// "sampled" or "analytic". The tier is part of the result identity —
-	// estimate points cache and journal under tier-tagged keys, so they
-	// never masquerade as full-detail results.
+	// "cycle-accurate" (or "", the backward-compatible default) or
+	// "sampled". The tier is part of the result identity — sampled points
+	// cache and journal under tier-tagged keys, so they never masquerade
+	// as full-detail results.
 	Fidelity string `json:"fidelity,omitempty"`
 	// Parallel bounds concurrently running shards (0 = GOMAXPROCS).
 	Parallel int `json:"parallel,omitempty"`
 	// Journal is the checkpoint file path; empty disables checkpointing.
 	Journal string `json:"-"`
-	// ShareWarmup warms each group of points with an identical warmup
-	// prefix (see WarmupKey) once: the group's first point snapshots the
-	// machine at the warmup boundary and the rest restore it instead of
-	// re-simulating the prefix. Results are bit-identical with or without
-	// sharing, so this is an execution knob, excluded from the spec
-	// fingerprint like Parallel and Journal.
-	ShareWarmup bool `json:"-"`
 }
 
 // Validate reports whether the spec describes a runnable grid.
@@ -266,10 +258,6 @@ type Progress struct {
 	// cache or coalesced onto an in-flight identical run.
 	Replayed  int `json:"replayed"`
 	CacheHits int `json:"cache_hits"`
-	// Warmups counts warmup phases actually simulated. Without warmup
-	// sharing it matches the number of fresh runs with a warmup budget;
-	// with ShareWarmup it drops to one per warmup group.
-	Warmups int `json:"warmups"`
 }
 
 // Options carries the execution dependencies a Spec deliberately excludes.
@@ -295,10 +283,6 @@ type Engine struct {
 	failed    atomic.Int64
 	replayed  atomic.Int64
 	cacheHits atomic.Int64
-	warmups   atomic.Int64
-
-	warmMu     sync.Mutex
-	warmGroups map[string]*warmupGroup
 
 	started atomic.Bool
 }
@@ -317,11 +301,10 @@ func New(spec Spec, opts Options) (*Engine, error) {
 		cache = NewCache()
 	}
 	return &Engine{
-		spec:       spec,
-		run:        run,
-		cache:      cache,
-		defs:       spec.Points(),
-		warmGroups: make(map[string]*warmupGroup),
+		spec:  spec,
+		run:   run,
+		cache: cache,
+		defs:  spec.Points(),
 	}, nil
 }
 
@@ -336,7 +319,6 @@ func (e *Engine) Progress() Progress {
 		Failed:    int(e.failed.Load()),
 		Replayed:  int(e.replayed.Load()),
 		CacheHits: int(e.cacheHits.Load()),
-		Warmups:   int(e.warmups.Load()),
 	}
 }
 
@@ -436,7 +418,7 @@ func (e *Engine) Start(ctx context.Context) (<-chan Point, error) {
 // canonicalization, journaling, emission.
 func (e *Engine) runPoint(ctx context.Context, def PointDef, j *Journal, out chan<- Point) {
 	res, hit, err := e.cache.Do(ctx, def.Key, func() (system.Results, error) {
-		return e.runShard(ctx, def)
+		return e.run(ctx, fidelity.Tier(def.Fidelity), def.Cfg, def.Benchmarks, system.Options{})
 	})
 	p := Point{
 		Index:    def.Index,

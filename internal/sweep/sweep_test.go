@@ -192,11 +192,11 @@ func TestRunStreamsAllPoints(t *testing.T) {
 // rests on.
 func TestSpecFidelityTiersEveryPoint(t *testing.T) {
 	s := testSpec(2, 2)
-	s.Fidelity = string(fidelity.Analytic)
+	s.Fidelity = string(fidelity.Sampled)
 	var runs, wrongTier atomic.Int64
 	eng, err := New(s, Options{Run: func(ctx context.Context, tier fidelity.Tier, cfg config.Config, b []string, opts system.Options) (system.Results, error) {
 		runs.Add(1)
-		if tier != fidelity.Analytic {
+		if tier != fidelity.Sampled {
 			wrongTier.Add(1)
 		}
 		return fakeRun(ctx, tier, cfg, b, opts)
@@ -213,24 +213,24 @@ func TestSpecFidelityTiersEveryPoint(t *testing.T) {
 		t.Fatalf("got %d points from %d runs, want 4 and 4", len(pts), runs.Load())
 	}
 	if n := wrongTier.Load(); n != 0 {
-		t.Errorf("%d of 4 points ran below the spec's analytic tier", n)
+		t.Errorf("%d of 4 points ran at a tier other than the spec's sampled tier", n)
 	}
 	for _, p := range pts {
 		if p.Err != "" {
 			t.Fatalf("point %d failed: %s", p.Index, p.Err)
 		}
-		if p.Fidelity != string(fidelity.Analytic) {
-			t.Errorf("point %d Fidelity = %q, want %q", p.Index, p.Fidelity, fidelity.Analytic)
+		if p.Fidelity != string(fidelity.Sampled) {
+			t.Errorf("point %d Fidelity = %q, want %q", p.Index, p.Fidelity, fidelity.Sampled)
 		}
-		if !strings.HasPrefix(p.Key, "analytic:") {
-			t.Errorf("point %d key %q lacks the analytic: prefix", p.Index, p.Key)
+		if !strings.HasPrefix(p.Key, "sampled:") {
+			t.Errorf("point %d key %q lacks the sampled: prefix", p.Index, p.Key)
 		}
 	}
 
 	ca := s
 	ca.Fidelity = string(fidelity.CycleAccurate)
 	if s.Fingerprint() == ca.Fingerprint() {
-		t.Error("analytic and cycle-accurate specs share a fingerprint")
+		t.Error("sampled and cycle-accurate specs share a fingerprint")
 	}
 	if ca.Fingerprint() != testSpec(2, 2).Fingerprint() {
 		t.Error("an explicit cycle-accurate tier changed the default spec's fingerprint")

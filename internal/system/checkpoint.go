@@ -36,30 +36,23 @@ type CheckpointSpec struct {
 	// cycle (<= 0: disabled).
 	AtCycle int64
 	// AtWarm takes a checkpoint at the warmup boundary, immediately after
-	// the measurement baseline is captured and the trace window reset —
-	// the state the sweep engine's shared-warmup cache stores.
+	// the measurement baseline is captured and the trace window reset, so
+	// a run restored from it simulates only the measured window.
 	AtWarm bool
-	// Fingerprint overrides the identity hash embedded in the snapshot
-	// (empty: the run's own config+workload fingerprint). The sweep engine
-	// stamps shared-warmup checkpoints with the warmup group key so every
-	// member of the group can restore them.
-	Fingerprint string
 	// OnCheckpoint receives each captured checkpoint. A returned error
 	// aborts the run with it. Required for the spec to be useful; runs on
 	// the simulation goroutine.
 	OnCheckpoint func(Checkpoint) error
 }
 
-// RestoreSpec names a snapshot to restore before running. Fingerprint, when
-// non-empty, overrides the identity the snapshot is validated against (the
-// sweep engine passes the warmup group key).
+// RestoreSpec names a snapshot to restore before running. The snapshot must
+// carry the run's own config+workload fingerprint.
 type RestoreSpec struct {
-	Data        []byte
-	Fingerprint string
+	Data []byte
 }
 
 // Fingerprint returns the config+workload identity hash of this machine —
-// the default identity embedded in its checkpoints.
+// the identity embedded in its checkpoints.
 func (s *System) Fingerprint() string {
 	return snapshot.Fingerprint(s.cfg, s.names)
 }
@@ -87,7 +80,7 @@ func (s *System) maybeCheckpoint(spec *CheckpointSpec, st *checkpointState, cycl
 	if !take {
 		return nil
 	}
-	data, err := s.snapshotBytes(cycle, warm, spec.Fingerprint)
+	data, err := s.snapshotBytes(cycle, warm)
 	if err != nil {
 		return err
 	}
@@ -98,11 +91,8 @@ func (s *System) maybeCheckpoint(spec *CheckpointSpec, st *checkpointState, cycl
 }
 
 // snapshotBytes serializes the entire machine at boundary cycle into a
-// snapshot container stamped with fingerprint (empty: the machine's own).
-func (s *System) snapshotBytes(cycle int64, warm *warmSnapshot, fingerprint string) ([]byte, error) {
-	if fingerprint == "" {
-		fingerprint = s.Fingerprint()
-	}
+// snapshot container stamped with the machine's fingerprint.
+func (s *System) snapshotBytes(cycle int64, warm *warmSnapshot) ([]byte, error) {
 	// Canonicalize the hierarchy's "now" before serializing. At a boundary
 	// the reference loop always holds the previous cycle's time, but the
 	// fast loop may hold an older value from before a skip — harmless there
@@ -111,7 +101,7 @@ func (s *System) snapshotBytes(cycle int64, warm *warmSnapshot, fingerprint stri
 	// canonical value also makes fast- and reference-taken checkpoints
 	// byte-identical.
 	s.hier.SetNow(clock.Time(cycle-1) * clock.CPUCycle)
-	w := snapshot.NewWriter(fingerprint)
+	w := snapshot.NewWriter(s.Fingerprint())
 
 	sys := w.Section("system")
 	sys.I64(cycle)
@@ -137,14 +127,11 @@ func (s *System) snapshotBytes(cycle int64, warm *warmSnapshot, fingerprint stri
 
 // RestoreSnapshot restores a checkpoint into s, which must be freshly built
 // from the same configuration and workload (New, not yet run). The snapshot
-// is validated against fingerprint (empty: the machine's own identity) and
-// decoded into a scratch machine first, so a corrupt file never leaves s
-// half-mutated: s changes only when the whole restore succeeded.
-func (s *System) RestoreSnapshot(data []byte, fingerprint string) error {
-	if fingerprint == "" {
-		fingerprint = s.Fingerprint()
-	}
-	r, err := snapshot.Open(data, fingerprint)
+// is validated against the machine's own identity and decoded into a
+// scratch machine first, so a corrupt file never leaves s half-mutated: s
+// changes only when the whole restore succeeded.
+func (s *System) RestoreSnapshot(data []byte) error {
+	r, err := snapshot.Open(data, s.Fingerprint())
 	if err != nil {
 		return err
 	}

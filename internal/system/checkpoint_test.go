@@ -47,7 +47,7 @@ func restoreAndRun(t *testing.T, cfg config.Config, benchmarks []string, data []
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := s.RestoreSnapshot(data, ""); err != nil {
+	if err := s.RestoreSnapshot(data); err != nil {
 		t.Fatalf("RestoreSnapshot: %v", err)
 	}
 	s.SetReferenceLoop(reference)
@@ -153,7 +153,7 @@ func TestRestoreRejectsWrongMachine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := s.RestoreSnapshot(data, ""); !errors.Is(err, snapshot.ErrFingerprint) {
+	if err := s.RestoreSnapshot(data); !errors.Is(err, snapshot.ErrFingerprint) {
 		t.Fatalf("restore into different machine returned %v, want ErrFingerprint", err)
 	}
 	want, err := RunWorkload(context.Background(), other, []string{"swim"}, Options{})
@@ -166,36 +166,6 @@ func TestRestoreRejectsWrongMachine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("rejected restore left the machine perturbed")
-	}
-
-	// An explicit fingerprint override (the sweep engine's group key) makes
-	// the same bytes restorable anywhere the caller vouches for.
-	groupKey := "shared-warmup-group"
-	_, data2, _ := func() (Results, []byte, int64) {
-		var d []byte
-		opts := Options{Checkpoint: &CheckpointSpec{
-			AtWarm:      true,
-			Fingerprint: groupKey,
-			OnCheckpoint: func(cp Checkpoint) error {
-				d = append([]byte(nil), cp.Data...)
-				return nil
-			},
-		}}
-		r, err := RunWorkload(context.Background(), cfg, []string{"swim"}, opts)
-		if err != nil {
-			t.Fatalf("group-key run: %v", err)
-		}
-		return r, d, 0
-	}()
-	s2, err := New(cfg, []string{"swim"})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := s2.RestoreSnapshot(data2, ""); !errors.Is(err, snapshot.ErrFingerprint) {
-		t.Fatalf("group-key snapshot restored under machine identity: %v", err)
-	}
-	if err := s2.RestoreSnapshot(data2, groupKey); err != nil {
-		t.Fatalf("group-key restore: %v", err)
 	}
 }
 
@@ -246,7 +216,7 @@ func TestRestoreCorruptPayloadLeavesMachineUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := s.RestoreSnapshot(bad, ""); !errors.Is(err, snapshot.ErrCorrupt) {
+	if err := s.RestoreSnapshot(bad); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("corrupt payload: got %v, want ErrCorrupt", err)
 	}
 	want, err := RunWorkload(context.Background(), cfg, []string{"swim"}, Options{})

@@ -78,17 +78,16 @@ type Results struct {
 	// Config.Trace.Enabled was set.
 	Trace *memtrace.Summary
 
-	// Estimate describes how these Results were produced when a reduced-
-	// fidelity tier (sampled or analytic) generated them: the tier name,
-	// the headline-IPC confidence interval, and the tier's cost accounting.
-	// Nil for cycle-accurate runs, so cycle-accurate JSON output is
-	// unchanged.
+	// Estimate describes how these Results were produced when the sampled
+	// fidelity tier generated them: the tier name, the headline-IPC
+	// confidence interval, and the tier's cost accounting. Nil for
+	// cycle-accurate runs, so cycle-accurate JSON output is unchanged.
 	Estimate *EstimateInfo `json:",omitempty"`
 }
 
 // EstimateInfo annotates Results produced by a reduced-fidelity tier.
 type EstimateInfo struct {
-	// Tier is "sampled" or "analytic".
+	// Tier is "sampled".
 	Tier string
 	// TotalIPC is the headline estimate (sum of per-core IPC).
 	TotalIPC float64
@@ -105,9 +104,6 @@ type EstimateInfo struct {
 	// PerWindowIPC is the sampled tier's batch-means input (total IPC per
 	// measured window).
 	PerWindowIPC []float64 `json:",omitempty"`
-	// Calibration names the probe run an analytic estimate was calibrated
-	// from (the probe's config/workload fingerprint prefix).
-	Calibration string `json:",omitempty"`
 }
 
 // L2MissRate returns L2 misses per access.
@@ -692,7 +688,7 @@ func RunWorkload(ctx context.Context, cfg config.Config, benchmarks []string, op
 		return Results{}, err
 	}
 	if rs := opts.Restore; rs != nil {
-		if err := s.RestoreSnapshot(rs.Data, rs.Fingerprint); err != nil {
+		if err := s.RestoreSnapshot(rs.Data); err != nil {
 			return Results{}, err
 		}
 	}

@@ -281,3 +281,27 @@ func TestArtFootprintNearL2Cliff(t *testing.T) {
 		t.Errorf("art footprint %dMB misses the 2-4MB cliff", p.FootprintMB)
 	}
 }
+
+// BenchmarkNext measures one reference of each program's generator: the
+// per-call cost of trace generation, the core-side layer every simulated
+// instruction passes through.
+func BenchmarkNext(b *testing.B) {
+	for _, name := range AllProgramNames() {
+		b.Run(name, func(b *testing.B) {
+			p, err := ProfileFor(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := NewSynthetic(p, 0, 1)
+			var it Item
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Next(&it)
+			}
+			addrSink = it.Addr
+		})
+	}
+}
+
+var addrSink int64
