@@ -11,7 +11,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -53,10 +52,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON (Perfetto-loadable) to this file")
 		tlOut    = flag.String("timeline", "", "write the epoch time-series CSV to this file")
-
-		checkpoint   = flag.String("checkpoint", "", "write a machine snapshot to this file during the run")
-		checkpointAt = flag.Int64("checkpoint-at", 0, "cycle to snapshot at (first boundary at or after; 0 = the warmup boundary)")
-		restore      = flag.String("restore", "", "resume from a snapshot file written by -checkpoint (same config and benchmarks required)")
 
 		faultRate    = flag.Float64("fault-rate", 0, "link CRC frame-error rate per transfer, applied to both links (enables fault injection)")
 		faultAMB     = flag.Float64("fault-amb", 0, "AMB-cache soft-error rate per resident-line access (enables fault injection)")
@@ -160,12 +155,6 @@ func main() {
 	}
 
 	var opts []fbdsim.Option
-	if *checkpoint != "" {
-		opts = append(opts, fbdsim.WithCheckpoint(*checkpoint, *checkpointAt))
-	}
-	if *restore != "" {
-		opts = append(opts, fbdsim.WithRestore(*restore))
-	}
 	if *fid != "" {
 		tier, err := fbdsim.ParseFidelity(*fid)
 		if err != nil {
@@ -176,19 +165,7 @@ func main() {
 
 	res, err := fbdsim.Run(context.Background(), cfg, names, opts...)
 	if err != nil {
-		// A fingerprint mismatch is operator error (snapshot from a different
-		// config or workload), not a simulator failure: report which machine
-		// the snapshot belongs to and exit with a distinct status so scripts
-		// can tell "wrong snapshot" from "simulation failed".
-		if errors.Is(err, fbdsim.ErrSnapshotMismatch) {
-			fmt.Fprintf(os.Stderr, "fbdsim: %v\n", err)
-			fmt.Fprintf(os.Stderr, "fbdsim: the snapshot %s was taken under a different configuration or benchmark list; rerun with the flags/config it was created with\n", *restore)
-			os.Exit(exitSnapshotMismatch)
-		}
 		fatalf("%v", err)
-	}
-	if *checkpoint != "" {
-		fmt.Fprintf(os.Stderr, "fbdsim: snapshot written to %s\n", *checkpoint)
 	}
 
 	if *memProf != "" {
@@ -339,11 +316,6 @@ func assocName(a int) string {
 	}
 	return fmt.Sprintf("%d-way", a)
 }
-
-// exitSnapshotMismatch is the exit status for a -restore whose snapshot was
-// taken by a different configuration or workload (distinct from 1, the
-// status for every other failure).
-const exitSnapshotMismatch = 3
 
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "fbdsim: "+format+"\n", args...)

@@ -38,7 +38,7 @@ func main() {
 		fig      = flag.String("fig", "", "comma-separated figure numbers (4-13), 'v1', or extensions 'e1'-'e6', 'e8'")
 		quick    = flag.Bool("quick", false, "use the reduced workload set")
 		insts    = flag.Int64("insts", 300_000, "measured instructions per core per run")
-		warmup   = flag.Int64("warmup", 40_000, "warmup instructions per core per run")
+		warmup   = flag.Int64("warmup", 40_000, "warmup instructions per core per run (0 = the 40,000 default)")
 		seed     = flag.Int64("seed", 1, "trace generation seed")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		plot     = flag.Bool("plot", false, "also render figures as terminal charts")

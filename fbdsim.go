@@ -149,15 +149,9 @@ func ParseFidelity(s string) (Fidelity, error) { return fidelity.Parse(s) }
 type Option func(*runSettings)
 
 type runSettings struct {
-	cfg            Config
-	fidelity       Fidelity
-	progress       func(Progress)
-	checkpointPath string
-	checkpointAt   int64
-	restorePath    string
-
-	// checkpointWritten records that the WithCheckpoint snapshot landed.
-	checkpointWritten bool
+	cfg      Config
+	fidelity Fidelity
+	progress func(Progress)
 }
 
 // WithTrace enables the memtrace recorder for this run with settings t
@@ -192,8 +186,8 @@ func WithProgress(fn func(Progress)) Option {
 // Sampled interleaves functional fast-forward with detailed measured
 // windows (~10-50x cheaper, <2% IPC error, confidence interval in
 // Results.Estimate). A sampled run returns an estimate — Results.Estimate
-// is non-nil and records the tier — and does not compose with WithTrace,
-// WithFault, WithCheckpoint or WithRestore.
+// is non-nil and records the tier — and does not compose with WithTrace or
+// WithFault.
 func WithFidelity(t Fidelity) Option {
 	return func(s *runSettings) { s.fidelity = t }
 }
@@ -215,25 +209,11 @@ func Run(ctx context.Context, cfg Config, benchmarks []string, opts ...Option) (
 		if !s.fidelity.Valid() {
 			return Results{}, errors.New("fbdsim: unknown fidelity tier " + string(s.fidelity))
 		}
-		if s.checkpointPath != "" || s.restorePath != "" {
-			return Results{}, errors.New("fbdsim: checkpoint/restore requires cycle-accurate fidelity")
-		}
 		if s.cfg.Trace.Enabled || s.cfg.Fault.Enabled {
 			return Results{}, errors.New("fbdsim: tracing and fault injection require cycle-accurate fidelity")
 		}
 	}
-	o, err := s.systemOptions()
-	if err != nil {
-		return Results{}, err
-	}
-	res, err := fidelity.Run(ctx, s.fidelity, s.cfg, benchmarks, o)
-	if err != nil {
-		return Results{}, err
-	}
-	if err := s.missedCheckpoint(); err != nil {
-		return Results{}, err
-	}
-	return res, nil
+	return fidelity.Run(ctx, s.fidelity, s.cfg, benchmarks, system.Options{Progress: s.progress})
 }
 
 // LoadConfig reads and validates a JSON configuration file. Fields missing

@@ -23,12 +23,9 @@ import (
 // none marks the end of a replacement-order list.
 const none = -1
 
-// entry is one way. Whether it is valid lives in Cache.free; an invalid
-// entry keeps its last line and ticks, as snapshots record them.
+// entry is one way. Whether it is valid lives in Cache.free.
 type entry struct {
 	addr int64 // line-aligned address
-	seq  int64 // insertion order (FIFO) — never updated on hit
-	use  int64 // last-touch order (LRU)
 	// fill is when a prefetched line still in transit lands in the AMB;
 	// zero once it has landed (or was installed already resident).
 	fill       clock.Time
@@ -115,7 +112,6 @@ type Cache struct {
 	// deletion.
 	index []int32
 	shift uint // 64 - log2(len(index)): hash bits select the home slot
-	tick  int64
 
 	// Stats are exported for the experiment harness.
 	Stats Stats
@@ -248,11 +244,9 @@ func (c *Cache) Contains(lineAddr, localID int64) bool {
 	return p != none
 }
 
-// touch records a use of entry p of set: a new recency tick, and under LRU
-// a move to the young end of the replacement order.
+// touch records a use of entry p of set: under LRU, a move to the young
+// end of the replacement order.
 func (c *Cache) touch(set int, p int32) {
-	c.tick++
-	c.entries[p].use = c.tick
 	if c.repl == config.LRU && c.orders[set].tail != p {
 		c.unlink(set, p)
 		c.link(set, p)
@@ -281,7 +275,6 @@ func (c *Cache) InsertPrefetchAt(lineAddr, localID int64, fillAt clock.Time) (ev
 		c.entries[p].fill = fillAt
 		return 0, false
 	}
-	c.tick++
 	if way, ok := c.freeWay(set); ok {
 		p = int32(set*c.ways + way)
 		c.setFree(p, false)
@@ -294,16 +287,10 @@ func (c *Cache) InsertPrefetchAt(lineAddr, localID int64, fillAt clock.Time) (ev
 		// The shift may have opened a slot earlier in lineAddr's probe run.
 		slot = c.freeSlot(lineAddr)
 	}
-	c.entries[p] = entry{addr: lineAddr, seq: c.tick, use: c.tick, fill: fillAt}
+	c.entries[p] = entry{addr: lineAddr, fill: fillAt}
 	c.index[slot] = p + 1
 	c.link(set, p)
 	return evicted, wasEvicted
-}
-
-// valid reports whether entry p holds a resident line.
-func (c *Cache) valid(p int) bool {
-	set, way := p/c.ways, p%c.ways
-	return c.free[set*c.words+way/64]&(1<<(way%64)) == 0
 }
 
 // setFree marks entry p invalid (free) or valid.
@@ -327,25 +314,15 @@ func (c *Cache) freeWay(set int) (int, bool) {
 }
 
 // link appends entry p at the young end of set's replacement order.
-func (c *Cache) link(set int, p int32) { c.linkAfter(set, c.orders[set].tail, p) }
-
-// linkAfter inserts entry p into set's replacement order right after entry
-// at, or at the head when at is none.
-func (c *Cache) linkAfter(set int, at, p int32) {
+func (c *Cache) link(set int, p int32) {
 	o := &c.orders[set]
-	next := o.head
-	if at != none {
-		next = c.entries[at].next
-		c.entries[at].next = p
+	if o.tail != none {
+		c.entries[o.tail].next = p
 	} else {
 		o.head = p
 	}
-	if next != none {
-		c.entries[next].prev = p
-	} else {
-		o.tail = p
-	}
-	c.entries[p].prev, c.entries[p].next = at, next
+	c.entries[p].prev, c.entries[p].next = o.tail, none
+	o.tail = p
 }
 
 // unlink removes entry p from set's replacement order.
@@ -404,8 +381,7 @@ func (c *Cache) Scrub(lineAddr, localID int64) bool {
 
 // Housekeep ends every pending fill at or before horizon: those lines have
 // landed. Fill times are compared only against later demand times, so this
-// changes no timing; it keeps the set of pending fills (which snapshots
-// record) free of history.
+// changes no timing; it keeps the set of pending fills free of history.
 func (c *Cache) Housekeep(horizon clock.Time) {
 	for i := range c.entries {
 		if e := &c.entries[i]; e.fill != 0 && e.fill <= horizon {
@@ -425,18 +401,6 @@ func (c *Cache) AppendFills(dst []Fill) []Fill {
 	return dst
 }
 
-// SetFill marks the resident lineAddr as landing at fillAt (restoring a
-// snapshot's pending fills). It reports false, changing nothing, when the
-// line is not resident.
-func (c *Cache) SetFill(lineAddr, localID int64, fillAt clock.Time) bool {
-	_, p := c.find(lineAddr, c.setIndex(localID))
-	if p == none {
-		return false
-	}
-	c.entries[p].fill = fillAt
-	return true
-}
-
 // Occupancy returns the number of valid entries (useful for tests and
 // debugging).
 func (c *Cache) Occupancy() int {
@@ -452,7 +416,6 @@ func (c *Cache) Reset() {
 	clear(c.entries)
 	clear(c.index)
 	c.resetSets()
-	c.tick = 0
 	c.Stats = Stats{}
 }
 

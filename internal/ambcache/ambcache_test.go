@@ -1,7 +1,6 @@
 package ambcache
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -11,7 +10,6 @@ import (
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
-	"fbdsim/internal/snapshot"
 )
 
 // id derives the set-index key the way fbdchan does for a standalone cache
@@ -262,13 +260,19 @@ func TestNoDuplicateEntries(t *testing.T) {
 	}
 	count := 0
 	for p, e := range c.entries {
-		if c.valid(p) && e.addr == 4*64 {
+		if valid(c, p) && e.addr == 4*64 {
 			count++
 		}
 	}
 	if count != 1 {
 		t.Errorf("line present %d times", count)
 	}
+}
+
+// valid reports whether entry p of c holds a resident line.
+func valid(c *Cache, p int) bool {
+	set, way := p/c.ways, p%c.ways
+	return c.free[set*c.words+way/64]&(1<<(way%64)) == 0
 }
 
 // refCache is the tag table as a linear scan over every way of a set: the
@@ -407,45 +411,46 @@ func (r *refCache) occupancy() int {
 	return n
 }
 
-func (r *refCache) snapshot(e *snapshot.Encoder) {
-	e.Int(r.sets)
-	e.Int(r.ways)
-	for _, set := range r.data {
-		for _, en := range set {
-			e.I64(en.addr)
-			e.Bool(en.valid)
-			e.I64(en.seq)
-			e.I64(en.use)
+// order returns set's valid lines, next victim first: by insertion
+// (FIFO) or by last touch (LRU). Ticks are unique, so the order is total.
+func (r *refCache) order(set int) []int64 {
+	var live []refEntry
+	for _, e := range r.data[set] {
+		if e.valid {
+			live = append(live, e)
 		}
 	}
-	e.I64(r.tick)
-	e.I64(r.Stats.Reads)
-	e.I64(r.Stats.Hits)
-	e.I64(r.Stats.Prefetched)
-	e.I64(r.Stats.Evictions)
-	e.I64(r.Stats.Invalidations)
-	e.I64(r.Stats.Scrubs)
+	rank := func(e refEntry) int64 {
+		if r.repl == config.LRU {
+			return e.use
+		}
+		return e.seq
+	}
+	slices.SortFunc(live, func(a, b refEntry) int { return cmp.Compare(rank(a), rank(b)) })
+	lines := make([]int64, len(live))
+	for i, e := range live {
+		lines[i] = e.addr
+	}
+	return lines
 }
 
-// encode returns a snapshot file holding the one section snap writes.
-func encode(snap func(*snapshot.Encoder)) []byte {
-	w := snapshot.NewWriter("ambcache")
-	snap(w.Section("amb"))
-	return w.Finish()
-}
-
-// decoder opens the section of a file written by encode.
-func decoder(t testing.TB, file []byte) *snapshot.Decoder {
+// listOrder returns set's replacement-order list, head to tail, failing if
+// a back link or the tail disagrees with the forward walk.
+func listOrder(t *testing.T, c *Cache, set int) []int64 {
 	t.Helper()
-	r, err := snapshot.Open(file, "ambcache")
-	if err != nil {
-		t.Fatal(err)
+	var lines []int64
+	prev := int32(none)
+	for p := c.orders[set].head; p != none; p = c.entries[p].next {
+		if c.entries[p].prev != prev {
+			t.Fatalf("set %d: entry %d links back to %d, want %d", set, p, c.entries[p].prev, prev)
+		}
+		lines = append(lines, c.entries[p].addr)
+		prev = p
 	}
-	d, err := r.Section("amb")
-	if err != nil {
-		t.Fatal(err)
+	if c.orders[set].tail != prev {
+		t.Fatalf("set %d: tail %d, list ends at %d", set, c.orders[set].tail, prev)
 	}
-	return d
+	return lines
 }
 
 // sortedFills returns the cache's pending fills in line order.
@@ -458,10 +463,12 @@ func sortedFills(c *Cache) []Fill {
 // TestMatchesLinearScanReference drives the indexed tag table and the
 // linear-scan reference through the same random operations — demand
 // lookups, prefetch installs with and without fill times, invalidations,
-// scrubs, housekeeping and snapshot round trips — over every geometry the
-// experiments use and both policies, and requires identical answers and
-// identical state, down to the residency of every line, after every step. No workload runs LRU and the benchmark
-// runs no set-associative geometry, so this is their oracle.
+// scrubs and housekeeping — over every geometry the experiments use and
+// both policies, and requires identical answers and identical state after
+// every step: the residency of every line, the pending fills, and each
+// set's replacement order, which must rank the lines as the reference's
+// insertion (FIFO) or last-touch (LRU) ticks do. No workload runs LRU and
+// the benchmark runs no set-associative geometry, so this is their oracle.
 func TestMatchesLinearScanReference(t *testing.T) {
 	geoms := []struct{ lines, assoc int }{
 		{64, config.FullAssoc}, {64, 1}, {64, 2}, {64, 4}, {32, 2}, {128, config.FullAssoc}, {128, 8},
@@ -476,14 +483,13 @@ func TestMatchesLinearScanReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(gi*2 + int(repl) + 1)))
 				c, r := New(g.lines, g.assoc, repl), newRef(g.lines, g.assoc, repl)
 				var now clock.Time
-				trips := 0
 				for step := 0; step < steps; step++ {
 					// Four times as many lines as entries: hits, misses and
 					// evictions all stay common.
 					line := int64(rng.Intn(4*g.lines)) * 64
 					local := id(line)
 					now += clock.Time(rng.Intn(8))
-					switch op := rng.Intn(20); {
+					switch op := rng.Intn(18); {
 					case op < 6:
 						gotAt, got := c.LookupRead(line, local)
 						wantAt, want := r.lookupRead(line, local)
@@ -508,28 +514,9 @@ func TestMatchesLinearScanReference(t *testing.T) {
 						if got, want := c.Scrub(line, local), r.drop(line, local, &r.Stats.Scrubs); got != want {
 							t.Fatalf("step %d: Scrub(%#x) = %v, reference %v", step, line, got, want)
 						}
-					case op < 18:
+					default:
 						c.Housekeep(now)
 						r.housekeep(now)
-					default:
-						// Snapshot round trip, alternately into a fresh
-						// cache and over the live one; the channel model
-						// carries the pending fills across.
-						fills := c.AppendFills(nil)
-						file := encode(c.Snapshot)
-						if trips++; trips%2 == 0 {
-							c = New(g.lines, g.assoc, repl)
-						}
-						d := decoder(t, file)
-						c.Restore(d)
-						if err := d.Done(); err != nil {
-							t.Fatalf("step %d: restore: %v", step, err)
-						}
-						for _, f := range fills {
-							if !c.SetFill(f.Line, id(f.Line), f.At) {
-								t.Fatalf("step %d: restored cache lost pending line %#x", step, f.Line)
-							}
-						}
 					}
 					if c.Stats != r.Stats {
 						t.Fatalf("step %d: stats %+v, reference %+v", step, c.Stats, r.Stats)
@@ -542,8 +529,10 @@ func TestMatchesLinearScanReference(t *testing.T) {
 					if got, want := c.Occupancy(), r.occupancy(); got != want {
 						t.Fatalf("step %d: occupancy %d, reference %d", step, got, want)
 					}
-					if !bytes.Equal(encode(c.Snapshot), encode(r.snapshot)) {
-						t.Fatalf("step %d: snapshot bytes differ from the reference", step)
+					for set := range r.data {
+						if got, want := listOrder(t, c, set), r.order(set); !slices.Equal(got, want) {
+							t.Fatalf("step %d: set %d replacement order %#x, reference %#x", step, set, got, want)
+						}
 					}
 					fills := sortedFills(c)
 					if len(fills) != len(r.fills) {
@@ -555,41 +544,11 @@ func TestMatchesLinearScanReference(t *testing.T) {
 						}
 					}
 				}
-				if trips == 0 || c.Stats.Evictions == 0 || c.Stats.Hits == 0 {
-					t.Fatalf("sequence too tame: %d round trips, stats %+v", trips, c.Stats)
+				if c.Stats.Evictions == 0 || c.Stats.Hits == 0 {
+					t.Fatalf("sequence too tame: stats %+v", c.Stats)
 				}
 			})
 		}
-	}
-}
-
-// TestRestoreRefusesDuplicateLine: a snapshot naming one line in two
-// entries cannot come from a real cache and is refused.
-func TestRestoreRefusesDuplicateLine(t *testing.T) {
-	r := newRef(4, config.FullAssoc, config.FIFO)
-	r.insert(64, id(64), 0)
-	r.insert(128, id(128), 0)
-	r.data[0][1].addr = 64
-	d := decoder(t, encode(r.snapshot))
-	New(4, config.FullAssoc, config.FIFO).Restore(d)
-	if d.Err() == nil {
-		t.Fatal("restore accepted a line resident twice")
-	}
-}
-
-// TestRestoreAllocatesNothing: rebuilding the index, the replacement
-// orders and the free-way bitmaps reuses the cache's own arrays.
-func TestRestoreAllocatesNothing(t *testing.T) {
-	c := New(64, config.FullAssoc, config.FIFO)
-	for l := int64(0); l < 100; l++ {
-		c.InsertPrefetch(l*64, id(l*64))
-	}
-	base := *decoder(t, encode(c.Snapshot))
-	if n := testing.AllocsPerRun(100, func() {
-		d := base
-		c.Restore(&d)
-	}); n != 0 {
-		t.Errorf("Restore allocates %v times per call, want 0", n)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fbdsim/internal/config"
+	"fbdsim/internal/trace"
 )
 
 func TestBasicHitMiss(t *testing.T) {
@@ -181,5 +184,41 @@ func TestSetIsolation(t *testing.T) {
 	}
 	if !c.Contains(64) {
 		t.Error("set 0 pressure evicted a set-1 line")
+	}
+}
+
+// BenchmarkAccess replays each program's own reference stream through a
+// cache of the default L2's geometry, filling on every miss: the per-access
+// cost of the cache layer under that program's locality. The stream is
+// generated before the timer starts.
+func BenchmarkAccess(b *testing.B) {
+	l2 := config.Default().CPU
+	for _, name := range trace.AllProgramNames() {
+		b.Run(name, func(b *testing.B) {
+			p, err := trace.ProfileFor(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			type ref struct {
+				addr  int64
+				write bool
+			}
+			g := trace.NewSynthetic(p, 0, 1)
+			refs := make([]ref, 1<<18)
+			var it trace.Item
+			for i := range refs {
+				g.Next(&it)
+				refs[i] = ref{it.Addr, it.Op == trace.Store}
+			}
+			c := New(l2.L2KB, l2.L2Assoc, l2.LineBytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := refs[i&(len(refs)-1)]
+				if !c.Access(r.addr, r.write) {
+					c.Fill(r.addr, r.write)
+				}
+			}
+		})
 	}
 }

@@ -42,8 +42,8 @@ type Core struct {
 	// Dependent loads (Item.Dep) wait for their producer's data. Each
 	// dispatched load gets the next loadSeq; lastLoadDone reports whether
 	// the load carrying lastLoadSeq has completed. Plain data (rather than
-	// a shared *bool flipped by a closure) so the whole dependence state
-	// serializes into a snapshot.
+	// a shared *bool flipped by a closure), so tracking a dependence
+	// allocates nothing.
 	loadSeq      int64
 	lastLoadSeq  int64
 	lastLoadDone bool

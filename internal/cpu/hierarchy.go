@@ -20,9 +20,8 @@ import (
 
 // waiter is one completion subscription on a missEntry. Production waiters
 // are plain data — a core's ROB slot (loads) or store queue (ringIdx < 0) —
-// so MSHR state serializes into snapshots; fn is the closure escape hatch
-// the closure-based Load/Store test seam uses (nil in production, and a
-// snapshot refuses to serialize it).
+// so subscribing allocates no closure; fn is the closure escape hatch the
+// closure-based Load/Store test seam uses (nil in production).
 type waiter struct {
 	core    int
 	ringIdx int   // ROB ring slot of a load waiter; -1 for a store waiter

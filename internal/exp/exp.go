@@ -48,7 +48,8 @@ func clockRate(mts int) clock.DataRate {
 type Options struct {
 	// MaxInsts / WarmupInsts override the per-run instruction budgets
 	// (defaults: 300k measured after 40k warmup — small enough to sweep
-	// every figure quickly, large enough for stable averages).
+	// every figure quickly, large enough for stable averages). Zero selects
+	// the default; negative values are rejected by Validate.
 	MaxInsts    int64
 	WarmupInsts int64
 	// Seed drives trace generation.
@@ -84,6 +85,9 @@ func (o Options) Validate() error {
 	if o.MaxInsts < 0 {
 		return fmt.Errorf("exp: negative instruction budget %d", o.MaxInsts)
 	}
+	if o.WarmupInsts < 0 {
+		return fmt.Errorf("exp: negative warmup budget %d", o.WarmupInsts)
+	}
 	if o.AbortAfterPoints < 0 {
 		return fmt.Errorf("exp: negative AbortAfterPoints %d", o.AbortAfterPoints)
 	}
@@ -97,9 +101,7 @@ func (o Options) norm() Options {
 	if o.MaxInsts <= 0 {
 		o.MaxInsts = 300_000
 	}
-	if o.WarmupInsts < 0 {
-		o.WarmupInsts = 0
-	} else if o.WarmupInsts == 0 {
+	if o.WarmupInsts == 0 {
 		o.WarmupInsts = 40_000
 	}
 	if o.Seed == 0 {

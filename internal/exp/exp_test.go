@@ -141,6 +141,9 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{MaxInsts: -5}).Validate(); err == nil {
 		t.Error("negative MaxInsts accepted")
 	}
+	if err := (Options{WarmupInsts: -1}).Validate(); err == nil {
+		t.Error("negative WarmupInsts accepted")
+	}
 	if err := (Options{AbortAfterPoints: -2}).Validate(); err == nil {
 		t.Error("negative AbortAfterPoints accepted")
 	}

@@ -1,13 +1,11 @@
 package fbdchan
 
 import (
-	"bytes"
 	"testing"
 
 	"fbdsim/internal/addrmap"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
-	"fbdsim/internal/snapshot"
 )
 
 const ns = clock.Nanosecond
@@ -536,60 +534,6 @@ func TestFunctionalMatchesTimed(t *testing.T) {
 				t.Errorf("invalidations %d, want some: %v", s.Invalidations, wantInv)
 			}
 		})
-	}
-}
-
-// encodeChannel returns a snapshot file holding c's state.
-func encodeChannel(c *Channel) []byte {
-	w := snapshot.NewWriter("fbdchan")
-	c.Snapshot(w.Section("ch"))
-	return w.Finish()
-}
-
-// restoreChannel restores the state in file into c and returns the
-// decoder's verdict.
-func restoreChannel(t *testing.T, c *Channel, file []byte) error {
-	t.Helper()
-	r, err := snapshot.Open(file, "fbdchan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := r.Section("ch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Restore(d)
-	return d.Done()
-}
-
-// TestRestorePendingFills: pending fills survive a snapshot round trip, and
-// a snapshot with a pending fill for a line that is not resident in its
-// DIMM's AMB cache is refused.
-func TestRestorePendingFills(t *testing.T) {
-	src, m := apChannel(t, nil)
-	src.ScheduleRead(0, ready12) // lines 1..3 in transit
-	file := encodeChannel(src)
-	dst, _ := apChannel(t, nil)
-	if err := restoreChannel(t, dst, file); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if !bytes.Equal(encodeChannel(dst), file) {
-		t.Error("restored channel snapshots differently")
-	}
-	if got, want := len(dst.ambs[0].AppendFills(nil)), 3; got != want {
-		t.Errorf("%d pending fills after restore, want %d", got, want)
-	}
-
-	// Line 64 belongs to DIMM 0; planting it in DIMM 1's cache puts a
-	// pending fill in the snapshot that DIMM 0's cache cannot own.
-	bad, _ := apChannel(t, nil)
-	if m.Map(64).DIMM == 1 {
-		t.Fatal("test assumes line 1 is not on DIMM 1")
-	}
-	bad.ambs[1].InsertPrefetchAt(64, m.LocalLineID(64), 100*ns)
-	fresh, _ := apChannel(t, nil)
-	if err := restoreChannel(t, fresh, encodeChannel(bad)); err == nil {
-		t.Error("restore accepted a pending fill for a line not in its AMB cache")
 	}
 }
 

@@ -10,11 +10,13 @@ package fidelity
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 
 	"fbdsim/internal/config"
 	"fbdsim/internal/sample"
-	"fbdsim/internal/snapshot"
 	"fbdsim/internal/system"
 )
 
@@ -62,13 +64,21 @@ func (t Tier) String() string {
 }
 
 // Key returns the result-cache / journal identity of one (tier, config,
-// workload) request. Cycle-accurate requests keep the bare snapshot
-// fingerprint — the identity every existing cache and journal was built
-// on — so enabling tiers invalidates nothing; the sampled tier is tagged
-// so its estimates can never be confused with (or served in place of)
-// full-detail results.
+// workload) request: a SHA-256 over the JSON encodings of the full
+// configuration (which embeds seed and instruction budgets) and the
+// benchmark list. Two requests that would produce identical Results hash
+// identically; any differing knob — timing, geometry, seed, budget,
+// benchmark order — produces a different key. Cycle-accurate requests get
+// the bare hex digest, the identity every existing cache and journal was
+// built on; the sampled tier is tagged so its estimates can never be
+// confused with (or served in place of) full-detail results.
 func Key(t Tier, cfg config.Config, benchmarks []string) string {
-	fp := snapshot.Fingerprint(cfg, benchmarks)
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	// Config and []string cannot fail to encode.
+	_ = enc.Encode(cfg)
+	_ = enc.Encode(benchmarks)
+	fp := hex.EncodeToString(h.Sum(nil))
 	if t == "" || t == CycleAccurate {
 		return fp
 	}
@@ -83,18 +93,13 @@ func Key(t Tier, cfg config.Config, benchmarks []string) string {
 // confidence interval, cost accounting); cycle-accurate results do not,
 // which is itself the marker of full detail.
 //
-// Only cycle-accurate runs act on opts. The sampled tier ignores Progress
-// and refuses Checkpoint and Restore: it drives its machine through
-// windowed stepping, where an armed snapshot would corrupt the measured
-// windows.
+// Only cycle-accurate runs act on opts: the sampled tier steps its machine
+// through measured windows and ignores Progress.
 func Run(ctx context.Context, t Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
 	switch t {
 	case "", CycleAccurate:
 		return system.RunWorkload(ctx, cfg, benchmarks, opts)
 	case Sampled:
-		if opts.Checkpoint != nil || opts.Restore != nil {
-			return system.Results{}, fmt.Errorf("fidelity: %s runs cannot checkpoint or restore; only cycle-accurate runs do", t)
-		}
 		return sample.Run(ctx, cfg, benchmarks, sample.Options{})
 	}
 	return system.Results{}, fmt.Errorf("fidelity: unknown tier %q", t)

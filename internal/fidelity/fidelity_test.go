@@ -2,11 +2,9 @@ package fidelity
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"fbdsim/internal/config"
-	"fbdsim/internal/snapshot"
 	"fbdsim/internal/system"
 )
 
@@ -36,14 +34,16 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestKeyCompatibility pins the request identity: result caches and sweep
+// journals, the committed fixtures under internal/sweep/testdata among
+// them, are keyed by it, so any change to the hash fails here first.
 func TestKeyCompatibility(t *testing.T) {
 	cfg := config.Default()
 	bench := []string{"swim"}
-	plain := snapshot.Fingerprint(cfg, bench)
-	// The cycle-accurate key IS the historical fingerprint — both
-	// spellings of the default.
+	const plain = "de01fd8d6681a97906e73c5b49109c5b1bf27640344b932f4b421dff6b384d89"
+	// Both spellings of the cycle-accurate default key to the bare digest.
 	if Key("", cfg, bench) != plain || Key(CycleAccurate, cfg, bench) != plain {
-		t.Error("cycle-accurate key must equal the bare snapshot fingerprint")
+		t.Errorf("cycle-accurate key %q, want %q", Key(CycleAccurate, cfg, bench), plain)
 	}
 	// The sampled tier is tagged, so it never shares a key with full
 	// detail.
@@ -75,37 +75,5 @@ func TestRunDispatch(t *testing.T) {
 	}
 	if sampled.Estimate == nil || sampled.Estimate.Tier != "sampled" {
 		t.Errorf("sampled estimate marker missing: %+v", sampled.Estimate)
-	}
-}
-
-// TestRunRefusesSnapshotsOnEstimateTiers: only cycle-accurate runs act on
-// an armed checkpoint or restore. The sampled tier steps its machine in
-// windows an armed snapshot would corrupt, so it refuses either field
-// before running anything.
-func TestRunRefusesSnapshotsOnEstimateTiers(t *testing.T) {
-	cfg := config.Default()
-	cfg.MaxInsts = 20_000
-	cfg.WarmupInsts = 5_000
-	ctx := context.Background()
-	var warm []byte
-	capture := system.Options{Checkpoint: &system.CheckpointSpec{
-		AtWarm: true,
-		OnCheckpoint: func(cp system.Checkpoint) error {
-			warm = cp.Data
-			return nil
-		},
-	}}
-	if _, err := Run(ctx, CycleAccurate, cfg, []string{"swim"}, capture); err != nil || warm == nil {
-		t.Fatalf("cycle-accurate run with a checkpoint: err %v, captured %d bytes", err, len(warm))
-	}
-	restore := system.Options{Restore: &system.RestoreSpec{Data: warm}}
-	if _, err := Run(ctx, CycleAccurate, cfg, []string{"swim"}, restore); err != nil {
-		t.Fatalf("cycle-accurate run with a restore: %v", err)
-	}
-	for name, opts := range map[string]system.Options{"checkpoint": capture, "restore": restore} {
-		if _, err := Run(ctx, Sampled, cfg, []string{"swim"}, opts); err == nil ||
-			!strings.Contains(err.Error(), "cannot checkpoint or restore") {
-			t.Errorf("sampled run with a %s: err %v, want a refusal", name, err)
-		}
 	}
 }

@@ -304,7 +304,7 @@ func regressionEstimate(ws []system.Results, trueMPI float64) (ipc, ci float64) 
 	// re-centring on the true MPI corrects the wrong axis and can move the
 	// estimate further from the truth; the covariate stays unused and the
 	// CI (batch means over the raw windows) carries the uncertainty. See
-	// DESIGN.md §12 for when multicore sampled estimates are trustworthy.
+	// DESIGN.md §11 for when multicore sampled estimates are trustworthy.
 	beta := 0.0
 	if n >= 4 && sxx > 0 && len(ws[0].Committed) == 1 {
 		beta = sxy / sxx

@@ -4,28 +4,14 @@ import (
 	"context"
 	"sync"
 
-	"fbdsim/internal/config"
-	"fbdsim/internal/snapshot"
 	"fbdsim/internal/system"
 )
 
-// Key returns the canonical cache key of one simulation request: a SHA-256
-// hash over the JSON encoding of the full configuration (which embeds seed
-// and instruction budgets) and the benchmark list. Two requests that would
-// produce identical Results hash identically; any differing knob — timing,
-// geometry, seed, budget, benchmark order — produces a different key.
-//
-// It is the shared identity across the sweep engine and the exp.Runner
-// memo cache, and doubles as the snapshot fingerprint (the
-// canonicalization lives in internal/snapshot so the system layer can use
-// it without an import cycle).
-func Key(cfg config.Config, benchmarks []string) string {
-	return snapshot.Fingerprint(cfg, benchmarks)
-}
-
 // Cache is a goroutine-safe, unbounded cache of completed simulation
 // results with single-flight execution: concurrent Do calls for the same
-// key run the simulation once and share the outcome.
+// key run the simulation once and share the outcome. Its callers, the sweep
+// engine and the exp.Runner memo cache, key it by fidelity.Key, so one
+// function names a simulation request everywhere.
 type Cache struct {
 	mu     sync.Mutex
 	items  map[string]system.Results

@@ -6,35 +6,41 @@ import (
 	"testing"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/system"
 )
 
+// TestKeyDistinguishesInputs: fidelity.Key, the key of this cache, is
+// deterministic and changes with every input that changes Results.
 func TestKeyDistinguishesInputs(t *testing.T) {
+	key := func(cfg config.Config, benchmarks ...string) string {
+		return fidelity.Key(fidelity.CycleAccurate, cfg, benchmarks)
+	}
 	base := config.Default()
 	other := base
 	other.Seed = base.Seed + 1
-	k1 := Key(base, []string{"swim"})
-	if k1 != Key(base, []string{"swim"}) {
+	k1 := key(base, "swim")
+	if k1 != key(base, "swim") {
 		t.Fatal("key not deterministic")
 	}
 	if len(k1) != 64 {
 		t.Fatalf("key length = %d, want 64 hex chars", len(k1))
 	}
-	if k1 == Key(other, []string{"swim"}) {
+	if k1 == key(other, "swim") {
 		t.Fatal("seed change did not change key")
 	}
-	if k1 == Key(base, []string{"mgrid"}) {
+	if k1 == key(base, "mgrid") {
 		t.Fatal("benchmark change did not change key")
 	}
-	if Key(base, []string{"swim", "mgrid"}) == Key(base, []string{"mgrid", "swim"}) {
+	if key(base, "swim", "mgrid") == key(base, "mgrid", "swim") {
 		t.Fatal("benchmark order did not change key")
 	}
 	budget := base
 	budget.MaxInsts = 123
-	if k1 == Key(budget, []string{"swim"}) {
+	if k1 == key(budget, "swim") {
 		t.Fatal("instruction budget change did not change key")
 	}
-	if k1 == Key(config.WithAMBPrefetch(base), []string{"swim"}) {
+	if k1 == key(config.WithAMBPrefetch(base), "swim") {
 		t.Fatal("config change did not change key")
 	}
 }

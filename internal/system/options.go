@@ -9,12 +9,6 @@ type Options struct {
 	// and must not block, or it throttles the simulation. It observes state
 	// only and cannot perturb results.
 	Progress func(Progress)
-	// Checkpoint, when non-nil, arms checkpoint capture (see
-	// CheckpointSpec).
-	Checkpoint *CheckpointSpec
-	// Restore, when non-nil, names a snapshot RunWorkload restores into the
-	// freshly built machine before running it.
-	Restore *RestoreSpec
 }
 
 // Progress is a liveness snapshot delivered to Options.Progress at

@@ -85,8 +85,7 @@ func maxOf64(xs []int64) int64 {
 // commits measure instructions past the settling boundary. It returns the
 // window's Results; the machine stays live at the final cycle boundary, so
 // further FunctionalAdvance/StepWindow calls continue seamlessly. The
-// window is the run's own: the System's configuration, and with it its
-// Fingerprint, stays as built.
+// window is the run's own: the System's configuration stays as built.
 func (s *System) StepWindow(ctx context.Context, ramp, measure int64) (Results, error) {
 	return s.run(ctx, Options{}, s.stepWindow(ramp, measure))
 }

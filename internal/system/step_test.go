@@ -2,26 +2,28 @@ package system
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"fbdsim/internal/config"
 )
 
 // TestStepWindowKeepsFingerprint: stepping a machine through a measured
-// window leaves its configuration alone, so the identity its checkpoints
-// carry stays the one it was built with.
+// window leaves its configuration and workload alone, so every window of a
+// sampled run measures the machine it was built as.
 func TestStepWindowKeepsFingerprint(t *testing.T) {
 	s, err := New(config.WithAMBPrefetch(config.Default()), []string{"swim", "applu"})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	before := s.Fingerprint()
+	cfg, names := s.cfg, slices.Clone(s.names)
 	s.FunctionalAdvance(5000)
 	if _, err := s.StepWindow(context.Background(), 500, 1000); err != nil {
 		t.Fatalf("StepWindow: %v", err)
 	}
-	if got := s.Fingerprint(); got != before {
-		t.Fatalf("fingerprint after StepWindow = %.12s, want %.12s", got, before)
+	if !reflect.DeepEqual(s.cfg, cfg) || !slices.Equal(s.names, names) {
+		t.Fatalf("StepWindow changed the machine's identity: config %+v, workload %v", s.cfg, s.names)
 	}
 }
 

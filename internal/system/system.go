@@ -123,9 +123,8 @@ func (r Results) TotalIPC() float64 {
 	return sum
 }
 
-// warmSnapshot captures every cumulative counter at the warmup boundary.
-// (It is a measurement baseline, not a machine checkpoint; full machine
-// serialization lives in checkpoint.go.)
+// warmSnapshot captures every cumulative counter at the warmup boundary:
+// the measurement baseline results are reported against.
 type warmSnapshot struct {
 	cycle      int64
 	committed  []int64
@@ -164,12 +163,9 @@ type System struct {
 	refLoop bool
 
 	// cycle is the boundary cycle the machine is parked at and the next
-	// run resumes from: 0 when built, the checkpoint's cycle after
-	// RestoreSnapshot, the final boundary after a completed run.
+	// run resumes from: 0 when built, the final boundary after a completed
+	// run (the sampled tier steps one machine through many windows).
 	cycle int64
-	// resumeWarm is the warmup baseline RestoreSnapshot restored (nil if
-	// the checkpoint predates warmup); the next run consumes it.
-	resumeWarm *warmSnapshot
 }
 
 // New builds a system running one benchmark per core. The Config's
@@ -289,7 +285,6 @@ type runState struct {
 	maxCycles int64
 	// warm is the measurement baseline, nil until the window opens.
 	warm *warmSnapshot
-	cp   checkpointState
 }
 
 // run executes one run of the machine from its parked cycle over window w.
@@ -300,9 +295,7 @@ func (s *System) run(ctx context.Context, opts Options, w window) (Results, erro
 		opts:      opts,
 		win:       w,
 		maxCycles: s.progressBound(w.budget),
-		warm:      s.resumeWarm,
 	}
-	s.resumeWarm = nil
 	if s.refLoop {
 		return s.runReference(r)
 	}
@@ -333,8 +326,8 @@ func (s *System) windowEdge(r *runState) bool {
 
 // boundary runs the checks both loops make at every boundary cycle, in
 // order: cancellation, the progress report, opening or closing the
-// measured window, checkpoint triggers and the wedge guard. stop reports
-// that the run ends here with res and err.
+// measured window and the wedge guard. stop reports that the run ends here
+// with res and err.
 func (s *System) boundary(r *runState, cycle int64) (res Results, stop bool, err error) {
 	if r.cancelled() {
 		return Results{}, true, r.ctx.Err()
@@ -342,21 +335,15 @@ func (s *System) boundary(r *runState, cycle int64) (res Results, stop bool, err
 	if r.opts.Progress != nil {
 		r.opts.Progress(Progress{Cycle: cycle, Committed: s.minCommitted(), Warm: r.warm != nil})
 	}
-	justWarmed := false
 	if s.windowEdge(r) {
 		if r.warm != nil {
 			return s.results(r.warm, cycle), true, nil
 		}
 		snap := s.snapshot(cycle)
-		r.warm, justWarmed = &snap, true
+		r.warm = &snap
 		// Restart the trace window so the recorder covers exactly the
 		// measured interval (no-op when tracing is off).
 		s.ctrl.ResetTraceMeasurement(clock.Time(cycle) * clock.CPUCycle)
-	}
-	if r.opts.Checkpoint != nil {
-		if err := s.maybeCheckpoint(r.opts.Checkpoint, &r.cp, cycle, r.warm, justWarmed); err != nil {
-			return Results{}, true, err
-		}
 	}
 	if cycle > r.maxCycles {
 		return Results{}, true, s.wedgedError(cycle, r.maxCycles)
@@ -406,11 +393,11 @@ func (s *System) runFast(r *runState) (Results, error) {
 	// maxCycles; a fully wedged machine fast-forwards straight there.
 	errBoundary := (r.maxCycles/checkInterval + 1) * checkInterval
 
-	// Restore-aware loop state: at a fresh start (cycle 0) these come out to
-	// checkInterval and 0; resuming from a checkpointed boundary X they come
-	// out exactly as the unbroken run would have them at the top of the
-	// iteration that executes cycle X (the boundary's own checks already ran
-	// before the checkpoint was taken).
+	// Resume-aware loop state: at a fresh start (cycle 0) these come out to
+	// checkInterval and 0; resuming from the boundary X an earlier window
+	// parked at, they come out exactly as an unbroken run would have them
+	// at the top of the iteration that executes cycle X (the boundary's own
+	// checks already ran when that window ended).
 	nextCheck := cycle + checkInterval                    // next boundary-check cycle
 	nextTick := (cycle + s.ratio - 1) / s.ratio * s.ratio // next controller tick cycle (multiple of ratio)
 
@@ -532,8 +519,8 @@ func (s *System) progressBound(budget int64) int64 {
 	if cyc < 500 {
 		cyc = 500
 	}
-	// Relative to the resume point: a restored or windowed run only has
-	// its own budget left, not the cycles already executed before it.
+	// Relative to the resume point: a windowed run only has its own budget
+	// left, not the cycles already executed before it.
 	return s.cycle + budget*cyc + 1_000_000
 }
 
@@ -686,11 +673,6 @@ func RunWorkload(ctx context.Context, cfg config.Config, benchmarks []string, op
 	s, err := New(cfg, benchmarks)
 	if err != nil {
 		return Results{}, err
-	}
-	if rs := opts.Restore; rs != nil {
-		if err := s.RestoreSnapshot(rs.Data); err != nil {
-			return Results{}, err
-		}
 	}
 	return s.run(ctx, opts, s.fullWindow())
 }
