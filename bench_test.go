@@ -385,7 +385,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1) // defeat nothing; runs are independent anyway
-		res, err := system.RunWorkload(context.Background(), cfg, ablationMix, system.Options{})
+		res, err := system.RunWorkload(context.Background(), cfg, ablationMix)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,10 +11,11 @@
 //	paperexp -all -insts 1000000   # longer runs for tighter averages
 //	paperexp -all -journal ckpt/   # checkpoint sweeps; re-run to resume
 //
-// Every figure runs as a sweep through the internal/sweep engine. With
-// -journal DIR each sweep checkpoints its completed grid points to
-// DIR/<sweep>-<fingerprint>.ndjson; a killed run re-invoked with the same
-// flags resumes from the journals and produces bit-identical results.
+// Every figure runs as one or more sweeps through the experiment runner
+// (internal/exp). With -journal DIR each sweep checkpoints its completed
+// grid points to DIR/<sweep>-<fingerprint>.ndjson; a killed run
+// re-invoked with the same flags resumes from the journals and produces
+// bit-identical results.
 // -abort-after N stops the suite deterministically after N fresh
 // simulations (exit code 3) — the hook CI uses to exercise kill/resume.
 package main
@@ -48,6 +49,17 @@ func main() {
 		fid      = flag.String("fidelity", "", "simulation tier for every run: cycle-accurate (default) or sampled")
 	)
 	flag.Parse()
+
+	// exp.Options reads a zero budget or seed as "use the default", which
+	// on the command line would run something other than what was asked.
+	if *insts == 0 {
+		fmt.Fprintln(os.Stderr, "paperexp: -insts must be positive")
+		os.Exit(2)
+	}
+	if *seed == 0 {
+		fmt.Fprintln(os.Stderr, "paperexp: -seed must be nonzero")
+		os.Exit(2)
+	}
 
 	opts := exp.Options{
 		MaxInsts:         *insts,

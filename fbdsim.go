@@ -29,19 +29,16 @@
 //
 // Run accepts functional options for the cross-cutting concerns —
 // WithTrace (per-request pipeline tracing), WithFault (fault injection),
-// WithProgress (liveness callbacks), WithFidelity (a sampled estimate
-// instead of the cycle-accurate run; the only other tier):
+// WithFidelity (a sampled estimate instead of the cycle-accurate run; the
+// only other tier):
 //
 //	res, err := fbdsim.Run(ctx, cfg, benchmarks,
-//		fbdsim.WithFault(fbdsim.FaultConfig{SouthErrorRate: 1e-7}),
-//		fbdsim.WithProgress(func(p fbdsim.Progress) { log.Println(p.Cycle) }))
-//
-// Parameter sweeps — grids of configurations × workloads × seeds with
-// bounded parallelism, result caching and journal-based resume — are the
-// internal/sweep engine, exposed through cmd/paperexp.
+//		fbdsim.WithFault(fbdsim.FaultConfig{SouthErrorRate: 1e-7}))
 //
 // The experiment harness that regenerates every table and figure of the
-// paper lives in internal/exp and is exposed through cmd/paperexp.
+// paper lives in internal/exp and is exposed through cmd/paperexp. Each
+// figure is a grid of configurations × workloads that the harness runs
+// with bounded parallelism, result caching and journal-based resume.
 package fbdsim
 
 import (
@@ -128,9 +125,6 @@ type TraceConfig = config.Trace
 // FaultConfig configures the deterministic fault injector (see WithFault).
 type FaultConfig = config.Fault
 
-// Progress is the liveness snapshot delivered to a WithProgress callback.
-type Progress = system.Progress
-
 // Fidelity selects the simulation tier of one Run call; see WithFidelity.
 type Fidelity = fidelity.Tier
 
@@ -151,7 +145,6 @@ type Option func(*runSettings)
 type runSettings struct {
 	cfg      Config
 	fidelity Fidelity
-	progress func(Progress)
 }
 
 // WithTrace enables the memtrace recorder for this run with settings t
@@ -174,14 +167,6 @@ func WithFault(f FaultConfig) Option {
 	}
 }
 
-// WithProgress delivers liveness snapshots to fn at simulation boundary
-// checks (at most once per 1024 executed CPU cycles). fn runs on the
-// simulation goroutine: keep it fast and non-blocking. It observes state
-// only and cannot perturb results.
-func WithProgress(fn func(Progress)) Option {
-	return func(s *runSettings) { s.progress = fn }
-}
-
 // WithFidelity runs at tier t instead of full cycle-accurate detail:
 // Sampled interleaves functional fast-forward with detailed measured
 // windows (~10-50x cheaper, <2% IPC error, confidence interval in
@@ -197,7 +182,7 @@ func WithFidelity(t Fidelity) Option {
 // cycle-batch granularity (1024 CPU cycles), so cancelling an in-flight
 // run stops it within milliseconds of wall time; on cancellation the
 // returned error is ctx.Err(). Options layer tracing, fault injection and
-// progress reporting onto the run without dedicated entry points:
+// the sampled tier onto the run without dedicated entry points:
 //
 //	res, err := fbdsim.Run(ctx, cfg, []string{"swim"}, fbdsim.WithTrace(fbdsim.TraceConfig{}))
 func Run(ctx context.Context, cfg Config, benchmarks []string, opts ...Option) (Results, error) {
@@ -213,7 +198,7 @@ func Run(ctx context.Context, cfg Config, benchmarks []string, opts ...Option) (
 			return Results{}, errors.New("fbdsim: tracing and fault injection require cycle-accurate fidelity")
 		}
 	}
-	return fidelity.Run(ctx, s.fidelity, s.cfg, benchmarks, system.Options{Progress: s.progress})
+	return fidelity.Run(ctx, s.fidelity, s.cfg, benchmarks)
 }
 
 // LoadConfig reads and validates a JSON configuration file. Fields missing

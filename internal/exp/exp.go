@@ -1,11 +1,12 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (Section 5). Each FigureN function declares the grid of configurations ×
-// workloads that figure varies as a sweep spec and executes it through the
-// internal/sweep engine: bounded parallelism, single-flight result
-// caching shared across figures (the FBD baseline appears in Figures 4, 7,
-// 9, 10, 12 and 13 but simulates once), and — when Options.Journal is set —
-// per-sweep checkpoint journals so an interrupted suite resumes without
-// recomputing completed points.
+// workloads that figure varies and runs it as a sweep through its Runner,
+// the one executor of every simulation in a suite: bounded parallelism,
+// single-flight result caching shared across figures (the FBD baseline
+// appears in Figures 4, 7, 9, 10, 12 and 13 but simulates once), and —
+// when Options.Journal is set — per-sweep checkpoint journals
+// (internal/sweep) so an interrupted suite resumes without recomputing
+// completed points.
 package exp
 
 import (
@@ -17,6 +18,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -141,13 +143,19 @@ func QuickWorkloads() []workload.Workload {
 	return ws
 }
 
-// Runner executes simulations through the sweep engine's single-flight
-// cache: identical requests — within a figure, across figures, or across a
-// figure sweep and a direct Run call — simulate once.
+// Runner executes every simulation of a suite — direct Run calls and figure
+// sweeps alike — through one single-flight result cache and one
+// parallelism bound: identical requests, within a figure, across figures,
+// or across a figure sweep and a direct Run call, simulate once.
 type Runner struct {
 	opts  Options
 	cache *sweep.Cache
-	sem   chan struct{}
+	// sem bounds concurrently running simulations at Options.Parallel. A
+	// request takes a slot only on a cache miss.
+	sem chan struct{}
+	// sim is the simulator behind the cache, fidelity.Run; tests
+	// substitute fakes.
+	sim func(ctx context.Context, t fidelity.Tier, cfg config.Config, benchmarks []string) (system.Results, error)
 
 	// Cache accounting (see Summary): misses are actual simulations,
 	// hits are requests served from (or coalesced onto) a prior run.
@@ -173,6 +181,7 @@ func NewRunner(opts Options) *Runner {
 		opts:  o,
 		cache: sweep.NewCache(),
 		sem:   make(chan struct{}, o.Parallel),
+		sim:   fidelity.Run,
 	}
 	r.abortCtx, r.abortCancel = context.WithCancel(context.Background())
 	return r
@@ -192,29 +201,6 @@ func (r *Runner) normalize(cfg config.Config, cores int) config.Config {
 	return cfg
 }
 
-// simulate is the Runner's sweep.RunFunc: fidelity.Run behind the global
-// parallelism bound, with wall-time and miss accounting and the
-// AbortAfterPoints kill switch.
-func (r *Runner) simulate(ctx context.Context, tier fidelity.Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return system.Results{}, ctx.Err()
-	}
-	defer func() { <-r.sem }()
-	start := time.Now()
-	res, err := fidelity.Run(ctx, tier, cfg, benchmarks, opts)
-	r.simNanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		return res, err
-	}
-	r.misses.Add(1)
-	if n := r.opts.AbortAfterPoints; n > 0 && r.misses.Load() >= int64(n) {
-		r.abortCancel()
-	}
-	return res, nil
-}
-
 // Run simulates cfg on the benchmark mix, memoized. The Runner's
 // instruction budgets and seed override the config's.
 func (r *Runner) Run(cfg config.Config, benchmarks []string) (system.Results, error) {
@@ -228,9 +214,43 @@ func (r *Runner) Run(cfg config.Config, benchmarks []string) (system.Results, er
 // concurrent waiters coalesced onto a cancelled run observe its error.
 func (r *Runner) RunContext(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
 	cfg = r.normalize(cfg, len(benchmarks))
-	tier := fidelity.Tier(r.opts.Fidelity)
-	res, hit, err := r.cache.Do(ctx, fidelity.Key(tier, cfg, benchmarks), func() (system.Results, error) {
-		return r.simulate(ctx, tier, cfg, benchmarks, system.Options{})
+	return r.do(ctx, fidelity.Key(fidelity.Tier(r.opts.Fidelity), cfg, benchmarks), cfg, benchmarks, func() {})
+}
+
+// do is the one path every simulation request takes, under its cache key
+// and with cfg already normalized. A cached result, or an identical run
+// already in flight, answers it as a hit. A miss waits for a slot of the
+// parallelism bound and simulates, with wall-time and miss accounting and
+// the AbortAfterPoints kill switch. admitted is called once the request
+// holds a slot or has found it needs none; sweeps use it to dispatch their
+// points in grid order.
+func (r *Runner) do(ctx context.Context, key string, cfg config.Config, benchmarks []string, admitted func()) (system.Results, error) {
+	admit := sync.OnceFunc(admitted)
+	defer admit()
+	res, hit, err := r.cache.Do(ctx, key, func() (system.Results, error) {
+		// With a slot free, select would pick it over an ended ctx half
+		// the time and start a simulation after an AbortAfterPoints cut.
+		if err := ctx.Err(); err != nil {
+			return system.Results{}, err
+		}
+		select {
+		case r.sem <- struct{}{}:
+		case <-ctx.Done():
+			return system.Results{}, ctx.Err()
+		}
+		defer func() { <-r.sem }()
+		admit()
+		start := time.Now()
+		res, err := r.sim(ctx, fidelity.Tier(r.opts.Fidelity), cfg, benchmarks)
+		r.simNanos.Add(time.Since(start).Nanoseconds())
+		if err != nil {
+			return res, err
+		}
+		r.misses.Add(1)
+		if n := r.opts.AbortAfterPoints; n > 0 && r.misses.Load() >= int64(n) {
+			r.abortCancel()
+		}
+		return res, nil
 	})
 	if hit {
 		r.hits.Add(1)
@@ -238,46 +258,97 @@ func (r *Runner) RunContext(ctx context.Context, cfg config.Config, benchmarks [
 	return res, err
 }
 
-// sweep executes a named grid through the sweep engine against the
-// Runner's shared cache and returns the points in grid order. With
-// Options.Journal set the sweep checkpoints to (and resumes from) a
-// journal file keyed by the spec fingerprint. The first failing point
-// aborts with its error; an AbortAfterPoints cut returns ErrAborted.
+// sweep runs the grid cfgs × ws (config-major, then workload) and returns
+// its points in grid order. With Options.Journal set, it checkpoints to a
+// journal file keyed by the grid's fingerprint: points an earlier run
+// journaled are replayed into the cache instead of simulated, and every
+// fresh point is appended. The rest run concurrently through do,
+// dispatched in grid order. The first failing point in grid order aborts
+// the sweep with its error; an AbortAfterPoints cut returns ErrAborted.
 func (r *Runner) sweep(name string, cfgs []sweep.NamedConfig, ws []workload.Workload) ([]sweep.Point, error) {
-	spec := sweep.Spec{
-		Name:        name,
-		Configs:     cfgs,
-		Workloads:   ws,
-		Seeds:       []int64{r.opts.Seed},
-		MaxInsts:    r.opts.MaxInsts,
-		WarmupInsts: r.opts.WarmupInsts,
-		Parallel:    r.opts.Parallel,
-		Fidelity:    r.opts.Fidelity,
-	}
+	var (
+		j        *sweep.Journal
+		replayed map[int]sweep.Point
+	)
 	if r.opts.Journal != "" {
-		spec.Journal = filepath.Join(r.opts.Journal,
-			fmt.Sprintf("%s-%.12s.ndjson", name, spec.Fingerprint()))
+		fp := sweep.Spec{
+			Name:        name,
+			Configs:     cfgs,
+			Workloads:   ws,
+			Seed:        r.opts.Seed,
+			MaxInsts:    r.opts.MaxInsts,
+			WarmupInsts: r.opts.WarmupInsts,
+			Fidelity:    r.opts.Fidelity,
+		}.Fingerprint()
+		var err error
+		j, replayed, err = sweep.OpenJournal(filepath.Join(r.opts.Journal, fmt.Sprintf("%s-%.12s.ndjson", name, fp)), name, fp)
+		if err != nil {
+			return nil, err
+		}
+		defer j.Close()
 	}
-	eng, err := sweep.New(spec, sweep.Options{Run: r.simulate, Cache: r.cache})
-	if err != nil {
-		return nil, err
-	}
-	ch, err := eng.Start(r.abortCtx)
-	if err != nil {
-		return nil, err
-	}
-	pts := sweep.Collect(ch)
-	r.hits.Add(int64(eng.Progress().CacheHits))
-	for _, p := range pts {
-		if p.Err != "" {
-			return pts, fmt.Errorf("exp: sweep %s point %s/%s: %s", name, p.Config, p.Workload, p.Err)
+
+	// Fresh points wait for the whole grid to be built, so every replayed
+	// point is cached before anything simulates. Then each waits until the
+	// one before it holds a slot or has found it needs none, so the
+	// simulations start in grid order.
+	tier := fidelity.Tier(r.opts.Fidelity)
+	pts := make([]sweep.Point, 0, len(cfgs)*len(ws))
+	errs := make([]error, cap(pts))
+	var wg sync.WaitGroup
+	built := make(chan struct{})
+	prev := built
+	for _, nc := range cfgs {
+		for _, w := range ws {
+			cfg := r.normalize(nc.Config, len(w.Benchmarks))
+			i := len(pts)
+			pts = append(pts, sweep.Point{
+				Index:    i,
+				Config:   nc.Name,
+				Workload: w.Name,
+				Seed:     cfg.Seed,
+				Key:      fidelity.Key(tier, cfg, w.Benchmarks),
+				Fidelity: r.opts.Fidelity,
+			})
+			// A journaled point is kept only if its key still matches its
+			// grid slot — a defense in depth behind the fingerprint check.
+			if p, ok := replayed[i]; ok && p.Key == pts[i].Key {
+				pts[i] = p
+				r.cache.Put(p.Key, p.Results)
+				continue
+			}
+			next := make(chan struct{})
+			wg.Add(1)
+			go func(prev <-chan struct{}) {
+				defer wg.Done()
+				<-prev
+				res, err := r.do(r.abortCtx, pts[i].Key, cfg, w.Benchmarks, func() { close(next) })
+				if err == nil {
+					res, err = sweep.Canonicalize(res)
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				pts[i].Results = res
+				if j != nil {
+					j.Append(pts[i])
+				}
+			}(prev)
+			prev = next
 		}
 	}
-	if len(pts) < eng.Total() {
-		if r.abortCtx.Err() != nil {
-			return pts, ErrAborted
+	close(built)
+	wg.Wait()
+
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, context.Canceled) && r.abortCtx.Err() != nil:
+			return nil, ErrAborted
+		default:
+			return nil, fmt.Errorf("exp: sweep %s point %s/%s: %w", name, pts[i].Config, pts[i].Workload, err)
 		}
-		return pts, fmt.Errorf("exp: sweep %s incomplete: %d of %d points", name, len(pts), eng.Total())
 	}
 	return pts, nil
 }

@@ -8,7 +8,6 @@ import (
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
 	"fbdsim/internal/fidelity"
-	"fbdsim/internal/system"
 	"fbdsim/internal/workload"
 )
 
@@ -567,7 +566,7 @@ func ExtensionTieredFidelity(r *Runner) (E8Data, error) {
 			row := E8Row{System: sys.name, Workload: w.Name}
 
 			start := time.Now()
-			full, err := fidelity.Run(ctx, fidelity.CycleAccurate, cfg, w.Benchmarks, system.Options{})
+			full, err := fidelity.Run(ctx, fidelity.CycleAccurate, cfg, w.Benchmarks)
 			if err != nil {
 				return d, err
 			}
@@ -575,7 +574,7 @@ func ExtensionTieredFidelity(r *Runner) (E8Data, error) {
 			row.FullIPC = full.TotalIPC()
 
 			start = time.Now()
-			smp, err := fidelity.Run(ctx, fidelity.Sampled, cfg, w.Benchmarks, system.Options{})
+			smp, err := fidelity.Run(ctx, fidelity.Sampled, cfg, w.Benchmarks)
 			if err != nil {
 				return d, err
 			}

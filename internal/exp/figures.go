@@ -328,8 +328,8 @@ func variantConfigs(vs []PrefetcherVariant) []sweep.NamedConfig {
 
 // Figure8 reproduces Figure 8: coverage (#prefetch_hit/#read) and
 // efficiency (#prefetch_hit/#prefetch) across prefetcher variants,
-// aggregated over the workload set. The figure is one sweep spec —
-// variants × workloads — executed by the sweep engine.
+// aggregated over the workload set. The figure is one sweep: variants ×
+// workloads.
 func Figure8(r *Runner) (Figure8Data, error) {
 	var d Figure8Data
 	pts, err := r.sweep("figure8", variantConfigs(Figure8Variants()), r.opts.Workloads)

@@ -4,8 +4,9 @@
 // fast-forward, ~10-50x cheaper at <2% IPC error). The tier is pure data —
 // a string that travels through configuration files, sweep specs and
 // journals — and this package is the single place it is parsed,
-// cache-keyed and executed, so every layer (fbdsim.Run options, sweep
-// shards, the experiment harness) agrees on what each tier means.
+// cache-keyed and executed, so every layer (fbdsim.Run options, the
+// experiment harness and its sweep journals) agrees on what each tier
+// means.
 package fidelity
 
 import (
@@ -85,20 +86,17 @@ func Key(t Tier, cfg config.Config, benchmarks []string) string {
 	return string(t) + ":" + fp
 }
 
-// Run executes one simulation request at tier t under the engine options
-// opts. It is the single run function above the engine: every layer that
-// runs simulations (fbdsim.Run, sweep shards, the experiment harness)
-// goes through it or through a wrapper of it. Sampled results carry a
-// non-nil Results.Estimate describing the estimation (tier name,
-// confidence interval, cost accounting); cycle-accurate results do not,
-// which is itself the marker of full detail.
-//
-// Only cycle-accurate runs act on opts: the sampled tier steps its machine
-// through measured windows and ignores Progress.
-func Run(ctx context.Context, t Tier, cfg config.Config, benchmarks []string, opts system.Options) (system.Results, error) {
+// Run executes one simulation request at tier t. It is the single run
+// function above the engine: every layer that runs simulations (fbdsim.Run
+// and the experiment harness, figure sweeps included) goes through it.
+// Sampled results carry a non-nil Results.Estimate describing the
+// estimation (tier name, confidence interval, cost accounting);
+// cycle-accurate results do not, which is itself the marker of full
+// detail.
+func Run(ctx context.Context, t Tier, cfg config.Config, benchmarks []string) (system.Results, error) {
 	switch t {
 	case "", CycleAccurate:
-		return system.RunWorkload(ctx, cfg, benchmarks, opts)
+		return system.RunWorkload(ctx, cfg, benchmarks)
 	case Sampled:
 		return sample.Run(ctx, cfg, benchmarks, sample.Options{})
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fbdsim/internal/config"
-	"fbdsim/internal/system"
 )
 
 func TestParse(t *testing.T) {
@@ -59,17 +58,17 @@ func TestRunDispatch(t *testing.T) {
 	cfg.WarmupInsts = 10_000
 	ctx := context.Background()
 
-	if _, err := Run(ctx, "nope", cfg, []string{"swim"}, system.Options{}); err == nil {
+	if _, err := Run(ctx, "nope", cfg, []string{"swim"}); err == nil {
 		t.Fatal("unknown tier must error")
 	}
-	full, err := Run(ctx, CycleAccurate, cfg, []string{"swim"}, system.Options{})
+	full, err := Run(ctx, CycleAccurate, cfg, []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Estimate != nil {
 		t.Error("cycle-accurate results must not carry an Estimate")
 	}
-	sampled, err := Run(ctx, Sampled, cfg, []string{"swim"}, system.Options{})
+	sampled, err := Run(ctx, Sampled, cfg, []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,11 @@
 // Results whose headline IPC carries a batch-means 95% confidence interval
 // (Results.Estimate).
 //
-// Cost/accuracy contract (enforced by this package's property tests and the
-// committed BENCH_sampled.json): on the seed workloads the default options
-// simulate 10-50x fewer instructions in detail than a full run while
-// keeping total-IPC error under 2%.
+// Cost/accuracy contract (enforced by this package's property test
+// TestSampledAccuracy, which CI runs in full as the tier's accuracy gate):
+// on the seed workloads the default options simulate 10-50x fewer
+// instructions in detail than a full run while keeping total-IPC error
+// under 2%.
 package sample
 
 import (

@@ -10,11 +10,13 @@ import (
 )
 
 // accuracyCase is one seed workload × configuration point of the sampling
-// contract.
+// contract. maxErrPct, when set, is a tighter per-case bound on the IPC
+// error than the contract's 2%.
 type accuracyCase struct {
 	name       string
 	cfg        config.Config
 	benchmarks []string
+	maxErrPct  float64
 }
 
 func accuracyCases(short bool) []accuracyCase {
@@ -22,14 +24,21 @@ func accuracyCases(short bool) []accuracyCase {
 	ap := config.WithAMBPrefetch(config.Default())
 	ddr2 := config.DDR2Baseline()
 	cases := []accuracyCase{
-		{"fbd-ap/swim", ap, []string{"swim"}},
-		{"fbd/vpr", fbd, []string{"vpr"}},
+		{"fbd-ap/swim", ap, []string{"swim"}, 0},
+		{"fbd/vpr", fbd, []string{"vpr"}, 0},
 	}
 	if !short {
 		cases = append(cases,
-			accuracyCase{"ddr2/swim", ddr2, []string{"swim"}},
-			accuracyCase{"fbd-ap/2C-1", ap, []string{"wupwise", "swim"}},
-			accuracyCase{"fbd/4C-1", fbd, []string{"wupwise", "swim", "mgrid", "applu"}},
+			accuracyCase{"ddr2/swim", ddr2, []string{"swim"}, 0},
+			accuracyCase{"fbd-ap/2C-1", ap, []string{"wupwise", "swim"}, 0},
+			accuracyCase{"fbd/4C-1", fbd, []string{"wupwise", "swim", "mgrid", "applu"}, 0},
+			// The sampler's accuracy gate: 1.25x the errors measured
+			// at these budgets (swim 0.4730%, mcf 0.1722%, art
+			// 0.4055%; deterministic), so a sampler change that loses
+			// more than a quarter of its accuracy here fails.
+			accuracyCase{"fbd/swim", fbd, []string{"swim"}, 0.591},
+			accuracyCase{"fbd/mcf", fbd, []string{"mcf"}, 0.215},
+			accuracyCase{"fbd/art", fbd, []string{"art"}, 0.507},
 		)
 	}
 	return cases
@@ -37,8 +46,8 @@ func accuracyCases(short bool) []accuracyCase {
 
 // TestSampledAccuracy is the tier's property test: on seed workloads the
 // sampled estimate must stay within 2% total-IPC error of the full
-// cycle-accurate run while simulating at least 10x (and at most 50x) fewer
-// instructions in detail.
+// cycle-accurate run (within maxErrPct where a case sets it) while
+// simulating at least 10x (and at most 50x) fewer instructions in detail.
 func TestSampledAccuracy(t *testing.T) {
 	for _, tc := range accuracyCases(testing.Short()) {
 		tc := tc
@@ -51,7 +60,7 @@ func TestSampledAccuracy(t *testing.T) {
 			// span cannot provide at a >=10x detail reduction.
 			cfg.MaxInsts = 2_000_000
 			cfg.WarmupInsts = 100_000
-			full, err := system.RunWorkload(context.Background(), cfg, tc.benchmarks, system.Options{})
+			full, err := system.RunWorkload(context.Background(), cfg, tc.benchmarks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,11 +74,14 @@ func TestSampledAccuracy(t *testing.T) {
 			errPct := 100 * math.Abs(est.TotalIPC()-full.TotalIPC()) / full.TotalIPC()
 			span := cfg.WarmupInsts + cfg.MaxInsts
 			reduction := float64(span) / float64(est.Estimate.DetailedInsts)
-			t.Logf("full IPC %.4f  sampled %.4f ± %.4f  err %.2f%%  detail reduction %.1fx (detailed %d / span %d, windows %d)",
+			t.Logf("full IPC %.4f  sampled %.4f ± %.4f  err %.4f%%  detail reduction %.1fx (detailed %d / span %d, windows %d)",
 				full.TotalIPC(), est.TotalIPC(), est.Estimate.CI95, errPct,
 				reduction, est.Estimate.DetailedInsts, span, est.Estimate.Windows)
 			if errPct >= 2.0 {
 				t.Errorf("IPC error %.2f%% >= 2%%", errPct)
+			}
+			if tc.maxErrPct > 0 && errPct > tc.maxErrPct {
+				t.Errorf("IPC error %.4f%% above this case's bound %.3f%%", errPct, tc.maxErrPct)
 			}
 			if reduction < 10 || reduction > 50 {
 				t.Errorf("detailed-instruction reduction %.1fx outside the 10-50x contract", reduction)

@@ -9,9 +9,10 @@ import (
 
 // Cache is a goroutine-safe, unbounded cache of completed simulation
 // results with single-flight execution: concurrent Do calls for the same
-// key run the simulation once and share the outcome. Its callers, the sweep
-// engine and the exp.Runner memo cache, key it by fidelity.Key, so one
-// function names a simulation request everywhere.
+// key run the simulation once and share the outcome. Its caller, exp.Runner,
+// keys it by fidelity.Key for every request (direct runs, sweep points and
+// journal replay alike), so one function names a simulation request
+// everywhere.
 type Cache struct {
 	mu     sync.Mutex
 	items  map[string]system.Results

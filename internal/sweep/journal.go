@@ -15,7 +15,7 @@ import (
 // identifying the sweep spec, then one line per successfully completed
 // point, fsynced after each append. A sweep killed at any moment — even
 // mid-write — resumes by replaying every fully written line and truncating
-// the partial tail; replayed points are emitted without re-simulating, and
+// the partial tail; replayed points are returned without re-simulating, and
 // because points are canonicalized before journaling, the merged result
 // set is bit-identical to an uninterrupted run.
 
@@ -36,7 +36,7 @@ type journalHeader struct {
 const journalVersion = 1
 
 // Journal is the append side; opening also replays existing points.
-// Appends are serialized: worker goroutines checkpoint concurrently.
+// Appends are serialized: a sweep's points checkpoint concurrently.
 type Journal struct {
 	mu sync.Mutex
 	f  *os.File
@@ -128,7 +128,7 @@ func OpenJournal(path, name, fingerprint string) (*Journal, map[int]Point, error
 }
 
 // Append checkpoints one completed point. Journal failures are deliberately
-// non-fatal to the sweep — the point was computed and is emitted either
+// non-fatal to the sweep — the point was computed and is returned either
 // way; the worst outcome of a failed append is recomputation on resume.
 func (j *Journal) Append(p Point) {
 	j.mu.Lock()

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -12,36 +11,15 @@ import (
 	"testing"
 )
 
-// runJournaled executes spec against fakeRun with its journal at path and
-// returns the collected points.
-func runJournaled(t *testing.T, spec Spec, path string) []Point {
-	t.Helper()
-	spec.Journal = path
-	eng, err := New(spec, Options{Run: fakeRun})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ch, err := eng.Start(context.Background())
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	return Collect(ch)
-}
-
 // A writer that dies mid-record after earlier fsynced appends leaves a
 // torn tail behind a valid prefix. Reopening must replay the prefix,
-// truncate the tear, and a resumed sweep must produce results identical
-// to an unbroken run.
+// truncate the tear, and the replayed points must be identical to the
+// ones written.
 func TestJournalTornTailAfterFsync(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.ndjson")
-	spec := testSpec(2, 2) // 4 points
-
-	ref := runJournaled(t, spec, filepath.Join(dir, "ref.ndjson"))
-	full := runJournaled(t, spec, path)
-	if !reflect.DeepEqual(ref, full) {
-		t.Fatal("journaled run differs from reference before any damage")
-	}
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	spec := testSpec(2, 2)
+	ref := testPoints(t, 4)
+	writeJournal(t, spec, path, ref)
 
 	// Simulate the crash: the (closed, i.e. lock-free) journal gains a
 	// partial record — valid JSON prefix, no terminating newline — as if
@@ -56,24 +34,13 @@ func TestJournalTornTailAfterFsync(t *testing.T) {
 	damaged.Close()
 	tornSize := fileSize(t, path)
 
-	// Reopen: every fsynced point replays, the tear is truncated away.
-	spec.Journal = path
-	j, pts, err := OpenJournal(path, spec.Name, spec.Fingerprint())
-	if err != nil {
-		t.Fatalf("OpenJournal on torn journal: %v", err)
+	// Reopen: every fsynced point replays bit-identically, and the tear
+	// is truncated away.
+	if got := replay(t, spec, path); !reflect.DeepEqual(got, ref) {
+		t.Fatal("replayed points differ from the ones written")
 	}
-	if len(pts) != len(ref) {
-		t.Fatalf("replayed %d points, want %d", len(pts), len(ref))
-	}
-	j.Close()
 	if got := fileSize(t, path); got >= tornSize {
 		t.Fatalf("torn tail not truncated: size %d, want < %d", got, tornSize)
-	}
-
-	// And the resumed sweep is bit-identical to the reference.
-	resumed := runJournaled(t, spec, path)
-	if !reflect.DeepEqual(ref, resumed) {
-		t.Fatal("resumed sweep differs from unbroken reference")
 	}
 }
 
@@ -81,10 +48,10 @@ func TestJournalTornTailAfterFsync(t *testing.T) {
 // records behind it: replay keeps the prefix only and truncates from the
 // corruption on, never resurrecting the suffix.
 func TestJournalCorruptRecordDropsSuffix(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.ndjson")
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
 	spec := testSpec(2, 2)
-	ref := runJournaled(t, spec, path)
+	ref := testPoints(t, 4)
+	writeJournal(t, spec, path, ref)
 
 	// Split the file after the header + first two point lines, splice in
 	// a corrupt record, and re-append the remaining valid lines.
@@ -108,13 +75,8 @@ func TestJournalCorruptRecordDropsSuffix(t *testing.T) {
 		t.Fatalf("rewrite journal: %v", err)
 	}
 
-	j, pts, err := OpenJournal(path, spec.Name, spec.Fingerprint())
-	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
-	}
-	j.Close()
-	if len(pts) != 2 {
-		t.Fatalf("replayed %d points, want only the 2 before the corruption", len(pts))
+	if got := replay(t, spec, path); !reflect.DeepEqual(got, ref[:2]) {
+		t.Fatalf("replayed %d points, want only the 2 before the corruption", len(got))
 	}
 	// The corrupt record and the valid-looking suffix behind it are gone.
 	var wantSize int64
@@ -125,9 +87,17 @@ func TestJournalCorruptRecordDropsSuffix(t *testing.T) {
 		t.Fatalf("journal size %d after truncation, want %d", got, wantSize)
 	}
 
-	resumed := runJournaled(t, spec, path)
-	if !reflect.DeepEqual(ref, resumed) {
-		t.Fatal("resumed sweep differs from reference after corruption recovery")
+	// A resumed sweep recomputes the dropped points and appends them.
+	j, _, err := OpenJournal(path, spec.Name, spec.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ref[2:] {
+		j.Append(p)
+	}
+	j.Close()
+	if got := replay(t, spec, path); !reflect.DeepEqual(got, ref) {
+		t.Fatal("resumed journal differs from reference after corruption recovery")
 	}
 }
 
@@ -175,7 +145,7 @@ func TestJournalSecondOpenerFailsClosed(t *testing.T) {
 func TestJournalLockReleasedOnClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.ndjson")
 	spec := testSpec(1, 1)
-	_ = runJournaled(t, spec, path) // opens, appends, closes
+	writeJournal(t, spec, path, testPoints(t, 1)) // opens, appends, closes
 
 	j, pts, err := OpenJournal(path, spec.Name, spec.Fingerprint())
 	if err != nil {

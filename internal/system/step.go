@@ -87,7 +87,7 @@ func maxOf64(xs []int64) int64 {
 // further FunctionalAdvance/StepWindow calls continue seamlessly. The
 // window is the run's own: the System's configuration stays as built.
 func (s *System) StepWindow(ctx context.Context, ramp, measure int64) (Results, error) {
-	return s.run(ctx, Options{}, s.stepWindow(ramp, measure))
+	return s.run(ctx, s.stepWindow(ramp, measure))
 }
 
 // stepWindow is StepWindow's window. The warm-at threshold is absolute in

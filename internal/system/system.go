@@ -250,7 +250,7 @@ const checkInterval = int64(1024)
 // DESIGN.md §9 for the quiescence contract each component provides). Set
 // SIM_REFERENCE_LOOP=1 to force the reference loop.
 func (s *System) RunContext(ctx context.Context) (Results, error) {
-	return s.run(ctx, Options{}, s.fullWindow())
+	return s.run(ctx, s.fullWindow())
 }
 
 // window is the instruction span one run measures. The measurement opens
@@ -272,13 +272,11 @@ func (s *System) fullWindow() window {
 	}
 }
 
-// runState is one run's state, shared by both loops: the caller's options
-// and window, the wedge guard derived from them, and what the run has
-// reached so far.
+// runState is one run's state, shared by both loops: the caller's window,
+// the wedge guard derived from it, and what the run has reached so far.
 type runState struct {
 	ctx  context.Context
 	done <-chan struct{}
-	opts Options
 	win  window
 	// maxCycles is the wedge guard: a run still going past it has stopped
 	// making progress.
@@ -288,11 +286,10 @@ type runState struct {
 }
 
 // run executes one run of the machine from its parked cycle over window w.
-func (s *System) run(ctx context.Context, opts Options, w window) (Results, error) {
+func (s *System) run(ctx context.Context, w window) (Results, error) {
 	r := &runState{
 		ctx:       ctx,
 		done:      ctx.Done(),
-		opts:      opts,
 		win:       w,
 		maxCycles: s.progressBound(w.budget),
 	}
@@ -325,15 +322,12 @@ func (s *System) windowEdge(r *runState) bool {
 }
 
 // boundary runs the checks both loops make at every boundary cycle, in
-// order: cancellation, the progress report, opening or closing the
-// measured window and the wedge guard. stop reports that the run ends here
+// order: cancellation, opening or closing the measured window and the
+// wedge guard. stop reports that the run ends here
 // with res and err.
 func (s *System) boundary(r *runState, cycle int64) (res Results, stop bool, err error) {
 	if r.cancelled() {
 		return Results{}, true, r.ctx.Err()
-	}
-	if r.opts.Progress != nil {
-		r.opts.Progress(Progress{Cycle: cycle, Committed: s.minCommitted(), Warm: r.warm != nil})
 	}
 	if s.windowEdge(r) {
 		if r.warm != nil {
@@ -667,12 +661,12 @@ func (s *System) results(w *warmSnapshot, cycle int64) Results {
 }
 
 // RunWorkload builds a machine running one benchmark per core and runs it
-// to its instruction budget under opts. It is the engine's entry point for
-// every per-run option; ctx carries cancellation only (see RunContext).
-func RunWorkload(ctx context.Context, cfg config.Config, benchmarks []string, opts Options) (Results, error) {
+// to its instruction budget. It is the engine's one package-level entry;
+// ctx carries cancellation only (see RunContext).
+func RunWorkload(ctx context.Context, cfg config.Config, benchmarks []string) (Results, error) {
 	s, err := New(cfg, benchmarks)
 	if err != nil {
 		return Results{}, err
 	}
-	return s.run(ctx, opts, s.fullWindow())
+	return s.run(ctx, s.fullWindow())
 }

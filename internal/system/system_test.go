@@ -19,7 +19,7 @@ func quickCfg(base config.Config) config.Config {
 }
 
 func TestRunSingleCore(t *testing.T) {
-	r, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"}, Options{})
+	r, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,27 +47,27 @@ func TestRunSingleCore(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := RunWorkload(context.Background(), quickCfg(config.Default()), nil, Options{}); err == nil {
+	if _, err := RunWorkload(context.Background(), quickCfg(config.Default()), nil); err == nil {
 		t.Error("empty benchmark list must fail")
 	}
-	if _, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"doom"}, Options{}); err == nil ||
+	if _, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"doom"}); err == nil ||
 		!strings.Contains(err.Error(), "doom") {
 		t.Errorf("unknown benchmark error = %v", err)
 	}
 	bad := quickCfg(config.Default())
 	bad.Mem.DataRate = 123
-	if _, err := RunWorkload(context.Background(), bad, []string{"swim"}, Options{}); err == nil {
+	if _, err := RunWorkload(context.Background(), bad, []string{"swim"}); err == nil {
 		t.Error("invalid config must fail")
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	cfg := quickCfg(config.WithAMBPrefetch(config.Default()))
-	a, err := RunWorkload(context.Background(), cfg, []string{"mgrid", "vpr"}, Options{})
+	a, err := RunWorkload(context.Background(), cfg, []string{"mgrid", "vpr"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWorkload(context.Background(), cfg, []string{"mgrid", "vpr"}, Options{})
+	b, err := RunWorkload(context.Background(), cfg, []string{"mgrid", "vpr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestDeterminism(t *testing.T) {
 		t.Errorf("same seed, different results:\n%+v\n%+v", a, b)
 	}
 	cfg.Seed = 2
-	c, err := RunWorkload(context.Background(), cfg, []string{"mgrid", "vpr"}, Options{})
+	c, err := RunWorkload(context.Background(), cfg, []string{"mgrid", "vpr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDeterminism(t *testing.T) {
 // TestClosePageACTPREPairs: under close-page auto-precharge every
 // activation precharges, so the counts match.
 func TestClosePageACTPREPairs(t *testing.T) {
-	r, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"applu"}, Options{})
+	r, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"applu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestClosePageACTPREPairs(t *testing.T) {
 // TestAMBPrefetchImprovesStreamingWorkload: the headline claim on its most
 // favourable input.
 func TestAMBPrefetchImprovesStreamingWorkload(t *testing.T) {
-	base, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"}, Options{})
+	base, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap, err := RunWorkload(context.Background(), quickCfg(config.WithAMBPrefetch(config.Default())), []string{"swim"}, Options{})
+	ap, err := RunWorkload(context.Background(), quickCfg(config.WithAMBPrefetch(config.Default())), []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCoverageBound(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		cfg := quickCfg(config.WithAMBPrefetch(config.Default()))
 		cfg.Mem.RegionLines = k
-		r, err := RunWorkload(context.Background(), cfg, []string{"swim"}, Options{})
+		r, err := RunWorkload(context.Background(), cfg, []string{"swim"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestCoverageBound(t *testing.T) {
 // consistent.
 func TestMultiCoreResults(t *testing.T) {
 	r, err := RunWorkload(context.Background(), quickCfg(config.Default()),
-		[]string{"wupwise", "swim", "mgrid", "applu"}, Options{})
+		[]string{"wupwise", "swim", "mgrid", "applu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,13 @@ func TestMultiCoreResults(t *testing.T) {
 // TestSoftwarePrefetchToggle: turning SP off removes prefetch traffic and
 // costs performance on prefetch-friendly code.
 func TestSoftwarePrefetchToggle(t *testing.T) {
-	on, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"}, Options{})
+	on, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := quickCfg(config.Default())
 	cfg.CPU.SoftwarePrefetch = false
-	off, err := RunWorkload(context.Background(), cfg, []string{"swim"}, Options{})
+	off, err := RunWorkload(context.Background(), cfg, []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,11 @@ func TestSoftwarePrefetchToggle(t *testing.T) {
 // TestDDR2VsFBDIMMIdleLatency: the systems' average latencies reflect their
 // idle latency ordering on a light workload.
 func TestDDR2VsFBDIMMLatencyOrdering(t *testing.T) {
-	ddr, err := RunWorkload(context.Background(), quickCfg(config.DDR2Baseline()), []string{"parser"}, Options{})
+	ddr, err := RunWorkload(context.Background(), quickCfg(config.DDR2Baseline()), []string{"parser"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbd, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"parser"}, Options{})
+	fbd, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"parser"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestDDR2VsFBDIMMLatencyOrdering(t *testing.T) {
 // streaming workload.
 func TestAPFLSitsBetween(t *testing.T) {
 	run := func(cfg config.Config) float64 {
-		r, err := RunWorkload(context.Background(), quickCfg(cfg), []string{"swim", "applu"}, Options{})
+		r, err := RunWorkload(context.Background(), quickCfg(cfg), []string{"swim", "applu"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestAPFLSitsBetween(t *testing.T) {
 func TestVRLRuns(t *testing.T) {
 	cfg := quickCfg(config.WithAMBPrefetch(config.Default()))
 	cfg.Mem.VRL = true
-	r, err := RunWorkload(context.Background(), cfg, []string{"swim"}, Options{})
+	r, err := RunWorkload(context.Background(), cfg, []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestPageInterleaveOpenPageRuns(t *testing.T) {
 	cfg := quickCfg(config.Default())
 	cfg.Mem.Interleave = config.PageInterleave
 	cfg.Mem.PageMode = config.OpenPage
-	r, err := RunWorkload(context.Background(), cfg, []string{"applu"}, Options{})
+	r, err := RunWorkload(context.Background(), cfg, []string{"applu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAPWithPageInterleave(t *testing.T) {
 	cfg := quickCfg(config.WithAMBPrefetch(config.Default()))
 	cfg.Mem.Interleave = config.PageInterleave
 	cfg.Mem.PageMode = config.OpenPage
-	r, err := RunWorkload(context.Background(), cfg, []string{"swim"}, Options{})
+	r, err := RunWorkload(context.Background(), cfg, []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,13 +289,13 @@ func TestAPWithPageInterleave(t *testing.T) {
 func TestHardwarePrefetchExtension(t *testing.T) {
 	base := quickCfg(config.Default())
 	base.CPU.SoftwarePrefetch = false
-	off, err := RunWorkload(context.Background(), base, []string{"swim"}, Options{})
+	off, err := RunWorkload(context.Background(), base, []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hw := base
 	hw.CPU.HardwarePrefetch = true
-	on, err := RunWorkload(context.Background(), hw, []string{"swim"}, Options{})
+	on, err := RunWorkload(context.Background(), hw, []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,13 +314,13 @@ func TestHardwarePrefetchExtension(t *testing.T) {
 // a lot, and the run completes.
 func TestRefreshExtension(t *testing.T) {
 	base := quickCfg(config.Default())
-	off, err := RunWorkload(context.Background(), base, []string{"applu"}, Options{})
+	off, err := RunWorkload(context.Background(), base, []string{"applu"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := base
 	ref.Mem.RefreshEnabled = true
-	on, err := RunWorkload(context.Background(), ref, []string{"applu"}, Options{})
+	on, err := RunWorkload(context.Background(), ref, []string{"applu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestRefreshExtension(t *testing.T) {
 // TestLatencyPercentilesOrdered: the histogram wiring produces a sane
 // distribution.
 func TestLatencyPercentilesOrdered(t *testing.T) {
-	r, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"}, Options{})
+	r, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +359,11 @@ func TestLatencyPercentilesOrdered(t *testing.T) {
 // directly: the AMB cache absorbs reads that would otherwise conflict in
 // the DRAM banks.
 func TestAMBPrefetchReducesBankConflicts(t *testing.T) {
-	base, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim", "applu"}, Options{})
+	base, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim", "applu"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap, err := RunWorkload(context.Background(), quickCfg(config.WithAMBPrefetch(config.Default())), []string{"swim", "applu"}, Options{})
+	ap, err := RunWorkload(context.Background(), quickCfg(config.WithAMBPrefetch(config.Default())), []string{"swim", "applu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,11 +379,11 @@ func TestAMBPrefetchReducesBankConflicts(t *testing.T) {
 // raises read-link utilization on a bandwidth-hungry mix (Figure 10's
 // mechanism).
 func TestLinkUtilizationSane(t *testing.T) {
-	base, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim", "applu"}, Options{})
+	base, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim", "applu"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap, err := RunWorkload(context.Background(), quickCfg(config.WithAMBPrefetch(config.Default())), []string{"swim", "applu"}, Options{})
+	ap, err := RunWorkload(context.Background(), quickCfg(config.WithAMBPrefetch(config.Default())), []string{"swim", "applu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestArtCacheCliff(t *testing.T) {
 		cfg.CPU.L2KB = l2KB
 		cfg.MaxInsts = 400_000 // long enough to loop over art's footprint
 		cfg.WarmupInsts = 250_000
-		r, err := RunWorkload(context.Background(), cfg, []string{"art"}, Options{})
+		r, err := RunWorkload(context.Background(), cfg, []string{"art"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,11 +427,11 @@ func TestArtCacheCliff(t *testing.T) {
 // TestMcfLowIPC reproduces the other §4.2 exclusion: mcf's dependent
 // pointer chasing yields by far the lowest IPC of any program.
 func TestMcfLowIPC(t *testing.T) {
-	mcf, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"mcf"}, Options{})
+	mcf, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"mcf"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	swim, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"}, Options{})
+	swim, err := RunWorkload(context.Background(), quickCfg(config.Default()), []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunWorkload(ctx, cfg, []string{"swim"}, Options{})
+		_, err := RunWorkload(ctx, cfg, []string{"swim"})
 		done <- err
 	}()
 	// Let the simulation get going, then cancel and time the stop.
@@ -472,7 +472,7 @@ func TestRunContextCancellation(t *testing.T) {
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunWorkload(ctx, quickCfg(config.Default()), []string{"swim"}, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := RunWorkload(ctx, quickCfg(config.Default()), []string{"swim"}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled context: err = %v, want Canceled", err)
 	}
 }
@@ -487,7 +487,7 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWorkload(context.Background(), cfg, []string{"vpr"}, Options{})
+	b, err := RunWorkload(context.Background(), cfg, []string{"vpr"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestStageLatenciesSumToEndToEnd(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 2; seed++ {
 				for _, b := range benches {
-					res, err := RunWorkload(context.Background(), traceTestConfig(tc.base, seed), b, Options{})
+					res, err := RunWorkload(context.Background(), traceTestConfig(tc.base, seed), b)
 					if err != nil {
 						t.Fatalf("seed %d %v: %v", seed, b, err)
 					}
@@ -84,7 +84,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxInsts = 5_000
 	cfg.WarmupInsts = 1_000
-	res, err := RunWorkload(context.Background(), cfg, []string{"swim"}, Options{})
+	res, err := RunWorkload(context.Background(), cfg, []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 // epoch's per-stage means sum to its average latency.
 func TestTraceEpochConsistency(t *testing.T) {
 	cfg := traceTestConfig(config.WithAMBPrefetch(config.Default()), 1)
-	res, err := RunWorkload(context.Background(), cfg, []string{"swim"}, Options{})
+	res, err := RunWorkload(context.Background(), cfg, []string{"swim"})
 	if err != nil {
 		t.Fatal(err)
 	}
