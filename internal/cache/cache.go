@@ -40,7 +40,7 @@ type Cache struct {
 	ways      int
 	lineBytes int64
 	lineShift uint
-	data      [][]line
+	data      []line // sets×ways: set i is data[i*ways : (i+1)*ways]
 	tick      int64
 
 	// Stats is exported for the experiment harness and tests.
@@ -64,10 +64,7 @@ func New(sizeKB, ways, lineBytes int) *Cache {
 		ways:      ways,
 		lineBytes: int64(lineBytes),
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
-		data:      make([][]line, sets),
-	}
-	for i := range c.data {
-		c.data[i] = make([]line, ways)
+		data:      make([]line, sets*ways),
 	}
 	return c
 }
@@ -76,8 +73,8 @@ func New(sizeKB, ways, lineBytes int) *Cache {
 func (c *Cache) LineAddr(addr int64) int64 { return addr &^ (c.lineBytes - 1) }
 
 func (c *Cache) set(lineAddr int64) []line {
-	idx := (lineAddr >> c.lineShift) & int64(c.sets-1)
-	return c.data[idx]
+	i := int((lineAddr>>c.lineShift)&int64(c.sets-1)) * c.ways
+	return c.data[i : i+c.ways : i+c.ways]
 }
 
 // Access looks up addr; on a hit it refreshes LRU state and, for writes,
@@ -186,11 +183,9 @@ func (c *Cache) Ways() int { return c.ways }
 // Occupancy returns the number of valid lines (test helper).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.data {
-		for _, l := range set {
-			if l.valid {
-				n++
-			}
+	for _, l := range c.data {
+		if l.valid {
+			n++
 		}
 	}
 	return n

@@ -48,11 +48,14 @@ type Core struct {
 	lastLoadSeq  int64
 	lastLoadDone bool
 
+	// kept is the NextEventCycle answer the core keeps while it is blocked
+	// on its own state (0 when it keeps none): until the cycle it names,
+	// only a load or store completion can change what Tick would do, and
+	// loadDone and storeDone drop it, as do Tick and FunctionalAdvance.
+	kept int64
+
 	// Committed is the cumulative number of committed instructions.
 	Committed int64
-	// Stalls counts cycles in which nothing committed while the ROB was
-	// non-empty (diagnostic).
-	Stalls int64
 }
 
 // NewCore builds core id fed by gen and backed by hier.
@@ -76,7 +79,16 @@ func (c *Core) fetchNext() {
 	c.opPending = true
 }
 
-func (c *Core) tailIndex() int { return (c.head + c.n - 1) % len(c.ring) }
+// wrap maps a ring index in [0, 2*len(c.ring)) into the ring with a
+// compare instead of %.
+func (c *Core) wrap(i int) int {
+	if i >= len(c.ring) {
+		i -= len(c.ring)
+	}
+	return i
+}
+
+func (c *Core) tailIndex() int { return c.wrap(c.head + c.n - 1) }
 
 // addGap appends d freely-committing instructions to the ROB tail.
 func (c *Core) addGap(d int) {
@@ -113,13 +125,14 @@ func (c *Core) push(it robItem) {
 	if c.n == len(c.ring) {
 		panic(fmt.Sprintf("cpu: core %d ROB ring overflow", c.id))
 	}
-	c.ring[(c.head+c.n)%len(c.ring)] = it
+	c.ring[c.wrap(c.head+c.n)] = it
 	c.n++
 }
 
 // Tick advances the core one CPU cycle: in-order commit from the ROB head,
 // then dispatch of new instructions while resources allow.
 func (c *Core) Tick(cycle int64) {
+	c.kept = 0
 	c.commit(cycle)
 	c.dispatch(cycle)
 }
@@ -140,7 +153,28 @@ const waitsExternal = int64(1)<<62 - 1
 // cycle than the true next event (costing a wasted tick), never a later
 // one — that is the contract that keeps the fast-forward loop bit-identical
 // to the reference loop.
+//
+// An answer after next is kept while the core is blocked on its own state
+// (RetryProbesCache false): later queries return it without looking again,
+// and Kept exposes it so the fast-forward loop can skip the core's ticks
+// before it.
 func (c *Core) NextEventCycle(next int64) int64 {
+	if c.kept > 0 && c.kept >= next {
+		return c.kept
+	}
+	w := c.nextEvent(next)
+	if w > next && !c.RetryProbesCache() {
+		c.kept = w
+	}
+	return w
+}
+
+// Kept returns the NextEventCycle answer the core keeps, or 0 when it keeps
+// none. A Tick before the kept cycle would change nothing.
+func (c *Core) Kept() int64 { return c.kept }
+
+// nextEvent computes NextEventCycle's answer.
+func (c *Core) nextEvent(next int64) int64 {
 	wake := waitsExternal
 	if c.n > 0 {
 		it := &c.ring[c.head]
@@ -189,15 +223,6 @@ func (c *Core) canDispatchOp() bool {
 	}
 }
 
-// AddStallCycles accounts skipped quiescent cycles: the reference loop
-// would have counted each of them as a commit stall while the ROB was
-// non-empty.
-func (c *Core) AddStallCycles(n int64) {
-	if c.n > 0 {
-		c.Stalls += n
-	}
-}
-
 // RetryProbesCache reports whether the core is blocked in the one dispatch
 // state that touches the cache hierarchy every cycle: an op that clears the
 // queue and dependence checks but is refused by the hierarchy (MSHR
@@ -224,7 +249,6 @@ func (c *Core) RetryProbesCache() bool {
 
 func (c *Core) commit(cycle int64) {
 	budget := c.cfg.IssueWidth
-	before := c.Committed
 	for budget > 0 && c.n > 0 {
 		it := &c.ring[c.head]
 		if it.gapBefore > 0 {
@@ -241,7 +265,7 @@ func (c *Core) commit(cycle int64) {
 			}
 		}
 		if !it.hasOp {
-			c.head = (c.head + 1) % len(c.ring)
+			c.head = c.wrap(c.head + 1)
 			c.n--
 			continue
 		}
@@ -252,11 +276,8 @@ func (c *Core) commit(cycle int64) {
 		c.Committed++
 		c.lqInUse--
 		budget--
-		c.head = (c.head + 1) % len(c.ring)
+		c.head = c.wrap(c.head + 1)
 		c.n--
-	}
-	if c.Committed == before && c.n > 0 {
-		c.Stalls++
 	}
 }
 
@@ -344,6 +365,7 @@ func (c *Core) dispatchOp(cycle int64) bool {
 // cycle ready. Called synchronously for cache hits, from a miss entry's
 // waiter list otherwise.
 func (c *Core) loadDone(idx int, seq int64, ready int64) {
+	c.kept = 0
 	c.ring[idx].done = true
 	c.ring[idx].doneCycle = ready
 	if seq == c.lastLoadSeq {
@@ -352,7 +374,10 @@ func (c *Core) loadDone(idx int, seq int64, ready int64) {
 }
 
 // storeDone releases the store-queue entry of a completed store.
-func (c *Core) storeDone() { c.sqInUse-- }
+func (c *Core) storeDone() {
+	c.kept = 0
+	c.sqInUse--
+}
 
 // unwindLoad removes the just-added load record (it must be the tail).
 func (c *Core) unwindLoad(idx int) {

@@ -198,6 +198,41 @@ func TestSQLimit(t *testing.T) {
 	}
 }
 
+// TestKeptAnswerDroppedByCompletion: a core blocked on its own full load
+// or store queue keeps its NextEventCycle answer, and the completion that
+// frees the queue drops it with no Tick in between, as when the
+// fast-forward loop skips the core's ticks.
+func TestKeptAnswerDroppedByCompletion(t *testing.T) {
+	for _, op := range []trace.Op{trace.Load, trace.Store} {
+		var items []trace.Item
+		for i := 1; i <= 4; i++ {
+			items = append(items, trace.Item{Op: op, Addr: int64(i) << 20})
+		}
+		r := newRig(t, []trace.Generator{&script{items: items}}, func(c *config.Config) {
+			c.CPU.LQEntries, c.CPU.SQEntries = 1, 1
+		})
+		c := r.cores[0]
+		r.step(2)
+		if w := c.NextEventCycle(r.cycle); w != waitsExternal || c.Kept() != w {
+			t.Fatalf("%v: blocked core answers %d and keeps %d, want both %d", op, w, c.Kept(), waitsExternal)
+		}
+		for c.Kept() != 0 {
+			if r.cycle > 5_000 {
+				t.Fatalf("%v: no completion dropped the kept answer by cycle %d", op, r.cycle)
+			}
+			now := clock.Time(r.cycle) * clock.CPUCycle
+			if r.cycle%r.ratio == 0 {
+				r.ctrl.Tick(now)
+			}
+			r.hier.Tick(r.cycle, now)
+			r.cycle++
+		}
+		if w := c.NextEventCycle(r.cycle); w >= waitsExternal {
+			t.Fatalf("%v: after its completion the core still waits for memory", op)
+		}
+	}
+}
+
 // TestROBNeverOverflows across a mixed workload.
 func TestROBNeverOverflows(t *testing.T) {
 	p, err := trace.ProfileFor("swim")

@@ -20,6 +20,7 @@ import "fbdsim/internal/trace"
 // path. The dispatch-stream cursor (cur/gapLeft/opPending) stays coherent,
 // so a later detailed Tick resumes from the exact stream position.
 func (c *Core) FunctionalAdvance(n int64) {
+	c.kept = 0 // the dispatch cursor moves outside Tick
 	for n > 0 {
 		if c.gapLeft > 0 {
 			d := int64(c.gapLeft)

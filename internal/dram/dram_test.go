@@ -224,3 +224,28 @@ func TestRefreshMisconfigurationPanics(t *testing.T) {
 	}()
 	NewDIMM(1, config.Table2()).SetRefresh(100*ns, 100*ns, 0)
 }
+
+// BenchmarkBankSequence measures one closed-page access, ACT then RD then
+// PRE, each at its earliest legal time, cycling over the banks of a
+// Table 2 DIMM with a new row every time.
+func BenchmarkBankSequence(b *testing.B) {
+	const burst = 6 * ns
+	d := NewDIMM(4, config.Table2())
+	var c Counters
+	var now clock.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank := i % len(d.Banks)
+		act := d.EarliestACT(bank, now)
+		d.Activate(bank, act, int64(i), &c)
+		bk := d.Banks[bank]
+		rd := bk.EarliestRead(act)
+		bk.Read(rd, burst, &c)
+		bk.Precharge(bk.EarliestPRE(rd+burst), &c)
+		now = act
+	}
+	actSink = c.ACT
+}
+
+var actSink int64

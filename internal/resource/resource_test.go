@@ -180,3 +180,30 @@ func TestEarliestFeasibleProperty(t *testing.T) {
 		existing = append(existing, iv{s, s + dur})
 	}
 }
+
+// BenchmarkReserve measures one booking on a frame-aligned link calendar
+// kept about three-quarters busy: each transfer is ready a random lead
+// after the last one arrived, so some land past the booked tail and some
+// fill a gap earlier bookings left, and the calendar is pruned behind the
+// stream as channel housekeeping prunes it.
+func BenchmarkReserve(b *testing.B) {
+	const frame = 3 * ns
+	rng := rand.New(rand.NewSource(1))
+	lead := make([]clock.Time, 1024)
+	for i := range lead {
+		lead[i] = clock.Time(rng.Intn(48)) * ns
+	}
+	tl := NewQuantized(frame)
+	var now clock.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 8 * ns
+		startSink = tl.Reserve(now+lead[i%len(lead)], 2*frame)
+		if i%len(lead) == len(lead)-1 {
+			tl.Prune(now)
+		}
+	}
+}
+
+var startSink clock.Time

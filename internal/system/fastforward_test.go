@@ -60,20 +60,10 @@ func TestFastLoopBitIdentical(t *testing.T) {
 						equivBudgets(&cfg)
 						cfg.Seed = seed
 						if withFault {
-							cfg.Fault = config.Fault{
-								Enabled:          true,
-								Seed:             seed + 100,
-								SouthErrorRate:   0.002,
-								NorthErrorRate:   0.002,
-								AMBSoftErrorRate: 0.001,
-								DegradedChannel:  0,
-								DegradedDIMM:     1,
-								DeadBank:         -1,
-							}
+							cfg.Fault = equivFaults(seed)
 						}
 						if withTrace {
-							cfg.Trace.Enabled = true
-							cfg.Trace.MaxEvents = 4096
+							equivTrace(&cfg)
 						}
 						ref := runOnce(t, cfg, benchmarks, true)
 						fast := runOnce(t, cfg, benchmarks, false)
@@ -85,6 +75,48 @@ func TestFastLoopBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	// Eight cores, most of them blocked on their own state at a time:
+	// per-core skipping under fault retries and memtrace sampling.
+	t.Run("fbd-ap/8C-2/seed1/fault=true/trace=true", func(t *testing.T) {
+		wl, err := workload.Lookup("8C-2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := config.WithAMBPrefetch(config.Default())
+		equivBudgets(&cfg)
+		cfg.WarmupInsts = 50_000 // past the cold start
+		cfg.Fault = equivFaults(cfg.Seed)
+		equivTrace(&cfg)
+		ref := runOnce(t, cfg, wl.Benchmarks, true)
+		fast := runOnce(t, cfg, wl.Benchmarks, false)
+		if ref.Faults.Retries == 0 {
+			t.Fatalf("no fault retries in the measured window: %+v", ref.Faults)
+		}
+		if !reflect.DeepEqual(ref, fast) {
+			t.Fatalf("fast loop diverged from reference loop\nreference: %+v\nfast:      %+v", ref, fast)
+		}
+	})
+}
+
+// equivFaults is the fault injection the equivalence runs turn on: link
+// CRC errors both ways, AMB soft errors and one degraded DIMM.
+func equivFaults(seed int64) config.Fault {
+	return config.Fault{
+		Enabled:          true,
+		Seed:             seed + 100,
+		SouthErrorRate:   0.002,
+		NorthErrorRate:   0.002,
+		AMBSoftErrorRate: 0.001,
+		DegradedChannel:  0,
+		DegradedDIMM:     1,
+		DeadBank:         -1,
+	}
+}
+
+// equivTrace turns memtrace recording on for an equivalence run.
+func equivTrace(cfg *config.Config) {
+	cfg.Trace.Enabled = true
+	cfg.Trace.MaxEvents = 4096
 }
 
 // TestFastLoopBitIdenticalComputeHeavy covers the opposite regime: cores
@@ -179,3 +211,31 @@ func TestProgressBoundScalesWithConfig(t *testing.T) {
 		t.Fatalf("progressBound with fault retries %d, want > %d (retry delay must widen the bound)", withFault, plain)
 	}
 }
+
+// BenchmarkNextEventCycle measures the fast-forward query on an 8C-2
+// machine parked at the end of a window past its warm-up: the hierarchy's
+// quiescence check, each core's answer and the controller's next event.
+func BenchmarkNextEventCycle(b *testing.B) {
+	wl, err := workload.Lookup("8C-2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := config.WithAMBPrefetch(config.Default())
+	cfg.WarmupInsts, cfg.MaxInsts = 200_000, 20_000
+	s, err := New(cfg, wl.Benchmarks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	cycle := s.Cycle()
+	nextTick := (cycle + s.ratio - 1) / s.ratio * s.ratio
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycleSink = s.nextEventCycle(cycle, nextTick)
+	}
+}
+
+var cycleSink int64

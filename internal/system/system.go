@@ -378,9 +378,15 @@ func (s *System) runReference(r *runState) (Results, error) {
 // Component estimates are conservative (never later than the true next
 // state change), and a skipped cycle is exactly a cycle in which the
 // reference loop's ticks would all have been no-ops, so the two loops
-// produce bit-identical Results. The only per-skipped-cycle effects the
-// reference loop has — stall accounting and the cache-statistics cost of
-// failed dispatch probes — are replayed in bulk.
+// produce bit-identical Results. The only per-skipped-cycle effect the
+// reference loop has — the cache-statistics cost of failed dispatch
+// probes — is replayed in bulk.
+//
+// Within an executed cycle the loop also skips each core whose kept
+// answer (cpu.Core.Kept) lies after the cycle: that core is blocked on its
+// own state, so its Tick would change nothing. A core the hierarchy
+// refuses is never kept, so it still ticks, and pays its failed probes, on
+// every executed cycle.
 func (s *System) runFast(r *runState) (Results, error) {
 	cycle := s.cycle
 	// The reference loop errors out at the first check boundary past
@@ -419,10 +425,22 @@ func (s *System) runFast(r *runState) (Results, error) {
 			nextTick += s.ratio
 		}
 		s.hier.Tick(cycle, now)
+		// soonest is the earliest cycle any core could move at: a skipped
+		// core's kept answer, or a ticked core's answer right after its
+		// Tick.
+		soonest := never
 		for _, c := range s.cores {
+			if w := c.Kept(); w > cycle {
+				soonest = min(soonest, w)
+				continue
+			}
 			c.Tick(cycle)
+			soonest = min(soonest, c.NextEventCycle(cycle+1))
 		}
 		cycle++
+		if soonest <= cycle {
+			continue
+		}
 
 		target := s.nextEventCycle(cycle, nextTick)
 		if target <= cycle {
@@ -449,7 +467,6 @@ func (s *System) runFast(r *runState) (Results, error) {
 		}
 		skipped := target - cycle
 		for i, c := range s.cores {
-			c.AddStallCycles(skipped)
 			if c.RetryProbesCache() {
 				s.hier.ReplayBlockedProbes(i, skipped)
 			}
@@ -460,16 +477,20 @@ func (s *System) runFast(r *runState) (Results, error) {
 	}
 }
 
+// never is a next-event cycle later than any the machine reports.
+const never = int64(1) << 62
+
 // nextEventCycle returns the earliest cycle at or after cycle whose
 // execution could change machine state: the minimum over every component's
-// own conservative estimate. nextTick is the next controller tick cycle;
-// controller events round up to it because they can only be serviced inside
-// a tick.
+// own conservative estimate. A core keeping its answer returns it without
+// looking again; only the others are queried. nextTick is the next
+// controller tick cycle; controller events round up to it because they can
+// only be serviced inside a tick.
 func (s *System) nextEventCycle(cycle, nextTick int64) int64 {
 	if !s.hier.Quiescent() {
 		return cycle
 	}
-	next := int64(1) << 62
+	next := never
 	for _, c := range s.cores {
 		w := c.NextEventCycle(cycle)
 		if w <= cycle {

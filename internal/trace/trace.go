@@ -216,10 +216,30 @@ type Synthetic struct {
 	streams  []stream
 	segBytes int64
 
+	// gapCDF[n] is the probability that a gap is at most n instructions,
+	// summed term by term in index order: each entry's rounding decides the
+	// gap of a draw that falls next to it, so the order is part of every
+	// trace. gapGuide[k] is the first n whose gapCDF[n] reaches
+	// k/gapGuideSize: a draw of u in [k, k+1)/gapGuideSize cannot land
+	// before it. noGap marks a profile whose every instruction is a memory
+	// reference; its gaps take no random draw.
+	gapCDF   [maxGap + 1]float64
+	gapGuide [gapGuideSize]uint8
+	noGap    bool
+
 	// queued prefetch to emit before the upcoming access.
 	pending    Item
 	hasPending bool
 }
+
+const (
+	// maxGap caps a drawn gap, so pathological draws cannot stall
+	// progress measurement.
+	maxGap = 64
+	// gapGuideSize is the number of equal slices of [0, 1) the guide table
+	// gives a starting point for.
+	gapGuideSize = 256
+)
 
 // AddressSpaceStride separates per-core address spaces so multiprogrammed
 // workloads never share data, matching the paper's distinct-application
@@ -247,7 +267,32 @@ func NewSynthetic(p Profile, core int, seed int64) *Synthetic {
 	for i := range g.streams {
 		g.resetStream(&g.streams[i])
 	}
+	g.buildGapTable()
 	return g
+}
+
+// buildGapTable tabulates the geometric gap distribution, mean
+// 1/MemRatio - 1, and its guide table.
+func (g *Synthetic) buildGapTable() {
+	mean := 1/g.p.MemRatio - 1
+	if mean <= 0 {
+		g.noGap = true
+		return
+	}
+	p := 1 / (mean + 1)
+	acc := p
+	g.gapCDF[0] = acc
+	for n := 1; n <= maxGap; n++ {
+		acc += p * pow1mp(p, n)
+		g.gapCDF[n] = acc
+	}
+	n := 0
+	for k := range g.gapGuide {
+		for n < maxGap && g.gapCDF[n] < float64(k)/gapGuideSize {
+			n++
+		}
+		g.gapGuide[k] = uint8(n)
+	}
 }
 
 func (g *Synthetic) resetStream(s *stream) {
@@ -320,19 +365,18 @@ func (g *Synthetic) streamRef(it *Item) int64 {
 // gap draws the non-memory instruction count before the next reference,
 // geometric with mean 1/MemRatio - 1.
 func (g *Synthetic) gap() int {
-	mean := 1/g.p.MemRatio - 1
-	if mean <= 0 {
+	if g.noGap {
 		return 0
 	}
-	// Inverse-CDF geometric sampling, capped to keep pathological draws
-	// from stalling progress measurement.
-	u := g.r.float()
-	n := 0
-	p := 1 / (mean + 1)
-	acc := p
-	for acc < u && n < 64 {
+	return g.gapFor(g.r.float())
+}
+
+// gapFor is the inverse-CDF draw for u in [0, 1): the first n whose
+// gapCDF[n] reaches u, or maxGap when none does.
+func (g *Synthetic) gapFor(u float64) int {
+	n := int(g.gapGuide[int(u*gapGuideSize)])
+	for n < maxGap && g.gapCDF[n] < u {
 		n++
-		acc += p * pow1mp(p, n)
 	}
 	return n
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -279,6 +281,75 @@ func TestArtFootprintNearL2Cliff(t *testing.T) {
 	// The footprint must sit between the paper's 2MB and 4MB cliff edges.
 	if p.FootprintMB < 2 || p.FootprintMB > 4 {
 		t.Errorf("art footprint %dMB misses the 2-4MB cliff", p.FootprintMB)
+	}
+}
+
+// refGap is the gap draw as the generator made it before the gap table:
+// the inverse-CDF loop that rebuilds the geometric CDF term by term on
+// every draw. It is the reference the table-driven draw must reproduce.
+func refGap(prof Profile, u float64) int {
+	mean := 1/prof.MemRatio - 1
+	if mean <= 0 {
+		return 0
+	}
+	n := 0
+	p := 1 / (mean + 1)
+	acc := p
+	for acc < u && n < 64 {
+		n++
+		acc += p * pow1mp(p, n)
+	}
+	return n
+}
+
+// TestGapTableMatchesLoop: the table-driven gap draw returns what the
+// loop it replaced returns, for every profile, over a million draws from
+// each of three seeds and at every CDF entry and guide-table edge together
+// with their float64 neighbours, where a < and a ≤ would part. Two extra
+// memory ratios put CDF entries exactly on guide-table edges.
+func TestGapTableMatchesLoop(t *testing.T) {
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 100_000
+	}
+	var profiles []Profile
+	for _, name := range AllProgramNames() {
+		p, err := ProfileFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	for _, r := range []float64{0.25, 0.5} {
+		p := profiles[0]
+		p.Name = fmt.Sprintf("%s@MemRatio=%v", p.Name, r)
+		p.MemRatio = r
+		profiles = append(profiles, p)
+	}
+	for _, p := range profiles {
+		check := func(g *Synthetic, u float64) {
+			if got, want := g.gapFor(u), refGap(p, u); got != want {
+				t.Fatalf("%s: gapFor(%v) = %d, loop draws %d", p.Name, u, got, want)
+			}
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			g := NewSynthetic(p, 0, seed)
+			for i := 0; i < draws; i++ {
+				check(g, g.r.float())
+			}
+		}
+		g := NewSynthetic(p, 0, 1)
+		edges := append([]float64(nil), g.gapCDF[:]...)
+		for k := range g.gapGuide {
+			edges = append(edges, float64(k)/gapGuideSize)
+		}
+		for _, e := range edges {
+			for _, u := range []float64{math.Nextafter(e, 0), e, math.Nextafter(e, 1)} {
+				if u >= 0 && u < 1 {
+					check(g, u)
+				}
+			}
+		}
 	}
 }
 
