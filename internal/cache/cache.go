@@ -10,12 +10,20 @@ import (
 	"math/bits"
 )
 
+// line is one cache frame in 16 bytes: the line-aligned address with the
+// valid and dirty flags folded into its two low bits (free because a line
+// is at least 4 bytes), and the LRU stamp. An empty frame's tag word is
+// zero, so even line 0 cannot match it: a lookup compares against the
+// address with validBit set.
 type line struct {
-	tag   int64 // line-aligned address
-	valid bool
-	dirty bool
-	use   int64
+	tag int64 // line-aligned address | validBit | dirtyBit
+	use int64
 }
+
+const (
+	validBit = 1
+	dirtyBit = 2
+)
 
 // Stats counts cache events.
 type Stats struct {
@@ -48,8 +56,12 @@ type Cache struct {
 }
 
 // New builds a cache of sizeKB kilobytes with the given associativity and
-// line size. Geometry must divide evenly into power-of-two sets.
+// line size. Geometry must divide evenly into power-of-two sets of lines of
+// at least 4 bytes (config.Validate refuses anything else).
 func New(sizeKB, ways, lineBytes int) *Cache {
+	if lineBytes < 4 {
+		panic(fmt.Sprintf("cache: %dB lines leave no room for the flag bits", lineBytes))
+	}
 	total := sizeKB * 1024
 	if total%(ways*lineBytes) != 0 {
 		panic(fmt.Sprintf("cache: %dKB not divisible into %d-way sets of %dB lines",
@@ -72,41 +84,42 @@ func New(sizeKB, ways, lineBytes int) *Cache {
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr int64) int64 { return addr &^ (c.lineBytes - 1) }
 
-func (c *Cache) set(lineAddr int64) []line {
-	i := int((lineAddr>>c.lineShift)&int64(c.sets-1)) * c.ways
-	return c.data[i : i+c.ways : i+c.ways]
+// lookup returns the set holding addr's line and the way the line is
+// resident in, or -1.
+func (c *Cache) lookup(addr int64) ([]line, int) {
+	la := c.LineAddr(addr)
+	i := int((la>>c.lineShift)&int64(c.sets-1)) * c.ways
+	set := c.data[i : i+c.ways : i+c.ways]
+	want := la | validBit | dirtyBit
+	for w := range set {
+		if set[w].tag|dirtyBit == want {
+			return set, w
+		}
+	}
+	return set, -1
 }
 
 // Access looks up addr; on a hit it refreshes LRU state and, for writes,
 // sets the dirty bit. It returns whether the access hit.
 func (c *Cache) Access(addr int64, write bool) bool {
 	c.Stats.Accesses++
-	la := c.LineAddr(addr)
-	set := c.set(la)
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			c.tick++
-			set[i].use = c.tick
-			if write {
-				set[i].dirty = true
-			}
-			return true
-		}
+	set, w := c.lookup(addr)
+	if w < 0 {
+		c.Stats.Misses++
+		return false
 	}
-	c.Stats.Misses++
-	return false
+	c.tick++
+	set[w].use = c.tick
+	if write {
+		set[w].tag |= dirtyBit
+	}
+	return true
 }
 
 // Contains reports residency without disturbing LRU or statistics.
 func (c *Cache) Contains(addr int64) bool {
-	la := c.LineAddr(addr)
-	set := c.set(la)
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			return true
-		}
-	}
-	return false
+	_, w := c.lookup(addr)
+	return w >= 0
 }
 
 // Victim describes a line displaced by a fill.
@@ -120,21 +133,20 @@ type Victim struct {
 // satisfies a store) and returns the displaced victim, if any. Filling an
 // already-resident line only refreshes its state.
 func (c *Cache) Fill(addr int64, dirty bool) Victim {
-	la := c.LineAddr(addr)
-	set := c.set(la)
+	var flags int64 = validBit
+	if dirty {
+		flags |= dirtyBit
+	}
+	set, w := c.lookup(addr)
 	c.tick++
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			set[i].use = c.tick
-			if dirty {
-				set[i].dirty = true
-			}
-			return Victim{}
-		}
+	if w >= 0 {
+		set[w].use = c.tick
+		set[w].tag |= flags
+		return Victim{}
 	}
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].tag&validBit == 0 {
 			victim = i
 			goto install
 		}
@@ -144,14 +156,14 @@ func (c *Cache) Fill(addr int64, dirty bool) Victim {
 	}
 install:
 	out := Victim{}
-	if set[victim].valid {
-		out = Victim{Addr: set[victim].tag, Dirty: set[victim].dirty, Valid: true}
+	if t := set[victim].tag; t&validBit != 0 {
+		out = Victim{Addr: t &^ (validBit | dirtyBit), Dirty: t&dirtyBit != 0, Valid: true}
 		c.Stats.Evictions++
 		if out.Dirty {
 			c.Stats.DirtyEvicts++
 		}
 	}
-	set[victim] = line{tag: la, valid: true, dirty: dirty, use: c.tick}
+	set[victim] = line{tag: c.LineAddr(addr) | flags, use: c.tick}
 	return out
 }
 
@@ -165,15 +177,13 @@ func (c *Cache) FillPrefetch(addr int64) Victim {
 // Invalidate drops the line containing addr if resident, returning its
 // dirty state (the caller is responsible for any writeback).
 func (c *Cache) Invalidate(addr int64) (wasDirty, wasPresent bool) {
-	la := c.LineAddr(addr)
-	set := c.set(la)
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			set[i].valid = false
-			return set[i].dirty, true
-		}
+	set, w := c.lookup(addr)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	wasDirty = set[w].tag&dirtyBit != 0
+	set[w].tag = 0
+	return wasDirty, true
 }
 
 // Sets and Ways expose the geometry.
@@ -184,7 +194,7 @@ func (c *Cache) Ways() int { return c.ways }
 func (c *Cache) Occupancy() int {
 	n := 0
 	for _, l := range c.data {
-		if l.valid {
+		if l.tag&validBit != 0 {
 			n++
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -220,5 +221,175 @@ func BenchmarkAccess(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// refCache is the cache as it was before its frames folded the valid and
+// dirty flags into the tag word: separate flag fields, and the same LRU
+// victim scan. TestMatchesReference holds Cache to it step by step.
+type refCache struct {
+	sets, ways int
+	lineBytes  int64
+	data       []refLine
+	tick       int64
+	Stats      Stats
+}
+
+type refLine struct {
+	tag          int64
+	valid, dirty bool
+	use          int64
+}
+
+func newRefCache(sizeKB, ways, lineBytes int) *refCache {
+	sets := sizeKB * 1024 / (ways * lineBytes)
+	return &refCache{sets: sets, ways: ways, lineBytes: int64(lineBytes), data: make([]refLine, sets*ways)}
+}
+
+func (c *refCache) set(addr int64) ([]refLine, int64) {
+	la := addr &^ (c.lineBytes - 1)
+	i := int((la/c.lineBytes)&int64(c.sets-1)) * c.ways
+	return c.data[i : i+c.ways], la
+}
+
+func (c *refCache) Access(addr int64, write bool) bool {
+	c.Stats.Accesses++
+	set, la := c.set(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == la {
+			c.tick++
+			set[i].use = c.tick
+			if write {
+				set[i].dirty = true
+			}
+			return true
+		}
+	}
+	c.Stats.Misses++
+	return false
+}
+
+func (c *refCache) Contains(addr int64) bool {
+	set, la := c.set(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == la {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Fill(addr int64, dirty bool) Victim {
+	set, la := c.set(addr)
+	c.tick++
+	for i := range set {
+		if set[i].valid && set[i].tag == la {
+			set[i].use = c.tick
+			if dirty {
+				set[i].dirty = true
+			}
+			return Victim{}
+		}
+	}
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if set[i].use < set[victim].use {
+			victim = i
+		}
+	}
+	out := Victim{}
+	if set[victim].valid {
+		out = Victim{Addr: set[victim].tag, Dirty: set[victim].dirty, Valid: true}
+		c.Stats.Evictions++
+		if out.Dirty {
+			c.Stats.DirtyEvicts++
+		}
+	}
+	set[victim] = refLine{tag: la, valid: true, dirty: dirty, use: c.tick}
+	return out
+}
+
+func (c *refCache) FillPrefetch(addr int64) Victim {
+	c.Stats.PrefetchFills++
+	return c.Fill(addr, false)
+}
+
+func (c *refCache) Invalidate(addr int64) (wasDirty, wasPresent bool) {
+	set, la := c.set(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == la {
+			set[i].valid = false
+			return set[i].dirty, true
+		}
+	}
+	return false, false
+}
+
+func (c *refCache) Occupancy() int {
+	n := 0
+	for _, l := range c.data {
+		if l.valid {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMatchesReference drives Cache and refCache with the same random
+// Access, Fill, FillPrefetch, Invalidate and Contains calls and requires
+// the same answer, victim, Stats and Occupancy after every step. The
+// addresses cover three times the capacity, including line 0 (whose
+// folded tag word differs from an empty frame's only by the valid bit)
+// and the PrewarmL2 placeholder region at 2^60, at every offset within a
+// line; 4-byte lines leave no offset bit unused by the flags.
+func TestMatchesReference(t *testing.T) {
+	const prewarmBase = int64(1) << 60
+	for _, lineBytes := range []int{4, 64} {
+		for _, ways := range []int{1, 2, 4, 8, 16} {
+			for seed := int64(1); seed <= 3; seed++ {
+				c, ref := New(1, ways, lineBytes), newRefCache(1, ways, lineBytes)
+				lines := int64(c.Sets() * c.Ways())
+				rng := rand.New(rand.NewSource(seed))
+				addr := func() int64 {
+					a := rng.Int63n(3*lines)*int64(lineBytes) + rng.Int63n(int64(lineBytes))
+					switch rng.Intn(4) {
+					case 0:
+						return a % int64(lineBytes) // line 0
+					case 1:
+						return prewarmBase + a
+					}
+					return a
+				}
+				for step := 0; step < 4000; step++ {
+					a := addr()
+					var op string
+					var got, want any
+					switch rng.Intn(5) {
+					case 0:
+						w := rng.Intn(2) == 0
+						op, got, want = fmt.Sprintf("Access(%#x, %v)", a, w), c.Access(a, w), ref.Access(a, w)
+					case 1:
+						d := rng.Intn(2) == 0
+						op, got, want = fmt.Sprintf("Fill(%#x, %v)", a, d), c.Fill(a, d), ref.Fill(a, d)
+					case 2:
+						op, got, want = fmt.Sprintf("FillPrefetch(%#x)", a), c.FillPrefetch(a), ref.FillPrefetch(a)
+					case 3:
+						d1, p1 := c.Invalidate(a)
+						d2, p2 := ref.Invalidate(a)
+						op, got, want = fmt.Sprintf("Invalidate(%#x)", a), [2]bool{d1, p1}, [2]bool{d2, p2}
+					case 4:
+						op, got, want = fmt.Sprintf("Contains(%#x)", a), c.Contains(a), ref.Contains(a)
+					}
+					if got != want || c.Stats != ref.Stats || c.Occupancy() != ref.Occupancy() {
+						t.Fatalf("%dB lines, %d-way, seed %d, step %d: %s = %+v, stats %+v, occupancy %d; reference %+v, stats %+v, occupancy %d",
+							lineBytes, ways, seed, step, op, got, c.Stats, c.Occupancy(), want, ref.Stats, ref.Occupancy())
+					}
+				}
+			}
+		}
 	}
 }

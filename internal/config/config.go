@@ -548,6 +548,16 @@ func (c *Config) Validate() error {
 	if !powerOfTwo(c.CPU.LineBytes) {
 		return fmt.Errorf("config: line size %d not a power of two", c.CPU.LineBytes)
 	}
+	if c.CPU.LineBytes < 4 {
+		return fmt.Errorf("config: LineBytes %d below 4: a cache frame keeps its valid and dirty flags in the two low bits of the line address",
+			c.CPU.LineBytes)
+	}
+	if err := cacheGeometry("L1DataKB", "L1Assoc", c.CPU.L1DataKB, c.CPU.L1Assoc, c.CPU.LineBytes); err != nil {
+		return err
+	}
+	if err := cacheGeometry("L2KB", "L2Assoc", c.CPU.L2KB, c.CPU.L2Assoc, c.CPU.LineBytes); err != nil {
+		return err
+	}
 	if c.Trace.Epoch < 0 {
 		return errors.New("config: trace epoch must be non-negative")
 	}
@@ -558,6 +568,23 @@ func (c *Config) Validate() error {
 		return err
 	}
 	return c.Mem.validate()
+}
+
+// cacheGeometry checks one cache level against what cache.New can build:
+// a positive size and associativity whose lines divide into a power-of-two
+// number of sets.
+func cacheGeometry(sizeField, assocField string, kb, assoc, lineBytes int) error {
+	switch {
+	case kb < 1:
+		return fmt.Errorf("config: %s %d must be positive", sizeField, kb)
+	case assoc < 1:
+		return fmt.Errorf("config: %s %d must be positive", assocField, assoc)
+	}
+	if b, set := kb*1024, assoc*lineBytes; b%set != 0 || !powerOfTwo(b/set) {
+		return fmt.Errorf("config: %s %d with %s %d does not divide into a power-of-two number of sets of %dB lines",
+			sizeField, kb, assocField, assoc, lineBytes)
+	}
+	return nil
 }
 
 func (m *Mem) validate() error {

@@ -214,6 +214,39 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestValidateCacheGeometry: every L1 and L2 geometry cache.New would
+// refuse (or divide by zero on) is a Validate error naming its field.
+func TestValidateCacheGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		f     func(*CPU)
+		field string
+	}{
+		{"L1 size zero", func(c *CPU) { c.L1DataKB = 0 }, "L1DataKB"},
+		{"L1 assoc zero", func(c *CPU) { c.L1Assoc = 0 }, "L1Assoc"},
+		{"L1 sets indivisible", func(c *CPU) { c.L1Assoc = 3 }, "L1Assoc 3"},
+		{"L1 sets not a power of two", func(c *CPU) { c.L1DataKB = 96 }, "L1DataKB 96"},
+		{"L2 size negative", func(c *CPU) { c.L2KB = -4096 }, "L2KB"},
+		{"L2 assoc negative", func(c *CPU) { c.L2Assoc = -4 }, "L2Assoc"},
+		{"L2 sets indivisible", func(c *CPU) { c.L2Assoc = 3 }, "L2Assoc 3"},
+		{"L2 sets not a power of two", func(c *CPU) { c.L2KB = 3072 }, "L2KB 3072"},
+		{"L2 smaller than one set", func(c *CPU) { c.L2KB, c.L2Assoc = 1, 32 }, "L2Assoc 32"},
+		{"line below flag room", func(c *CPU) { c.LineBytes = 2 }, "LineBytes 2"},
+	} {
+		c := Default()
+		tc.f(&c.CPU)
+		c.Mem.LineBytes = c.CPU.LineBytes
+		err := c.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.field)
+		}
+	}
+}
+
 func TestFaultDefaults(t *testing.T) {
 	f := Default().Fault
 	if f.Enabled {

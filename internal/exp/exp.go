@@ -223,7 +223,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg config.Config, benchmarks [
 // parallelism bound and simulates, with wall-time and miss accounting and
 // the AbortAfterPoints kill switch. admitted is called once the request
 // holds a slot or has found it needs none; sweeps use it to dispatch their
-// points in grid order.
+// points in cost order.
 func (r *Runner) do(ctx context.Context, key string, cfg config.Config, benchmarks []string, admitted func()) (system.Results, error) {
 	admit := sync.OnceFunc(admitted)
 	defer admit()
@@ -263,7 +263,7 @@ func (r *Runner) do(ctx context.Context, key string, cfg config.Config, benchmar
 // journal file keyed by the grid's fingerprint: points an earlier run
 // journaled are replayed into the cache instead of simulated, and every
 // fresh point is appended. The rest run concurrently through do,
-// dispatched in grid order. The first failing point in grid order aborts
+// dispatched longest first. The first failing point in grid order aborts
 // the sweep with its error; an AbortAfterPoints cut returns ErrAborted.
 func (r *Runner) sweep(name string, cfgs []sweep.NamedConfig, ws []workload.Workload) ([]sweep.Point, error) {
 	var (
@@ -288,16 +288,22 @@ func (r *Runner) sweep(name string, cfgs []sweep.NamedConfig, ws []workload.Work
 		defer j.Close()
 	}
 
-	// Fresh points wait for the whole grid to be built, so every replayed
-	// point is cached before anything simulates. Then each waits until the
-	// one before it holds a slot or has found it needs none, so the
-	// simulations start in grid order.
+	// The whole grid is built, and every replayed point cached, before
+	// anything simulates. Fresh points are then dispatched longest first:
+	// most cores first, ties in grid order. Every point carries the
+	// Runner's budgets, so core count orders the cost, and the longest
+	// simulations cannot end a figure alone on one slot. Each point is
+	// dispatched once the one before it holds a slot or has found it needs
+	// none.
+	type job struct {
+		i          int
+		cfg        config.Config
+		benchmarks []string
+	}
 	tier := fidelity.Tier(r.opts.Fidelity)
 	pts := make([]sweep.Point, 0, len(cfgs)*len(ws))
 	errs := make([]error, cap(pts))
-	var wg sync.WaitGroup
-	built := make(chan struct{})
-	prev := built
+	var fresh []job
 	for _, nc := range cfgs {
 		for _, w := range ws {
 			cfg := r.normalize(nc.Config, len(w.Benchmarks))
@@ -317,28 +323,32 @@ func (r *Runner) sweep(name string, cfgs []sweep.NamedConfig, ws []workload.Work
 				r.cache.Put(p.Key, p.Results)
 				continue
 			}
-			next := make(chan struct{})
-			wg.Add(1)
-			go func(prev <-chan struct{}) {
-				defer wg.Done()
-				<-prev
-				res, err := r.do(r.abortCtx, pts[i].Key, cfg, w.Benchmarks, func() { close(next) })
-				if err == nil {
-					res, err = sweep.Canonicalize(res)
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				pts[i].Results = res
-				if j != nil {
-					j.Append(pts[i])
-				}
-			}(prev)
-			prev = next
+			fresh = append(fresh, job{i, cfg, w.Benchmarks})
 		}
 	}
-	close(built)
+	slices.SortStableFunc(fresh, func(a, b job) int { return len(b.benchmarks) - len(a.benchmarks) })
+
+	var wg sync.WaitGroup
+	for _, f := range fresh {
+		admitted := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := r.do(r.abortCtx, pts[f.i].Key, f.cfg, f.benchmarks, func() { close(admitted) })
+			if err == nil {
+				res, err = sweep.Canonicalize(res)
+			}
+			if err != nil {
+				errs[f.i] = err
+				return
+			}
+			pts[f.i].Results = res
+			if j != nil {
+				j.Append(pts[f.i])
+			}
+		}()
+		<-admitted
+	}
 	wg.Wait()
 
 	for i, err := range errs {
@@ -399,99 +409,88 @@ func benchSet(ws []workload.Workload) []string {
 	return out
 }
 
-// refIPCAll sweeps the DDR2 single-core reference over benchmarks and
-// returns each benchmark's IPC (the paper's SMT-speedup denominator).
-func (r *Runner) refIPCAll(benchmarks []string) (map[string]float64, error) {
-	ws := make([]workload.Workload, len(benchmarks))
-	for i, b := range benchmarks {
-		ws[i] = workload.Workload{Name: b, Benchmarks: []string{b}}
-	}
-	pts, err := r.sweep("ddr2-ref", []sweep.NamedConfig{
-		{Name: "ddr2", Config: config.DDR2Baseline()},
-	}, ws)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(pts))
-	for _, p := range pts {
-		out[p.Workload] = p.Results.IPC[0]
-	}
-	return out, nil
-}
-
-// refIPC returns each benchmark's single-core IPC on the reference system.
-func (r *Runner) refIPC(benchmarks []string) ([]float64, error) {
-	distinct := append([]string(nil), benchmarks...)
-	sort.Strings(distinct)
-	distinct = slices.Compact(distinct)
-	m, err := r.refIPCAll(distinct)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(benchmarks))
-	for i, b := range benchmarks {
-		out[i] = m[b]
-	}
-	return out, nil
-}
-
 // Speedup runs cfg on w and returns the SMT speedup against the DDR2
 // single-core reference.
 func (r *Runner) Speedup(cfg config.Config, w workload.Workload) (float64, error) {
-	res, err := r.Run(cfg, w.Benchmarks)
+	s, err := r.speedups([]config.Config{cfg}, []workload.Workload{w})
 	if err != nil {
 		return 0, err
 	}
-	ref, err := r.refIPC(w.Benchmarks)
-	if err != nil {
-		return 0, err
-	}
-	return workload.SMTSpeedup(res.IPC, ref), nil
+	return s[0][0], nil
 }
 
-// speedupAll computes SMT speedups of cfg across ws: one sweep over
-// cfg × ws plus the DDR2 reference sweep, both through the shared cache.
-func (r *Runner) speedupAll(cfg config.Config, ws []workload.Workload) ([]float64, error) {
-	pts, err := r.sweep("speedup", []sweep.NamedConfig{{Name: "cfg", Config: cfg}}, ws)
+// speedups returns the SMT speedup of every point of cfgs × ws against the
+// DDR2 single-core reference (the paper's denominator), indexed
+// [config][workload]. It runs two sweeps: the reference runs of ws's
+// benchmarks, then every config × every workload as one wave. The
+// reference goes first, so the barrier between the two waits on
+// single-core simulations only.
+func (r *Runner) speedups(cfgs []config.Config, ws []workload.Workload) ([][]float64, error) {
+	bs := benchSet(ws)
+	refWs := make([]workload.Workload, len(bs))
+	for i, b := range bs {
+		refWs[i] = workload.Workload{Name: b, Benchmarks: []string{b}}
+	}
+	refPts, err := r.sweep("ddr2-ref", []sweep.NamedConfig{
+		{Name: "ddr2", Config: config.DDR2Baseline()},
+	}, refWs)
 	if err != nil {
 		return nil, err
 	}
-	refs, err := r.refIPCAll(benchSet(ws))
+	refIPC := make(map[string]float64, len(refPts))
+	for _, p := range refPts {
+		refIPC[p.Workload] = p.Results.IPC[0]
+	}
+
+	named := make([]sweep.NamedConfig, len(cfgs))
+	for c, cfg := range cfgs {
+		named[c] = sweep.NamedConfig{Name: fmt.Sprintf("cfg-%d", c), Config: cfg}
+	}
+	pts, err := r.sweep("speedup", named, ws)
 	if err != nil {
 		return nil, err
 	}
-	byName := make(map[string]system.Results, len(pts))
-	for _, p := range pts {
-		byName[p.Workload] = p.Results
-	}
-	out := make([]float64, len(ws))
-	for i, w := range ws {
-		ref := make([]float64, len(w.Benchmarks))
-		for k, b := range w.Benchmarks {
-			ref[k] = refs[b]
+	out := make([][]float64, len(cfgs))
+	for c := range out {
+		out[c] = make([]float64, len(ws))
+		for i, w := range ws {
+			ref := make([]float64, len(w.Benchmarks))
+			for k, b := range w.Benchmarks {
+				ref[k] = refIPC[b]
+			}
+			out[c][i] = workload.SMTSpeedup(pts[c*len(ws)+i].Results.IPC, ref)
 		}
-		out[i] = workload.SMTSpeedup(byName[w.Name].IPC, ref)
 	}
 	return out, nil
 }
 
 // coreGroups partitions the options' workload set by core count, in
-// presentation order (1, 2, 4, 8), skipping empty groups.
-func (r *Runner) coreGroups() []coreGroup {
-	var groups []coreGroup
+// presentation order (1, 2, 4, 8), skipping empty groups. It also returns
+// the groups' workloads end to end: the workload axis of a figure's wave.
+func (r *Runner) coreGroups() ([]coreGroup, []workload.Workload) {
+	var (
+		groups []coreGroup
+		all    []workload.Workload
+	)
 	for _, n := range []int{1, 2, 4, 8} {
 		ws := workload.ByCores(r.opts.Workloads, n)
 		if len(ws) > 0 {
-			groups = append(groups, coreGroup{Cores: n, Workloads: ws})
+			groups = append(groups, coreGroup{Cores: n, Workloads: ws, first: len(all)})
+			all = append(all, ws...)
 		}
 	}
-	return groups
+	return groups, all
 }
 
 type coreGroup struct {
 	Cores     int
 	Workloads []workload.Workload
+	first     int // index of Workloads[0] on the wave's workload axis
 }
+
+// of returns the group's share of xs, a row indexed by the wave's workload
+// axis.
+func (g coreGroup) of(xs []float64) []float64 { return xs[g.first : g.first+len(g.Workloads)] }
 
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -45,23 +45,13 @@ func ExtensionHWPrefetch(r *Runner) (E1Data, error) {
 	bothCfg := apCfg
 	bothCfg.CPU.HardwarePrefetch = true
 
-	for _, g := range r.coreGroups() {
-		none, err := r.speedupAll(base, g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		ap, err := r.speedupAll(apCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		hp, err := r.speedupAll(hpCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		both, err := r.speedupAll(bothCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
+	groups, ws := r.coreGroups()
+	s, err := r.speedups([]config.Config{base, apCfg, hpCfg, bothCfg}, ws)
+	if err != nil {
+		return d, err
+	}
+	for _, g := range groups {
+		none, ap, hp, both := g.of(s[0]), g.of(s[1]), g.of(s[2]), g.of(s[3])
 		b := mean(none)
 		d.Rows = append(d.Rows, E1Row{
 			Cores: g.Cores,
@@ -109,18 +99,21 @@ func ExtensionRefresh(r *Runner) (E2Data, error) {
 		{"FBD", config.FBDIMMBaseline()},
 		{"FBD-AP", config.WithAMBPrefetch(config.Default())},
 	}
+	// cfgs holds each system without, then with, refresh.
+	var cfgs []config.Config
 	for _, sys := range systems {
 		ref := sys.cfg
 		ref.Mem.RefreshEnabled = true
-		for _, g := range r.coreGroups() {
-			off, err := r.speedupAll(sys.cfg, g.Workloads)
-			if err != nil {
-				return d, err
-			}
-			on, err := r.speedupAll(ref, g.Workloads)
-			if err != nil {
-				return d, err
-			}
+		cfgs = append(cfgs, sys.cfg, ref)
+	}
+	groups, ws := r.coreGroups()
+	s, err := r.speedups(cfgs, ws)
+	if err != nil {
+		return d, err
+	}
+	for i, sys := range systems {
+		for _, g := range groups {
+			off, on := g.of(s[2*i]), g.of(s[2*i+1])
 			row := E2Row{Cores: g.Cores, System: sys.name, NoRefresh: mean(off), Refresh: mean(on)}
 			row.CostPct = (1 - row.Refresh/row.NoRefresh) * 100
 			d.Rows = append(d.Rows, row)
@@ -184,12 +177,18 @@ func ExtensionPermutation(r *Runner) (E3Data, error) {
 		{"FBD-AP", config.WithAMBPrefetch(config.Default())},
 		{"FBD-AP+perm", permuted(config.WithAMBPrefetch(config.Default()))},
 	}
-	for _, g := range r.coreGroups() {
-		for _, sys := range systems {
-			speedups, err := r.speedupAll(sys.cfg, g.Workloads)
-			if err != nil {
-				return d, err
-			}
+	cfgs := make([]config.Config, len(systems))
+	for i, sys := range systems {
+		cfgs[i] = sys.cfg
+	}
+	groups, ws := r.coreGroups()
+	s, err := r.speedups(cfgs, ws)
+	if err != nil {
+		return d, err
+	}
+	for _, g := range groups {
+		for i, sys := range systems {
+			speedups := g.of(s[i])
 			var conflicts, reads int64
 			for _, w := range g.Workloads {
 				res, err := r.Run(sys.cfg, w.Benchmarks)
@@ -249,7 +248,10 @@ type E4Data struct {
 }
 
 // ExtensionSeedSensitivity recomputes the Figure 7 average gains under
-// several trace seeds using sub-runners that share this runner's budgets.
+// several trace seeds using sub-runners that share this runner's budgets
+// and result cache. Cache keys carry the seed, so a sub-runner at the
+// runner's own seed reuses its Figure 7 simulations and the others
+// simulate afresh.
 func ExtensionSeedSensitivity(r *Runner, seeds []int64) (E4Data, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1, 2, 3}
@@ -260,6 +262,7 @@ func ExtensionSeedSensitivity(r *Runner, seeds []int64) (E4Data, error) {
 		opts := r.Options()
 		opts.Seed = seed
 		sub := NewRunner(opts)
+		sub.cache, sub.sim = r.cache, r.sim
 		f7, err := Figure7(sub)
 		if err != nil {
 			return d, err
@@ -338,19 +341,16 @@ func ExtensionDDR3(r *Runner) (E5Data, error) {
 	fbd3 := config.WithDDR3(config.FBDIMMBaseline())
 	ap3 := config.WithDDR3(config.WithAMBPrefetch(config.Default()))
 
-	for _, g := range r.coreGroups() {
-		row := E5Row{Cores: g.Cores}
-		for _, arm := range []struct {
-			cfg config.Config
-			out *float64
-		}{
-			{fbd2, &row.FBD2}, {ap2, &row.AP2}, {fbd3, &row.FBD3}, {ap3, &row.AP3},
-		} {
-			s, err := r.speedupAll(arm.cfg, g.Workloads)
-			if err != nil {
-				return d, err
-			}
-			*arm.out = mean(s)
+	groups, ws := r.coreGroups()
+	s, err := r.speedups([]config.Config{fbd2, ap2, fbd3, ap3}, ws)
+	if err != nil {
+		return d, err
+	}
+	for _, g := range groups {
+		row := E5Row{
+			Cores: g.Cores,
+			FBD2:  mean(g.of(s[0])), AP2: mean(g.of(s[1])),
+			FBD3: mean(g.of(s[2])), AP3: mean(g.of(s[3])),
 		}
 		row.APGain2Pct = gainPct(row.AP2, row.FBD2)
 		row.APGain3Pct = gainPct(row.AP3, row.FBD3)
@@ -425,22 +425,27 @@ func ExtensionFaultSweep(r *Runner) (E6Data, error) {
 		cfg.Mem.RegionLines = k
 		return cfg
 	}
-	var ws []workload.Workload
-	for _, g := range r.coreGroups() {
-		ws = append(ws, g.Workloads...)
+	rates, ks := []float64{0, 0.01, 0.05, 0.10}, []int{2, 4, 8}
+	// cfgs holds, per error rate, plain FBD and then AP at each K.
+	var cfgs []config.Config
+	for _, rate := range rates {
+		cfgs = append(cfgs, withFault(config.FBDIMMBaseline(), rate))
+		for _, k := range ks {
+			cfgs = append(cfgs, withFault(apK(k), rate))
+		}
+	}
+	_, ws := r.coreGroups()
+	s, err := r.speedups(cfgs, ws)
+	if err != nil {
+		return d, err
 	}
 
-	measure := func(cfg config.Config) (E6Row, error) {
-		var row E6Row
-		speedups, err := r.speedupAll(cfg, ws)
-		if err != nil {
-			return row, err
-		}
-		row.Speedup = mean(speedups)
+	measure := func(c int) (E6Row, error) {
+		row := E6Row{Speedup: mean(s[c])}
 		var retries, reads int64
 		var p95 float64
 		for _, w := range ws {
-			res, err := r.Run(cfg, w.Benchmarks)
+			res, err := r.Run(cfgs[c], w.Benchmarks)
 			if err != nil {
 				return row, err
 			}
@@ -459,15 +464,16 @@ func ExtensionFaultSweep(r *Runner) (E6Data, error) {
 		return row, nil
 	}
 
-	for _, rate := range []float64{0, 0.01, 0.05, 0.10} {
-		base, err := measure(withFault(config.FBDIMMBaseline(), rate))
+	for i, rate := range rates {
+		c := i * (1 + len(ks))
+		base, err := measure(c)
 		if err != nil {
 			return d, err
 		}
 		base.RatePct = rate * 100
 		d.Rows = append(d.Rows, base)
-		for _, k := range []int{2, 4, 8} {
-			row, err := measure(withFault(apK(k), rate))
+		for j, k := range ks {
+			row, err := measure(c + 1 + j)
 			if err != nil {
 				return d, err
 			}

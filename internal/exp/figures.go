@@ -7,7 +7,6 @@ import (
 	"fbdsim/internal/config"
 	"fbdsim/internal/power"
 	"fbdsim/internal/sweep"
-	"fbdsim/internal/workload"
 )
 
 func gainPct(test, base float64) float64 {
@@ -39,15 +38,13 @@ type Figure4Data struct {
 // FB-DIMM (no AMB prefetching), referenced to single-threaded DDR2.
 func Figure4(r *Runner) (Figure4Data, error) {
 	d := Figure4Data{AvgGainPct: map[int]float64{}}
-	for _, g := range r.coreGroups() {
-		ddr, err := r.speedupAll(config.DDR2Baseline(), g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		fbd, err := r.speedupAll(config.FBDIMMBaseline(), g.Workloads)
-		if err != nil {
-			return d, err
-		}
+	groups, ws := r.coreGroups()
+	s, err := r.speedups([]config.Config{config.DDR2Baseline(), config.FBDIMMBaseline()}, ws)
+	if err != nil {
+		return d, err
+	}
+	for _, g := range groups {
+		ddr, fbd := g.of(s[0]), g.of(s[1])
 		gains := make([]float64, len(g.Workloads))
 		for i, w := range g.Workloads {
 			d.Rows = append(d.Rows, Figure4Row{Workload: w.Name, Cores: g.Cores, DDR2: ddr[i], FBD: fbd[i]})
@@ -96,24 +93,25 @@ type Figure5Data struct {
 func avgKey(cores int, sys string) string { return fmt.Sprintf("%dC/%s", cores, sys) }
 
 // Figure5 reproduces Figure 5 from the same runs as Figure 4: one sweep
-// per core count over {DDR2, FBD} × that core count's workloads.
+// over {DDR2, FBD} × every workload.
 func Figure5(r *Runner) (Figure5Data, error) {
 	d := Figure5Data{AvgBW: map[string]float64{}, AvgLat: map[string]float64{}}
 	systems := []sweep.NamedConfig{
 		{Name: "DDR2", Config: config.DDR2Baseline()},
 		{Name: "FBD", Config: config.FBDIMMBaseline()},
 	}
-	for _, g := range r.coreGroups() {
-		pts, err := r.sweep("figure5", systems, g.Workloads)
-		if err != nil {
-			return d, err
-		}
+	groups, ws := r.coreGroups()
+	pts, err := r.sweep("figure5", systems, ws)
+	if err != nil {
+		return d, err
+	}
+	for _, g := range groups {
 		// Points arrive in grid order: every workload of one system, then
 		// the next system.
 		for s, sys := range systems {
 			var bws, lats []float64
 			for i, w := range g.Workloads {
-				res := pts[s*len(g.Workloads)+i].Results
+				res := pts[s*len(ws)+g.first+i].Results
 				d.Rows = append(d.Rows, Figure5Row{
 					Workload: w.Name, Cores: g.Cores, System: sys.Name,
 					BandwidthGBs: res.UtilizedBandwidthGBs, LatencyNS: res.AvgReadLatencyNS,
@@ -165,25 +163,32 @@ type Figure6Data struct{ Rows []Figure6Row }
 // 1/2/4 logical channels, for both memory systems.
 func Figure6(r *Runner) (Figure6Data, error) {
 	var d Figure6Data
-	for _, rate := range []int{533, 667} {
-		for _, ch := range []int{1, 2, 4} {
-			mk := func(base config.Config) config.Config {
+	rates, channels := []int{533, 667}, []int{1, 2, 4}
+	// cfgs holds DDR2 then FBD at each (rate, channels) point, rate-major.
+	var cfgs []config.Config
+	for _, rate := range rates {
+		for _, ch := range channels {
+			for _, base := range []config.Config{config.DDR2Baseline(), config.FBDIMMBaseline()} {
 				base.Mem.DataRate = clockRate(rate)
 				base.Mem.LogicalChannels = ch
-				return base
+				cfgs = append(cfgs, base)
 			}
-			for _, g := range r.coreGroups() {
-				ddr, err := r.speedupAll(mk(config.DDR2Baseline()), g.Workloads)
-				if err != nil {
-					return d, err
-				}
-				fbd, err := r.speedupAll(mk(config.FBDIMMBaseline()), g.Workloads)
-				if err != nil {
-					return d, err
-				}
+		}
+	}
+	groups, ws := r.coreGroups()
+	s, err := r.speedups(cfgs, ws)
+	if err != nil {
+		return d, err
+	}
+	k := 0
+	for _, rate := range rates {
+		for _, ch := range channels {
+			ddr, fbd := s[k], s[k+1]
+			k += 2
+			for _, g := range groups {
 				d.Rows = append(d.Rows, Figure6Row{
 					Cores: g.Cores, RateMTs: rate, Channels: ch,
-					DDR2: mean(ddr), FBD: mean(fbd),
+					DDR2: mean(g.of(ddr)), FBD: mean(g.of(fbd)),
 				})
 			}
 		}
@@ -225,16 +230,13 @@ type Figure7Data struct {
 // 64-entry fully-associative FIFO AMB cache, software prefetching on).
 func Figure7(r *Runner) (Figure7Data, error) {
 	d := Figure7Data{AvgGainPct: map[int]float64{}, MaxGainPct: map[int]float64{}}
-	apCfg := config.WithAMBPrefetch(config.Default())
-	for _, g := range r.coreGroups() {
-		fbd, err := r.speedupAll(config.FBDIMMBaseline(), g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		ap, err := r.speedupAll(apCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
+	groups, ws := r.coreGroups()
+	s, err := r.speedups([]config.Config{config.FBDIMMBaseline(), config.WithAMBPrefetch(config.Default())}, ws)
+	if err != nil {
+		return d, err
+	}
+	for _, g := range groups {
+		fbd, ap := g.of(s[0]), g.of(s[1])
 		gains := make([]float64, len(g.Workloads))
 		maxGain := 0.0
 		for i, w := range g.Workloads {
@@ -392,21 +394,17 @@ type Figure9Data struct{ Rows []Figure9Row }
 // the bank-conflict (bandwidth) benefit from the idle-latency benefit.
 func Figure9(r *Runner) (Figure9Data, error) {
 	var d Figure9Data
-	apCfg := config.WithAMBPrefetch(config.Default())
-	flCfg := config.WithFullLatencyHits(config.Default())
-	for _, g := range r.coreGroups() {
-		fbd, err := r.speedupAll(config.FBDIMMBaseline(), g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		fl, err := r.speedupAll(flCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		ap, err := r.speedupAll(apCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
+	groups, ws := r.coreGroups()
+	s, err := r.speedups([]config.Config{
+		config.FBDIMMBaseline(),
+		config.WithFullLatencyHits(config.Default()),
+		config.WithAMBPrefetch(config.Default()),
+	}, ws)
+	if err != nil {
+		return d, err
+	}
+	for _, g := range groups {
+		fbd, fl, ap := g.of(s[0]), g.of(s[1]), g.of(s[2])
 		row := Figure9Row{Cores: g.Cores, FBD: mean(fbd), APFL: mean(fl), AP: mean(ap)}
 		row.BandwidthGainPct = gainPct(row.APFL, row.FBD)
 		row.LatencyGainPct = gainPct(row.AP, row.APFL)
@@ -443,22 +441,22 @@ type Figure10Row struct {
 type Figure10Data struct{ Rows []Figure10Row }
 
 // Figure10 reproduces Figure 10: for every workload, AMB prefetching should
-// raise utilized bandwidth and cut average latency. Each core count is one
-// sweep over {FBD, FBD-AP} × its workloads.
+// raise utilized bandwidth and cut average latency. The figure is one
+// sweep over {FBD, FBD-AP} × every workload.
 func Figure10(r *Runner) (Figure10Data, error) {
 	var d Figure10Data
 	systems := []sweep.NamedConfig{
 		{Name: "FBD", Config: config.FBDIMMBaseline()},
 		{Name: "FBD-AP", Config: config.WithAMBPrefetch(config.Default())},
 	}
-	for _, g := range r.coreGroups() {
-		pts, err := r.sweep("figure10", systems, g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		n := len(g.Workloads)
+	groups, ws := r.coreGroups()
+	pts, err := r.sweep("figure10", systems, ws)
+	if err != nil {
+		return d, err
+	}
+	for _, g := range groups {
 		for i, w := range g.Workloads {
-			base, ap := pts[i].Results, pts[n+i].Results
+			base, ap := pts[g.first+i].Results, pts[len(ws)+g.first+i].Results
 			d.Rows = append(d.Rows, Figure10Row{
 				Workload: w.Name, Cores: g.Cores,
 				FBDBW: base.UtilizedBandwidthGBs, FBDLat: base.AvgReadLatencyNS,
@@ -493,56 +491,27 @@ type Figure11Row struct {
 // Figure11Data is the sensitivity study of Figure 11.
 type Figure11Data struct{ Rows []Figure11Row }
 
-// Figure11 reproduces Figure 11 over the Figure 8 variant sweep. The
-// figure is one sweep spec — the default prefetcher plus every variant,
-// crossed with the workload set — whose points, together with the DDR2
-// single-core reference sweep, yield per-variant speedups; the "#CL=4
-// (default)" variant shares the default's configuration and therefore its
-// simulations.
+// Figure11 reproduces Figure 11 over the Figure 8 variant sweep: the
+// default prefetcher plus every variant, crossed with the workload set.
+// The "#CL=4 (default)" variant shares the default's configuration and
+// therefore its simulations.
 func Figure11(r *Runner) (Figure11Data, error) {
 	var d Figure11Data
-	def := PrefetcherVariant{"default", 4, 64, config.FullAssoc}
-	cfgs := append([]sweep.NamedConfig{{Name: def.Label, Config: def.apply()}},
-		variantConfigs(Figure8Variants())...)
-	pts, err := r.sweep("figure11", cfgs, r.opts.Workloads)
+	variants := Figure8Variants()
+	cfgs := []config.Config{PrefetcherVariant{"default", 4, 64, config.FullAssoc}.apply()}
+	for _, v := range variants {
+		cfgs = append(cfgs, v.apply())
+	}
+	groups, ws := r.coreGroups()
+	s, err := r.speedups(cfgs, ws)
 	if err != nil {
 		return d, err
 	}
-	refs, err := r.refIPCAll(benchSet(r.opts.Workloads))
-	if err != nil {
-		return d, err
-	}
-	// speedup[config][workload] from the collected grid.
-	byPoint := make(map[string]map[string]float64, len(cfgs))
-	for _, p := range pts {
-		if byPoint[p.Config] == nil {
-			byPoint[p.Config] = map[string]float64{}
-		}
-		var w workload.Workload
-		for _, cand := range r.opts.Workloads {
-			if cand.Name == p.Workload {
-				w = cand
-				break
-			}
-		}
-		ref := make([]float64, len(w.Benchmarks))
-		for i, b := range w.Benchmarks {
-			ref[i] = refs[b]
-		}
-		byPoint[p.Config][p.Workload] = workload.SMTSpeedup(p.Results.IPC, ref)
-	}
-	groupMean := func(label string, ws []workload.Workload) float64 {
-		xs := make([]float64, len(ws))
-		for i, w := range ws {
-			xs[i] = byPoint[label][w.Name]
-		}
-		return mean(xs)
-	}
-	for _, g := range r.coreGroups() {
-		baseAvg := groupMean(def.Label, g.Workloads)
-		for _, v := range Figure8Variants() {
+	for _, g := range groups {
+		baseAvg := mean(g.of(s[0]))
+		for i, v := range variants {
 			d.Rows = append(d.Rows, Figure11Row{
-				Cores: g.Cores, Variant: v, Normalized: groupMean(v.Label, g.Workloads) / baseAvg,
+				Cores: g.Cores, Variant: v, Normalized: mean(g.of(s[1+i])) / baseAvg,
 			})
 		}
 	}
@@ -583,23 +552,13 @@ func Figure12(r *Runner) (Figure12Data, error) {
 	spCfg := config.FBDIMMBaseline()
 	bothCfg := config.WithAMBPrefetch(config.Default())
 
-	for _, g := range r.coreGroups() {
-		none, err := r.speedupAll(noneCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		ap, err := r.speedupAll(apCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		sp, err := r.speedupAll(spCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
-		both, err := r.speedupAll(bothCfg, g.Workloads)
-		if err != nil {
-			return d, err
-		}
+	groups, ws := r.coreGroups()
+	s, err := r.speedups([]config.Config{noneCfg, apCfg, spCfg, bothCfg}, ws)
+	if err != nil {
+		return d, err
+	}
+	for _, g := range groups {
+		none, ap, sp, both := g.of(s[0]), g.of(s[1]), g.of(s[2]), g.of(s[3])
 		base := mean(none)
 		d.Rows = append(d.Rows, Figure12Row{
 			Cores: g.Cores,
@@ -682,7 +641,8 @@ func Figure13(r *Runner) (Figure13Data, error) {
 		a.act += float64(p.Results.DRAM.ACT)
 		a.col += float64(p.Results.DRAM.Columns())
 	}
-	for _, g := range r.coreGroups() {
+	groups, _ := r.coreGroups()
+	for _, g := range groups {
 		base := byGroup[baseLabel][g.Cores]
 		for _, v := range Figure13Variants() {
 			a := byGroup[v.Label][g.Cores]

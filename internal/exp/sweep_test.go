@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
@@ -119,7 +120,7 @@ func journals(t *testing.T, dir string) []string {
 // TestExpandOrderAndOverrides: points come back config-major, then
 // workload, with dense indices; every simulated config carries the
 // Runner's budgets and seed and one core per benchmark; and at Parallel 1
-// the simulations start in grid order.
+// the simulations start most cores first, ties in grid order.
 func TestExpandOrderAndOverrides(t *testing.T) {
 	cfgs, ws := testGrid(2, 2)
 	var mu sync.Mutex
@@ -149,8 +150,103 @@ func TestExpandOrderAndOverrides(t *testing.T) {
 			t.Errorf("point %d = {%d %s %s %d}, want {%d %s %s 5}",
 				i, p.Index, p.Config, p.Workload, p.Seed, i, want[i].cfg, want[i].wl)
 		}
-		if p.Key != order[i] {
-			t.Errorf("point %d was simulated out of grid order", i)
+	}
+	// wl-1 runs two cores and wl-0 one: both wl-1 points first.
+	for k, i := range []int{1, 3, 0, 2} {
+		if order[k] != pts[i].Key {
+			t.Errorf("simulation %d was not point %d (%s/%s)", k, i, want[i].cfg, want[i].wl)
+		}
+	}
+}
+
+// TestFigure7IsOneWave runs Figure 7 over the quick workloads on a fake
+// simulator. At Parallel 2 the FBD and FBD-AP 8-core points must be in
+// flight together: each waits, up to a deadline, for the other to start.
+// At Parallel 1 the simulations must start in the wave's order: the DDR2
+// reference runs, then every config × workload point, most cores first,
+// ties in grid order.
+func TestFigure7IsOneWave(t *testing.T) {
+	t.Run("parallel=2", func(t *testing.T) {
+		var mu sync.Mutex
+		started := 0
+		together := make(chan struct{})
+		r := fakeRunner(Options{Workloads: QuickWorkloads(), Parallel: 2}, func(ctx context.Context, tier fidelity.Tier, cfg config.Config, b []string) (system.Results, error) {
+			if len(b) == 8 {
+				mu.Lock()
+				if started++; started == 2 {
+					close(together)
+				}
+				mu.Unlock()
+				select {
+				case <-together:
+				case <-time.After(10 * time.Second):
+					return system.Results{}, errors.New("the other 8-core point did not start within 10s")
+				}
+			}
+			return fakeSim(ctx, tier, cfg, b)
+		})
+		if _, err := Figure7(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("parallel=1", func(t *testing.T) {
+		var mu sync.Mutex
+		var order []string
+		r := fakeRunner(Options{Workloads: QuickWorkloads(), Parallel: 1}, func(ctx context.Context, tier fidelity.Tier, cfg config.Config, b []string) (system.Results, error) {
+			mu.Lock()
+			order = append(order, fidelity.Key(tier, cfg, b))
+			mu.Unlock()
+			return fakeSim(ctx, tier, cfg, b)
+		})
+		if _, err := Figure7(r); err != nil {
+			t.Fatal(err)
+		}
+		key := func(cfg config.Config, b []string) string {
+			return fidelity.Key(fidelity.CycleAccurate, r.normalize(cfg, len(b)), b)
+		}
+		ws := QuickWorkloads()
+		var want []string
+		for _, b := range benchSet(ws) {
+			want = append(want, key(config.DDR2Baseline(), []string{b}))
+		}
+		for _, n := range []int{8, 4, 2, 1} {
+			for _, cfg := range []config.Config{config.FBDIMMBaseline(), config.WithAMBPrefetch(config.Default())} {
+				for _, w := range workload.ByCores(ws, n) {
+					want = append(want, key(cfg, w.Benchmarks))
+				}
+			}
+		}
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("simulations started in another order than the wave's:\n got %.8q\nwant %.8q", order, want)
+		}
+	})
+}
+
+// TestSeedSensitivityReusesFigure7: E4 at the runner's own seed is served
+// entirely from the Figure 7 simulations the runner already holds, and
+// reproduces Figure 7's average gains exactly.
+func TestSeedSensitivityReusesFigure7(t *testing.T) {
+	var runs atomic.Int64
+	r := fakeRunner(Options{Workloads: QuickWorkloads()}, func(ctx context.Context, tier fidelity.Tier, cfg config.Config, b []string) (system.Results, error) {
+		runs.Add(1)
+		return fakeSim(ctx, tier, cfg, b)
+	})
+	f7, err := Figure7(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runs.Load()
+	e4, err := ExtensionSeedSensitivity(r, []int64{r.Options().Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load() - before; n != 0 {
+		t.Errorf("E4 at the runner's seed simulated %d points again", n)
+	}
+	for _, row := range e4.Rows {
+		if want := f7.AvgGainPct[row.Cores]; row.MeanPct != want {
+			t.Errorf("@%d cores: E4 mean gain %v, Figure 7 %v", row.Cores, row.MeanPct, want)
 		}
 	}
 }
