@@ -9,19 +9,15 @@
 //	paperexp -fig 7                # one figure
 //	paperexp -fig 7 -quick         # reduced workload set
 //	paperexp -all -insts 1000000   # longer runs for tighter averages
-//	paperexp -all -journal ckpt/   # checkpoint sweeps; re-run to resume
 //
-// Every figure runs as one or more sweeps through the experiment runner
-// (internal/exp). With -journal DIR each sweep checkpoints its completed
-// grid points to DIR/<sweep>-<fingerprint>.ndjson; a killed run
-// re-invoked with the same flags resumes from the journals and produces
-// bit-identical results.
-// -abort-after N stops the suite deterministically after N fresh
-// simulations (exit code 3) — the hook CI uses to exercise kill/resume.
+// Every figure runs as one or more sweeps through one experiment runner
+// (internal/exp), so an identical simulation requested by two figures runs
+// once. The suite ends with a line counting its simulations and cache hits.
+// A usage error exits 2 before anything simulates; a failed experiment
+// exits 1.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,9 +40,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		plot     = flag.Bool("plot", false, "also render figures as terminal charts")
 		csvDir   = flag.String("csv", "", "directory to write per-figure CSV files into")
-		journal  = flag.String("journal", "", "directory for sweep checkpoint journals; re-running with the same flags resumes")
-		abort    = flag.Int("abort-after", 0, "abort the suite after N fresh simulations (exit 3); used with -journal to test resume")
-		fid      = flag.String("fidelity", "", "simulation tier for every run: cycle-accurate (default) or sampled")
 	)
 	flag.Parse()
 
@@ -62,13 +55,10 @@ func main() {
 	}
 
 	opts := exp.Options{
-		MaxInsts:         *insts,
-		WarmupInsts:      *warmup,
-		Seed:             *seed,
-		Parallel:         *parallel,
-		Journal:          *journal,
-		AbortAfterPoints: *abort,
-		Fidelity:         *fid,
+		MaxInsts:    *insts,
+		WarmupInsts: *warmup,
+		Seed:        *seed,
+		Parallel:    *parallel,
 	}
 	if *quick {
 		opts.Workloads = exp.QuickWorkloads()
@@ -153,10 +143,6 @@ func main() {
 			fmt.Println()
 		}
 		if err := e.run(); err != nil {
-			if errors.Is(err, exp.ErrAborted) {
-				fmt.Fprintf(os.Stderr, "paperexp: experiment %s: %v; re-run with the same -journal to resume\n", e.id, err)
-				os.Exit(3)
-			}
 			fmt.Fprintf(os.Stderr, "paperexp: experiment %s: %v\n", e.id, err)
 			os.Exit(1)
 		}

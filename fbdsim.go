@@ -38,7 +38,7 @@
 // The experiment harness that regenerates every table and figure of the
 // paper lives in internal/exp and is exposed through cmd/paperexp. Each
 // figure is a grid of configurations × workloads that the harness runs
-// with bounded parallelism, result caching and journal-based resume.
+// with bounded parallelism and result caching.
 package fbdsim
 
 import (

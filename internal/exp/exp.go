@@ -1,20 +1,17 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (Section 5). Each FigureN function declares the grid of configurations ×
 // workloads that figure varies and runs it as a sweep through its Runner,
-// the one executor of every simulation in a suite: bounded parallelism,
+// the one executor of every simulation in a suite: bounded parallelism and
 // single-flight result caching shared across figures (the FBD baseline
-// appears in Figures 4, 7, 9, 10, 12 and 13 but simulates once), and —
-// when Options.Journal is set — per-sweep checkpoint journals
-// (internal/sweep) so an interrupted suite resumes without recomputing
-// completed points.
+// appears in Figures 4, 7, 9, 10, 12 and 13 but simulates once).
 package exp
 
 import (
 	"context"
-	"errors"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -24,17 +21,9 @@ import (
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
-	"fbdsim/internal/fidelity"
-	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
 	"fbdsim/internal/workload"
 )
-
-// ErrAborted is returned by sweeps cut short by Options.AbortAfterPoints —
-// the deterministic mid-run kill used by the resume tests and the CI smoke
-// step. A journaled suite re-run without the limit completes from where it
-// stopped.
-var ErrAborted = errors.New("exp: aborted after AbortAfterPoints simulations")
 
 // clockRate converts an MT/s integer into the clock.DataRate type,
 // validating it is supported.
@@ -62,20 +51,6 @@ type Options struct {
 	// Workloads restricts the workload set (default: the full paper set —
 	// twelve single-program runs plus the fifteen Table 3 mixes).
 	Workloads []workload.Workload
-	// Journal names a directory for sweep checkpoint journals. When set,
-	// every figure sweep writes completed points to
-	// <Journal>/<name>-<fingerprint>.ndjson and resumes from it on the
-	// next run of the same grid. Empty disables checkpointing.
-	Journal string
-	// AbortAfterPoints, when positive, cancels the suite once that many
-	// fresh simulations have completed — a deterministic kill switch for
-	// exercising journal resume (sweeps then fail with ErrAborted).
-	AbortAfterPoints int
-	// Fidelity selects the simulation tier for every run in the suite:
-	// "cycle-accurate" (default) or "sampled". The sampled tier keys the
-	// shared cache and journal fingerprints with a tier prefix, so a
-	// sampled pass never pollutes cycle-accurate results.
-	Fidelity string
 }
 
 // Validate rejects option values that a front door (flag parsing, request
@@ -89,12 +64,6 @@ func (o Options) Validate() error {
 	}
 	if o.WarmupInsts < 0 {
 		return fmt.Errorf("exp: negative warmup budget %d", o.WarmupInsts)
-	}
-	if o.AbortAfterPoints < 0 {
-		return fmt.Errorf("exp: negative AbortAfterPoints %d", o.AbortAfterPoints)
-	}
-	if _, err := fidelity.Parse(o.Fidelity); err != nil {
-		return fmt.Errorf("exp: %v", err)
 	}
 	return nil
 }
@@ -114,14 +83,6 @@ func (o Options) norm() Options {
 	}
 	if o.Workloads == nil {
 		o.Workloads = workload.All()
-	}
-	// Normalize so that "cycle-accurate" and "" key caches identically.
-	if t, err := fidelity.Parse(o.Fidelity); err == nil {
-		if t == fidelity.CycleAccurate {
-			o.Fidelity = ""
-		} else {
-			o.Fidelity = string(t)
-		}
 	}
 	return o
 }
@@ -147,26 +108,56 @@ func QuickWorkloads() []workload.Workload {
 // sweeps alike — through one single-flight result cache and one
 // parallelism bound: identical requests, within a figure, across figures,
 // or across a figure sweep and a direct Run call, simulate once.
+//
+// A copy of a Runner with other options shares all of that with the
+// original; E4 runs its per-seed Figure 7 grids on such copies.
 type Runner struct {
-	opts  Options
-	cache *sweep.Cache
+	opts Options
 	// sem bounds concurrently running simulations at Options.Parallel. A
 	// request takes a slot only on a cache miss.
 	sem chan struct{}
-	// sim is the simulator behind the cache, fidelity.Run; tests
+	// sim is the simulator behind the cache, system.RunWorkload; tests
 	// substitute fakes.
-	sim func(ctx context.Context, t fidelity.Tier, cfg config.Config, benchmarks []string) (system.Results, error)
+	sim   func(cfg config.Config, benchmarks []string) (system.Results, error)
+	cache *resultCache
+}
 
-	// Cache accounting (see Summary): misses are actual simulations,
-	// hits are requests served from (or coalesced onto) a prior run.
+// resultCache holds every completed simulation and every one in flight by
+// request key, and the accounting Summary reports. Nothing is evicted.
+type resultCache struct {
+	mu      sync.Mutex
+	done    map[requestKey]system.Results
+	flights map[requestKey]*flight
+
+	// hits are requests served from, or joined to, another request's run;
+	// misses are successful simulations.
 	hits     atomic.Int64
 	misses   atomic.Int64
 	simNanos atomic.Int64
+}
 
-	// abortCtx is cancelled once AbortAfterPoints simulations complete;
-	// without the option it never fires.
-	abortCtx    context.Context
-	abortCancel context.CancelFunc
+// flight is one simulation in progress; requests that join it wait on done.
+type flight struct {
+	done chan struct{}
+	res  system.Results
+	err  error
+}
+
+// requestKey names one simulation request; see key.
+type requestKey [sha256.Size]byte
+
+// key returns the SHA-256 over the JSON encodings of a normalized
+// configuration (which embeds the seed and instruction budgets) and the
+// benchmark list. Requests that would produce identical Results hash
+// identically; any differing knob — timing, geometry, seed, budget,
+// benchmark order — gives a different key.
+func key(cfg config.Config, benchmarks []string) requestKey {
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	// Config and []string cannot fail to encode.
+	_ = enc.Encode(cfg)
+	_ = enc.Encode(benchmarks)
+	return requestKey(h.Sum(nil))
 }
 
 // NewRunner builds a Runner with the given options. Invalid option values
@@ -177,22 +168,25 @@ func NewRunner(opts Options) *Runner {
 		panic(err)
 	}
 	o := opts.norm()
-	r := &Runner{
-		opts:  o,
-		cache: sweep.NewCache(),
-		sem:   make(chan struct{}, o.Parallel),
-		sim:   fidelity.Run,
+	return &Runner{
+		opts: o,
+		sem:  make(chan struct{}, o.Parallel),
+		sim: func(cfg config.Config, benchmarks []string) (system.Results, error) {
+			return system.RunWorkload(context.Background(), cfg, benchmarks)
+		},
+		cache: &resultCache{
+			done:    make(map[requestKey]system.Results),
+			flights: make(map[requestKey]*flight),
+		},
 	}
-	r.abortCtx, r.abortCancel = context.WithCancel(context.Background())
-	return r
 }
 
 // Options returns the normalized options in effect.
 func (r *Runner) Options() Options { return r.opts }
 
 // normalize applies the Runner's budget/seed overrides and the core-count
-// convention (CPU.Cores = len(benchmarks)) so that every path — direct
-// Run, figure sweep, journal replay — keys the cache identically.
+// convention (CPU.Cores = len(benchmarks)) so that direct runs and figure
+// sweeps key the cache identically.
 func (r *Runner) normalize(cfg config.Config, cores int) config.Config {
 	cfg.MaxInsts = r.opts.MaxInsts
 	cfg.WarmupInsts = r.opts.WarmupInsts
@@ -204,163 +198,92 @@ func (r *Runner) normalize(cfg config.Config, cores int) config.Config {
 // Run simulates cfg on the benchmark mix, memoized. The Runner's
 // instruction budgets and seed override the config's.
 func (r *Runner) Run(cfg config.Config, benchmarks []string) (system.Results, error) {
-	return r.RunContext(r.abortCtx, cfg, benchmarks)
+	return r.do(r.normalize(cfg, len(benchmarks)), benchmarks, func() {})
 }
 
-// RunContext is Run with cancellation. Cancelling ctx stops an in-flight
-// simulation at cycle-batch granularity (see system.RunContext). Errors —
-// including cancellation — are never cached, so a later request with the
-// same configuration re-simulates instead of replaying the error;
-// concurrent waiters coalesced onto a cancelled run observe its error.
-func (r *Runner) RunContext(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
-	cfg = r.normalize(cfg, len(benchmarks))
-	return r.do(ctx, fidelity.Key(fidelity.Tier(r.opts.Fidelity), cfg, benchmarks), cfg, benchmarks, func() {})
-}
-
-// do is the one path every simulation request takes, under its cache key
-// and with cfg already normalized. A cached result, or an identical run
-// already in flight, answers it as a hit. A miss waits for a slot of the
-// parallelism bound and simulates, with wall-time and miss accounting and
-// the AbortAfterPoints kill switch. admitted is called once the request
-// holds a slot or has found it needs none; sweeps use it to dispatch their
-// points in cost order.
-func (r *Runner) do(ctx context.Context, key string, cfg config.Config, benchmarks []string, admitted func()) (system.Results, error) {
-	admit := sync.OnceFunc(admitted)
-	defer admit()
-	res, hit, err := r.cache.Do(ctx, key, func() (system.Results, error) {
-		// With a slot free, select would pick it over an ended ctx half
-		// the time and start a simulation after an AbortAfterPoints cut.
-		if err := ctx.Err(); err != nil {
-			return system.Results{}, err
-		}
-		select {
-		case r.sem <- struct{}{}:
-		case <-ctx.Done():
-			return system.Results{}, ctx.Err()
-		}
-		defer func() { <-r.sem }()
-		admit()
-		start := time.Now()
-		res, err := r.sim(ctx, fidelity.Tier(r.opts.Fidelity), cfg, benchmarks)
-		r.simNanos.Add(time.Since(start).Nanoseconds())
-		if err != nil {
-			return res, err
-		}
-		r.misses.Add(1)
-		if n := r.opts.AbortAfterPoints; n > 0 && r.misses.Load() >= int64(n) {
-			r.abortCancel()
-		}
+// do is the one path every simulation request takes, with cfg already
+// normalized. A cached result, or an identical run already in flight,
+// answers it as a hit. A miss waits for a slot of the parallelism bound
+// and simulates. admitted is called once the request holds a slot or has
+// found a result it can wait for without one; sweeps use it to dispatch
+// their points in cost order. Errors are never cached: a failed run is
+// forgotten, so a later request re-simulates, while the requests that
+// joined it see its error.
+func (r *Runner) do(cfg config.Config, benchmarks []string, admitted func()) (system.Results, error) {
+	c, k := r.cache, key(cfg, benchmarks)
+	c.mu.Lock()
+	if res, ok := c.done[k]; ok {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		admitted()
 		return res, nil
-	})
-	if hit {
-		r.hits.Add(1)
 	}
-	return res, err
+	if f, ok := c.flights[k]; ok {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		admitted()
+		<-f.done
+		return f.res, f.err
+	}
+	f := &flight{done: make(chan struct{})}
+	c.flights[k] = f
+	c.mu.Unlock()
+
+	r.sem <- struct{}{}
+	admitted()
+	start := time.Now()
+	f.res, f.err = r.sim(cfg, benchmarks)
+	c.simNanos.Add(time.Since(start).Nanoseconds())
+	<-r.sem
+
+	c.mu.Lock()
+	delete(c.flights, k)
+	if f.err == nil {
+		c.done[k] = f.res
+		c.misses.Add(1)
+	}
+	c.mu.Unlock()
+	close(f.done)
+	return f.res, f.err
 }
 
-// sweep runs the grid cfgs × ws (config-major, then workload) and returns
-// its points in grid order. With Options.Journal set, it checkpoints to a
-// journal file keyed by the grid's fingerprint: points an earlier run
-// journaled are replayed into the cache instead of simulated, and every
-// fresh point is appended. The rest run concurrently through do,
-// dispatched longest first. The first failing point in grid order aborts
-// the sweep with its error; an AbortAfterPoints cut returns ErrAborted.
-func (r *Runner) sweep(name string, cfgs []sweep.NamedConfig, ws []workload.Workload) ([]sweep.Point, error) {
-	var (
-		j        *sweep.Journal
-		replayed map[int]sweep.Point
-	)
-	if r.opts.Journal != "" {
-		fp := sweep.Spec{
-			Name:        name,
-			Configs:     cfgs,
-			Workloads:   ws,
-			Seed:        r.opts.Seed,
-			MaxInsts:    r.opts.MaxInsts,
-			WarmupInsts: r.opts.WarmupInsts,
-			Fidelity:    r.opts.Fidelity,
-		}.Fingerprint()
-		var err error
-		j, replayed, err = sweep.OpenJournal(filepath.Join(r.opts.Journal, fmt.Sprintf("%s-%.12s.ndjson", name, fp)), name, fp)
-		if err != nil {
-			return nil, err
-		}
-		defer j.Close()
+// sweep runs the grid cfgs × ws and returns its results in grid order:
+// config-major, then workload. The points run concurrently through do,
+// dispatched longest first: most cores first, ties in grid order. Every
+// point carries the Runner's budgets, so core count orders the cost, and
+// the longest simulations cannot end a figure alone on one slot. Each
+// point is dispatched once the one before it holds a slot or has found it
+// needs none. The first failing point in grid order fails the sweep with
+// its error.
+func (r *Runner) sweep(cfgs []config.Config, ws []workload.Workload) ([]system.Results, error) {
+	order := make([]int, len(cfgs)*len(ws))
+	for i := range order {
+		order[i] = i
 	}
+	cores := func(i int) int { return len(ws[i%len(ws)].Benchmarks) }
+	slices.SortStableFunc(order, func(a, b int) int { return cores(b) - cores(a) })
 
-	// The whole grid is built, and every replayed point cached, before
-	// anything simulates. Fresh points are then dispatched longest first:
-	// most cores first, ties in grid order. Every point carries the
-	// Runner's budgets, so core count orders the cost, and the longest
-	// simulations cannot end a figure alone on one slot. Each point is
-	// dispatched once the one before it holds a slot or has found it needs
-	// none.
-	type job struct {
-		i          int
-		cfg        config.Config
-		benchmarks []string
-	}
-	tier := fidelity.Tier(r.opts.Fidelity)
-	pts := make([]sweep.Point, 0, len(cfgs)*len(ws))
-	errs := make([]error, cap(pts))
-	var fresh []job
-	for _, nc := range cfgs {
-		for _, w := range ws {
-			cfg := r.normalize(nc.Config, len(w.Benchmarks))
-			i := len(pts)
-			pts = append(pts, sweep.Point{
-				Index:    i,
-				Config:   nc.Name,
-				Workload: w.Name,
-				Seed:     cfg.Seed,
-				Key:      fidelity.Key(tier, cfg, w.Benchmarks),
-				Fidelity: r.opts.Fidelity,
-			})
-			// A journaled point is kept only if its key still matches its
-			// grid slot — a defense in depth behind the fingerprint check.
-			if p, ok := replayed[i]; ok && p.Key == pts[i].Key {
-				pts[i] = p
-				r.cache.Put(p.Key, p.Results)
-				continue
-			}
-			fresh = append(fresh, job{i, cfg, w.Benchmarks})
-		}
-	}
-	slices.SortStableFunc(fresh, func(a, b job) int { return len(b.benchmarks) - len(a.benchmarks) })
-
+	out := make([]system.Results, len(order))
+	errs := make([]error, len(order))
 	var wg sync.WaitGroup
-	for _, f := range fresh {
+	for _, i := range order {
 		admitted := make(chan struct{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := r.do(r.abortCtx, pts[f.i].Key, f.cfg, f.benchmarks, func() { close(admitted) })
-			if err == nil {
-				res, err = sweep.Canonicalize(res)
-			}
-			if err != nil {
-				errs[f.i] = err
-				return
-			}
-			pts[f.i].Results = res
-			if j != nil {
-				j.Append(pts[f.i])
-			}
+			b := ws[i%len(ws)].Benchmarks
+			out[i], errs[i] = r.do(r.normalize(cfgs[i/len(ws)], len(b)), b, func() { close(admitted) })
 		}()
 		<-admitted
 	}
 	wg.Wait()
 
 	for i, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, context.Canceled) && r.abortCtx.Err() != nil:
-			return nil, ErrAborted
-		default:
-			return nil, fmt.Errorf("exp: sweep %s point %s/%s: %w", name, pts[i].Config, pts[i].Workload, err)
+		if err != nil {
+			return nil, fmt.Errorf("exp: sweep point config %d, workload %s: %w", i/len(ws), ws[i%len(ws)].Name, err)
 		}
 	}
-	return pts, nil
+	return out, nil
 }
 
 // Summary reports the Runner's cumulative cache accounting.
@@ -379,9 +302,9 @@ type Summary struct {
 // Summary returns the Runner's cache accounting so far.
 func (r *Runner) Summary() Summary {
 	return Summary{
-		Simulations: r.misses.Load(),
-		CacheHits:   r.hits.Load(),
-		SimWall:     time.Duration(r.simNanos.Load()),
+		Simulations: r.cache.misses.Load(),
+		CacheHits:   r.cache.hits.Load(),
+		SimWall:     time.Duration(r.cache.simNanos.Load()),
 	}
 }
 
@@ -431,22 +354,16 @@ func (r *Runner) speedups(cfgs []config.Config, ws []workload.Workload) ([][]flo
 	for i, b := range bs {
 		refWs[i] = workload.Workload{Name: b, Benchmarks: []string{b}}
 	}
-	refPts, err := r.sweep("ddr2-ref", []sweep.NamedConfig{
-		{Name: "ddr2", Config: config.DDR2Baseline()},
-	}, refWs)
+	refs, err := r.sweep([]config.Config{config.DDR2Baseline()}, refWs)
 	if err != nil {
 		return nil, err
 	}
-	refIPC := make(map[string]float64, len(refPts))
-	for _, p := range refPts {
-		refIPC[p.Workload] = p.Results.IPC[0]
+	refIPC := make(map[string]float64, len(refs))
+	for i, b := range bs {
+		refIPC[b] = refs[i].IPC[0]
 	}
 
-	named := make([]sweep.NamedConfig, len(cfgs))
-	for c, cfg := range cfgs {
-		named[c] = sweep.NamedConfig{Name: fmt.Sprintf("cfg-%d", c), Config: cfg}
-	}
-	pts, err := r.sweep("speedup", named, ws)
+	res, err := r.sweep(cfgs, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -458,7 +375,7 @@ func (r *Runner) speedups(cfgs []config.Config, ws []workload.Workload) ([][]flo
 			for k, b := range w.Benchmarks {
 				ref[k] = refIPC[b]
 			}
-			out[c][i] = workload.SMTSpeedup(pts[c*len(ws)+i].Results.IPC, ref)
+			out[c][i] = workload.SMTSpeedup(res[c*len(ws)+i].IPC, ref)
 		}
 	}
 	return out, nil

@@ -2,16 +2,11 @@ package exp
 
 import (
 	"bytes"
-	"context"
-	"errors"
-	"os"
-	"reflect"
 	"strings"
 	"testing"
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
-	"fbdsim/internal/sweep"
 	"fbdsim/internal/workload"
 )
 
@@ -84,15 +79,15 @@ func TestRunnerMemoization(t *testing.T) {
 	if a.IPC[0] != b.IPC[0] {
 		t.Error("memoized results differ")
 	}
-	if r.cache.Len() != 1 {
-		t.Errorf("cache entries = %d, want 1", r.cache.Len())
+	if n := r.Summary().Simulations; n != 1 {
+		t.Errorf("simulations = %d, want 1", n)
 	}
 	// A different config is a different entry.
 	if _, err := r.Run(config.DDR2Baseline(), []string{"vpr"}); err != nil {
 		t.Fatal(err)
 	}
-	if r.cache.Len() != 2 {
-		t.Errorf("cache entries = %d, want 2", r.cache.Len())
+	if n := r.Summary().Simulations; n != 2 {
+		t.Errorf("simulations = %d, want 2", n)
 	}
 }
 
@@ -104,10 +99,10 @@ func TestRunnerSweep(t *testing.T) {
 	sp := config.Default()
 	nosp := config.Default()
 	nosp.CPU.SoftwarePrefetch = false
-	pts, err := r.sweep("grid", []sweep.NamedConfig{
-		{Name: "sp", Config: sp},
-		{Name: "nosp", Config: nosp},
-		{Name: "sp-again", Config: sp}, // same content as "sp": must dedup
+	pts, err := r.sweep([]config.Config{
+		sp,
+		nosp,
+		sp, // same content as the first: must dedup
 	}, []workload.Workload{{Name: "1C-vpr", Benchmarks: []string{"vpr"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -116,18 +111,18 @@ func TestRunnerSweep(t *testing.T) {
 		t.Fatalf("points = %d", len(pts))
 	}
 	for i, p := range pts {
-		if p.Index != i || p.Results.IPC[0] <= 0 {
+		if p.IPC[0] <= 0 {
 			t.Errorf("point %d malformed: %+v", i, p)
 		}
 	}
 	if s := r.Summary(); s.Simulations != 2 {
-		t.Errorf("simulations = %d, want 2 (sp-again dedups)", s.Simulations)
+		t.Errorf("simulations = %d, want 2 (the repeated config dedups)", s.Simulations)
 	}
 }
 
 func TestSweepPropagatesErrors(t *testing.T) {
 	r := testRunner()
-	_, err := r.sweep("bad", []sweep.NamedConfig{{Name: "d", Config: config.Default()}},
+	_, err := r.sweep([]config.Config{config.Default()},
 		[]workload.Workload{{Name: "w", Benchmarks: []string{"nosuch"}}})
 	if err == nil {
 		t.Fatal("expected error")
@@ -144,9 +139,6 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{WarmupInsts: -1}).Validate(); err == nil {
 		t.Error("negative WarmupInsts accepted")
 	}
-	if err := (Options{AbortAfterPoints: -2}).Validate(); err == nil {
-		t.Error("negative AbortAfterPoints accepted")
-	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
 	}
@@ -156,94 +148,6 @@ func TestOptionsValidate(t *testing.T) {
 		}
 	}()
 	NewRunner(Options{Parallel: -3})
-}
-
-// TestRunnerJournalResume: an aborted journaled suite resumes to results
-// identical to an uninterrupted one, on real simulations.
-func TestRunnerJournalResume(t *testing.T) {
-	skipIfShort(t)
-	dir := t.TempDir()
-	ws := []workload.Workload{
-		{Name: "1C-swim", Benchmarks: []string{"swim"}},
-		{Name: "1C-vpr", Benchmarks: []string{"vpr"}},
-	}
-	opts := Options{MaxInsts: 40_000, WarmupInsts: 4_000, Workloads: ws, Parallel: 1}
-	grid := func(r *Runner) ([]sweep.Point, error) {
-		nosp := config.Default()
-		nosp.CPU.SoftwarePrefetch = false
-		return r.sweep("resume-grid", []sweep.NamedConfig{
-			{Name: "sp", Config: config.Default()},
-			{Name: "nosp", Config: nosp},
-		}, ws)
-	}
-
-	ref, err := grid(NewRunner(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	abortOpts := opts
-	abortOpts.Journal = dir
-	abortOpts.AbortAfterPoints = 1
-	if _, err := grid(NewRunner(abortOpts)); !errors.Is(err, ErrAborted) {
-		t.Fatalf("aborted run err = %v, want ErrAborted", err)
-	}
-
-	resumeOpts := opts
-	resumeOpts.Journal = dir
-	r := NewRunner(resumeOpts)
-	got, err := grid(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("resumed suite diverged from uninterrupted run")
-	}
-	if s := r.Summary(); s.Simulations >= int64(len(ref)) {
-		t.Errorf("resume re-simulated everything (%d sims for %d points)", s.Simulations, len(ref))
-	}
-}
-
-// TestEveryFigureAbortsThroughJournal: each of Figures 4–13, run on its own
-// with a journal and AbortAfterPoints 1, writes a journal and stops with
-// ErrAborted — the contract behind paperexp's exit code 3 and the
-// kill/resume smoke, which holds only for figures that run their
-// simulations as journaled sweeps.
-func TestEveryFigureAbortsThroughJournal(t *testing.T) {
-	figures := []struct {
-		name string
-		run  func(*Runner) error
-	}{
-		{"Figure4", func(r *Runner) error { _, err := Figure4(r); return err }},
-		{"Figure5", func(r *Runner) error { _, err := Figure5(r); return err }},
-		{"Figure6", func(r *Runner) error { _, err := Figure6(r); return err }},
-		{"Figure7", func(r *Runner) error { _, err := Figure7(r); return err }},
-		{"Figure8", func(r *Runner) error { _, err := Figure8(r); return err }},
-		{"Figure9", func(r *Runner) error { _, err := Figure9(r); return err }},
-		{"Figure10", func(r *Runner) error { _, err := Figure10(r); return err }},
-		{"Figure11", func(r *Runner) error { _, err := Figure11(r); return err }},
-		{"Figure12", func(r *Runner) error { _, err := Figure12(r); return err }},
-		{"Figure13", func(r *Runner) error { _, err := Figure13(r); return err }},
-	}
-	for _, fig := range figures {
-		t.Run(fig.name, func(t *testing.T) {
-			dir := t.TempDir()
-			r := NewRunner(Options{
-				MaxInsts:         20_000,
-				WarmupInsts:      2_000,
-				Parallel:         1,
-				Workloads:        []workload.Workload{{Name: "1C-swim", Benchmarks: []string{"swim"}}},
-				Journal:          dir,
-				AbortAfterPoints: 1,
-			})
-			if err := fig.run(r); !errors.Is(err, ErrAborted) {
-				t.Fatalf("err = %v, want ErrAborted", err)
-			}
-			if files, err := os.ReadDir(dir); err != nil || len(files) == 0 {
-				t.Errorf("no journal written (%v)", err)
-			}
-		})
-	}
 }
 
 func TestSpeedupSelfReferenceIsOne(t *testing.T) {
@@ -426,28 +330,6 @@ func TestFigure11DefaultIsUnity(t *testing.T) {
 			t.Errorf("@%d cores %s: normalized %.3f implausible",
 				row.Cores, row.Variant.Label, row.Normalized)
 		}
-	}
-}
-
-// TestRunnerContextCancelDoesNotPoison: a cancelled run returns ctx.Err()
-// and is evicted from the memo cache, so the next identical request
-// re-simulates successfully.
-func TestRunnerContextCancelDoesNotPoison(t *testing.T) {
-	r := testRunner()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.RunContext(ctx, config.Default(), []string{"vpr"}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run err = %v, want Canceled", err)
-	}
-	if entries := r.cache.Len(); entries != 0 {
-		t.Fatalf("cancelled entry not evicted (%d cached)", entries)
-	}
-	res, err := r.RunContext(context.Background(), config.Default(), []string{"vpr"})
-	if err != nil {
-		t.Fatalf("retry after cancellation failed: %v", err)
-	}
-	if res.IPC[0] <= 0 {
-		t.Error("retry produced an empty result")
 	}
 }
 

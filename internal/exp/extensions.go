@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -248,10 +249,10 @@ type E4Data struct {
 }
 
 // ExtensionSeedSensitivity recomputes the Figure 7 average gains under
-// several trace seeds using sub-runners that share this runner's budgets
-// and result cache. Cache keys carry the seed, so a sub-runner at the
-// runner's own seed reuses its Figure 7 simulations and the others
-// simulate afresh.
+// several trace seeds using copies of r that differ only in the seed, and
+// so share its budgets, result cache, parallelism bound and accounting.
+// Cache keys carry the seed, so a copy at the runner's own seed reuses its
+// Figure 7 simulations and the others simulate afresh.
 func ExtensionSeedSensitivity(r *Runner, seeds []int64) (E4Data, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1, 2, 3}
@@ -259,11 +260,9 @@ func ExtensionSeedSensitivity(r *Runner, seeds []int64) (E4Data, error) {
 	d := E4Data{Seeds: seeds}
 	perCores := map[int][]float64{}
 	for _, seed := range seeds {
-		opts := r.Options()
-		opts.Seed = seed
-		sub := NewRunner(opts)
-		sub.cache, sub.sim = r.cache, r.sim
-		f7, err := Figure7(sub)
+		sub := *r
+		sub.opts.Seed = seed
+		f7, err := Figure7(&sub)
 		if err != nil {
 			return d, err
 		}
@@ -555,7 +554,7 @@ func ExtensionTieredFidelity(r *Runner) (E8Data, error) {
 		{"fbd-ap", config.WithAMBPrefetch(config.Default())},
 	}
 	ws := workload.ByCores(r.opts.Workloads, 1)
-	ctx := r.abortCtx
+	ctx := context.Background()
 	errPct := func(est, full float64) float64 {
 		if full == 0 {
 			return 0

@@ -6,7 +6,6 @@ import (
 
 	"fbdsim/internal/config"
 	"fbdsim/internal/power"
-	"fbdsim/internal/sweep"
 )
 
 func gainPct(test, base float64) float64 {
@@ -96,12 +95,9 @@ func avgKey(cores int, sys string) string { return fmt.Sprintf("%dC/%s", cores, 
 // over {DDR2, FBD} × every workload.
 func Figure5(r *Runner) (Figure5Data, error) {
 	d := Figure5Data{AvgBW: map[string]float64{}, AvgLat: map[string]float64{}}
-	systems := []sweep.NamedConfig{
-		{Name: "DDR2", Config: config.DDR2Baseline()},
-		{Name: "FBD", Config: config.FBDIMMBaseline()},
-	}
+	systems := []string{"DDR2", "FBD"}
 	groups, ws := r.coreGroups()
-	pts, err := r.sweep("figure5", systems, ws)
+	pts, err := r.sweep([]config.Config{config.DDR2Baseline(), config.FBDIMMBaseline()}, ws)
 	if err != nil {
 		return d, err
 	}
@@ -111,16 +107,16 @@ func Figure5(r *Runner) (Figure5Data, error) {
 		for s, sys := range systems {
 			var bws, lats []float64
 			for i, w := range g.Workloads {
-				res := pts[s*len(ws)+g.first+i].Results
+				res := pts[s*len(ws)+g.first+i]
 				d.Rows = append(d.Rows, Figure5Row{
-					Workload: w.Name, Cores: g.Cores, System: sys.Name,
+					Workload: w.Name, Cores: g.Cores, System: sys,
 					BandwidthGBs: res.UtilizedBandwidthGBs, LatencyNS: res.AvgReadLatencyNS,
 				})
 				bws = append(bws, res.UtilizedBandwidthGBs)
 				lats = append(lats, res.AvgReadLatencyNS)
 			}
-			d.AvgBW[avgKey(g.Cores, sys.Name)] = mean(bws)
-			d.AvgLat[avgKey(g.Cores, sys.Name)] = mean(lats)
+			d.AvgBW[avgKey(g.Cores, sys)] = mean(bws)
+			d.AvgLat[avgKey(g.Cores, sys)] = mean(lats)
 		}
 	}
 	return d, nil
@@ -318,12 +314,11 @@ type Figure8Row struct {
 // Figure8Data is the coverage/efficiency study of Figure 8.
 type Figure8Data struct{ Rows []Figure8Row }
 
-// variantConfigs turns a prefetcher-variant sweep into the config
-// dimension of a sweep spec, one named config per variant label.
-func variantConfigs(vs []PrefetcherVariant) []sweep.NamedConfig {
-	out := make([]sweep.NamedConfig, len(vs))
+// variantConfigs returns the configuration of every variant, in order.
+func variantConfigs(vs []PrefetcherVariant) []config.Config {
+	out := make([]config.Config, len(vs))
 	for i, v := range vs {
-		out[i] = sweep.NamedConfig{Name: v.Label, Config: v.apply()}
+		out[i] = v.apply()
 	}
 	return out
 }
@@ -334,30 +329,24 @@ func variantConfigs(vs []PrefetcherVariant) []sweep.NamedConfig {
 // workloads.
 func Figure8(r *Runner) (Figure8Data, error) {
 	var d Figure8Data
-	pts, err := r.sweep("figure8", variantConfigs(Figure8Variants()), r.opts.Workloads)
+	variants, ws := Figure8Variants(), r.opts.Workloads
+	pts, err := r.sweep(variantConfigs(variants), ws)
 	if err != nil {
 		return d, err
 	}
-	type agg struct{ hits, reads, prefetched int64 }
-	byVariant := map[string]*agg{}
-	for _, p := range pts {
-		a := byVariant[p.Config]
-		if a == nil {
-			a = &agg{}
-			byVariant[p.Config] = a
+	for v, variant := range variants {
+		var hits, reads, prefetched int64
+		for _, res := range pts[v*len(ws) : (v+1)*len(ws)] {
+			hits += res.AMB.Hits
+			reads += res.AMB.Reads
+			prefetched += res.AMB.Prefetched
 		}
-		a.hits += p.Results.AMB.Hits
-		a.reads += p.Results.AMB.Reads
-		a.prefetched += p.Results.AMB.Prefetched
-	}
-	for _, v := range Figure8Variants() {
-		a := byVariant[v.Label]
-		row := Figure8Row{Variant: v}
-		if a.reads > 0 {
-			row.Coverage = float64(a.hits) / float64(a.reads)
+		row := Figure8Row{Variant: variant}
+		if reads > 0 {
+			row.Coverage = float64(hits) / float64(reads)
 		}
-		if a.prefetched > 0 {
-			row.Efficiency = float64(a.hits) / float64(a.prefetched)
+		if prefetched > 0 {
+			row.Efficiency = float64(hits) / float64(prefetched)
 		}
 		d.Rows = append(d.Rows, row)
 	}
@@ -445,18 +434,14 @@ type Figure10Data struct{ Rows []Figure10Row }
 // sweep over {FBD, FBD-AP} × every workload.
 func Figure10(r *Runner) (Figure10Data, error) {
 	var d Figure10Data
-	systems := []sweep.NamedConfig{
-		{Name: "FBD", Config: config.FBDIMMBaseline()},
-		{Name: "FBD-AP", Config: config.WithAMBPrefetch(config.Default())},
-	}
 	groups, ws := r.coreGroups()
-	pts, err := r.sweep("figure10", systems, ws)
+	pts, err := r.sweep([]config.Config{config.FBDIMMBaseline(), config.WithAMBPrefetch(config.Default())}, ws)
 	if err != nil {
 		return d, err
 	}
 	for _, g := range groups {
 		for i, w := range g.Workloads {
-			base, ap := pts[g.first+i].Results, pts[len(ws)+g.first+i].Results
+			base, ap := pts[g.first+i], pts[len(ws)+g.first+i]
 			d.Rows = append(d.Rows, Figure10Row{
 				Workload: w.Name, Cores: g.Cores,
 				FBDBW: base.UtilizedBandwidthGBs, FBDLat: base.AvgReadLatencyNS,
@@ -612,43 +597,38 @@ func Figure13Variants() []PrefetcherVariant {
 // Figure13 reproduces Figure 13: DRAM dynamic energy per committed
 // instruction of each AP variant, normalized to FB-DIMM without
 // prefetching, using the Section 5.5 4:1 ACT-PRE:column weighting. The
-// figure is one sweep spec — the FBD baseline plus the power variants,
+// figure is one sweep — the FBD baseline plus the power variants,
 // crossed with the workload set — aggregated per core group.
 func Figure13(r *Runner) (Figure13Data, error) {
 	var d Figure13Data
-	const baseLabel = "FBD"
-	cfgs := append([]sweep.NamedConfig{{Name: baseLabel, Config: config.FBDIMMBaseline()}},
-		variantConfigs(Figure13Variants())...)
-	pts, err := r.sweep("figure13", cfgs, r.opts.Workloads)
+	variants := Figure13Variants()
+	// cfgs holds the FBD baseline, then every variant.
+	cfgs := append([]config.Config{config.FBDIMMBaseline()}, variantConfigs(variants)...)
+	groups, ws := r.coreGroups()
+	pts, err := r.sweep(cfgs, ws)
 	if err != nil {
 		return d, err
 	}
 	type agg struct{ energy, insts, act, col float64 }
 	w := power.PaperWeights()
-	// byGroup[config label][core count]
-	byGroup := map[string]map[int]*agg{}
-	for _, p := range pts {
-		if byGroup[p.Config] == nil {
-			byGroup[p.Config] = map[int]*agg{}
-		}
-		a := byGroup[p.Config][p.Results.Cores]
-		if a == nil {
-			a = &agg{}
-			byGroup[p.Config][p.Results.Cores] = a
-		}
-		a.energy += power.Dynamic(p.Results.DRAM, w)
-		a.insts += float64(sum(p.Results.Committed))
-		a.act += float64(p.Results.DRAM.ACT)
-		a.col += float64(p.Results.DRAM.Columns())
-	}
-	groups, _ := r.coreGroups()
 	for _, g := range groups {
-		base := byGroup[baseLabel][g.Cores]
-		for _, v := range Figure13Variants() {
-			a := byGroup[v.Label][g.Cores]
+		sums := make([]agg, len(cfgs))
+		for c := range cfgs {
+			a := &sums[c]
+			for i := range g.Workloads {
+				res := pts[c*len(ws)+g.first+i]
+				a.energy += power.Dynamic(res.DRAM, w)
+				a.insts += float64(sum(res.Committed))
+				a.act += float64(res.DRAM.ACT)
+				a.col += float64(res.DRAM.Columns())
+			}
+		}
+		base := sums[0]
+		for v, variant := range variants {
+			a := sums[1+v]
 			d.Rows = append(d.Rows, Figure13Row{
 				Cores:      g.Cores,
-				Variant:    v,
+				Variant:    variant,
 				PowerRatio: (a.energy / a.insts) / (base.energy / base.insts),
 				ACTRatio:   (a.act / a.insts) / (base.act / base.insts),
 				ColRatio:   (a.col / a.insts) / (base.col / base.insts),

@@ -2,18 +2,13 @@
 // tiers: the ordinary cycle-accurate run and the SMARTS-style sampled run
 // (internal/sample — detailed measured windows stitched over functional
 // fast-forward, ~10-50x cheaper at <2% IPC error). The tier is pure data —
-// a string that travels through configuration files, sweep specs and
-// journals — and this package is the single place it is parsed,
-// cache-keyed and executed, so every layer (fbdsim.Run options, the
-// experiment harness and its sweep journals) agrees on what each tier
-// means.
+// a string that travels through flags and library options — and this
+// package is the single place it is parsed and executed, so fbdsim.Run and
+// extension E8 agree on what each tier means.
 package fidelity
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"fbdsim/internal/config"
@@ -21,10 +16,8 @@ import (
 	"fbdsim/internal/system"
 )
 
-// Tier is one fidelity level. The zero value ("") means cycle-accurate:
-// every API that grew a fidelity field after the fact treats absence as
-// the full-detail default, so pre-existing JSON (sweep specs, journals)
-// keeps its meaning.
+// Tier is one fidelity level. The zero value ("") means cycle-accurate,
+// the full-detail default.
 type Tier string
 
 const (
@@ -64,31 +57,9 @@ func (t Tier) String() string {
 	return string(t)
 }
 
-// Key returns the result-cache / journal identity of one (tier, config,
-// workload) request: a SHA-256 over the JSON encodings of the full
-// configuration (which embeds seed and instruction budgets) and the
-// benchmark list. Two requests that would produce identical Results hash
-// identically; any differing knob — timing, geometry, seed, budget,
-// benchmark order — produces a different key. Cycle-accurate requests get
-// the bare hex digest, the identity every existing cache and journal was
-// built on; the sampled tier is tagged so its estimates can never be
-// confused with (or served in place of) full-detail results.
-func Key(t Tier, cfg config.Config, benchmarks []string) string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	// Config and []string cannot fail to encode.
-	_ = enc.Encode(cfg)
-	_ = enc.Encode(benchmarks)
-	fp := hex.EncodeToString(h.Sum(nil))
-	if t == "" || t == CycleAccurate {
-		return fp
-	}
-	return string(t) + ":" + fp
-}
-
-// Run executes one simulation request at tier t. It is the single run
-// function above the engine: every layer that runs simulations (fbdsim.Run
-// and the experiment harness, figure sweeps included) goes through it.
+// Run executes one simulation request at tier t. fbdsim.Run and E8 run
+// simulations through it; the figure sweeps of internal/exp, which never
+// sample, call the engine directly.
 // Sampled results carry a non-nil Results.Estimate describing the
 // estimation (tier name, confidence interval, cost accounting);
 // cycle-accurate results do not, which is itself the marker of full

@@ -33,25 +33,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-// TestKeyCompatibility pins the request identity: result caches and sweep
-// journals, the committed fixtures under internal/sweep/testdata among
-// them, are keyed by it, so any change to the hash fails here first.
-func TestKeyCompatibility(t *testing.T) {
-	cfg := config.Default()
-	bench := []string{"swim"}
-	const plain = "de01fd8d6681a97906e73c5b49109c5b1bf27640344b932f4b421dff6b384d89"
-	// Both spellings of the cycle-accurate default key to the bare digest.
-	if Key("", cfg, bench) != plain || Key(CycleAccurate, cfg, bench) != plain {
-		t.Errorf("cycle-accurate key %q, want %q", Key(CycleAccurate, cfg, bench), plain)
-	}
-	// The sampled tier is tagged, so it never shares a key with full
-	// detail.
-	ks := Key(Sampled, cfg, bench)
-	if ks != "sampled:"+plain {
-		t.Errorf("sampled key %q, want the sampled: prefix on %q", ks, plain)
-	}
-}
-
 func TestRunDispatch(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxInsts = 60_000

@@ -11,7 +11,8 @@ import (
 // sorted [bucket, count] pairs plus the exact scalar state. Every field of
 // the in-memory representation is preserved, so a marshal/unmarshal round
 // trip reconstructs a Histogram that is reflect.DeepEqual to the original —
-// the property the sweep journal's bit-identical resume guarantee rests on.
+// the property that lets sweep.Canonicalize, and the bench/ digests taken
+// through it, be the identity on untraced Results.
 type histogramJSON struct {
 	N      int64      `json:"n"`
 	Sum    clock.Time `json:"sum"`

@@ -12,7 +12,7 @@ import (
 
 // TestHistogramJSONRoundTrip: marshal→unmarshal is the identity on the full
 // in-memory state, including counts, n, sum and the exact min/max — the
-// property the sweep journal's bit-identical resume depends on.
+// property sweep.Canonicalize depends on.
 func TestHistogramJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -55,7 +55,7 @@ func TestHistogramJSONEmpty(t *testing.T) {
 	}
 }
 
-// TestHistogramJSONRejectsBadBucket: corrupt journals fail loudly instead of
+// TestHistogramJSONRejectsBadBucket: corrupt input fails loudly instead of
 // silently mis-binning.
 func TestHistogramJSONRejectsBadBucket(t *testing.T) {
 	var h Histogram
