@@ -225,12 +225,10 @@ type Mem struct {
 	// invalidating it (ablation; the paper's design invalidates).
 	AMBWriteUpdate bool
 
-	// RefreshEnabled adds periodic all-bank DRAM refresh (extension; the
-	// paper's evaluation ignores refresh, whose cost is common to every
-	// configuration). TREFI/TRFC default to 7.8 µs / 127.5 ns when zero.
+	// RefreshEnabled adds periodic all-bank DRAM refresh, tRFC 127.5 ns
+	// every tREFI 7.8 µs (extension; the paper's evaluation ignores
+	// refresh, whose cost is common to every configuration).
 	RefreshEnabled bool
-	TREFI          clock.Time
-	TRFC           clock.Time
 }
 
 // CPU configures the cores and cache hierarchy (Table 1).
@@ -240,10 +238,6 @@ type CPU struct {
 	ROBEntries int
 	LQEntries  int
 	SQEntries  int
-
-	// PipelineDepth approximates the 21-stage front end: minimum cycles
-	// between fetch and earliest commit of an instruction.
-	PipelineDepth int
 
 	L1DataKB    int
 	L1Assoc     int
@@ -255,7 +249,6 @@ type CPU struct {
 
 	LineBytes int
 
-	L1MSHRs int // data MSHRs per core
 	L2MSHRs int // shared
 
 	// SoftwarePrefetch executes the prefetch hints embedded in traces
@@ -429,7 +422,6 @@ func Default() Config {
 			ROBEntries:       196,
 			LQEntries:        32,
 			SQEntries:        32,
-			PipelineDepth:    21,
 			L1DataKB:         64,
 			L1Assoc:          2,
 			L1HitCycles:      3,
@@ -437,7 +429,6 @@ func Default() Config {
 			L2Assoc:          4,
 			L2HitCycles:      15,
 			LineBytes:        64,
-			L1MSHRs:          32,
 			L2MSHRs:          64,
 			SoftwarePrefetch: true,
 		},
@@ -640,29 +631,7 @@ func (m *Mem) validate() error {
 	if m.PageMode == OpenPage && m.Interleave == CachelineInterleave {
 		return errors.New("config: open-page mode requires page or multi-cacheline interleaving")
 	}
-	if m.RefreshEnabled {
-		if m.TREFI < 0 || m.TRFC < 0 {
-			return errors.New("config: refresh timings must be non-negative")
-		}
-		trefi, trfc := m.RefreshTimings()
-		if trefi <= trfc {
-			return fmt.Errorf("config: tREFI %v must exceed tRFC %v", trefi, trfc)
-		}
-	}
 	return nil
-}
-
-// RefreshTimings returns the effective tREFI and tRFC, applying the DDR2
-// defaults (7.8 µs, 127.5 ns) for unset values.
-func (m *Mem) RefreshTimings() (trefi, trfc clock.Time) {
-	trefi, trfc = m.TREFI, m.TRFC
-	if trefi == 0 {
-		trefi = 7800 * clock.Nanosecond
-	}
-	if trfc == 0 {
-		trfc = 127500 * clock.Picosecond
-	}
-	return trefi, trfc
 }
 
 // TotalBanks returns the number of logical DRAM banks in the system.

@@ -18,7 +18,6 @@ func TestTable1Defaults(t *testing.T) {
 		want int
 	}{
 		{"issue width", cpu.IssueWidth, 8},
-		{"pipeline depth", cpu.PipelineDepth, 21},
 		{"ROB entries", cpu.ROBEntries, 196},
 		{"LQ entries", cpu.LQEntries, 32},
 		{"SQ entries", cpu.SQEntries, 32},
@@ -29,7 +28,6 @@ func TestTable1Defaults(t *testing.T) {
 		{"L2 assoc", cpu.L2Assoc, 4},
 		{"L2 hit cycles", cpu.L2HitCycles, 15},
 		{"line bytes", cpu.LineBytes, 64},
-		{"L1 data MSHRs", cpu.L1MSHRs, 32},
 		{"L2 MSHRs", cpu.L2MSHRs, 64},
 	}
 	for _, c := range cases {
@@ -381,33 +379,11 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
-func TestRefreshTimings(t *testing.T) {
-	m := Default().Mem
-	trefi, trfc := m.RefreshTimings()
-	if trefi != 7800*clock.Nanosecond {
-		t.Errorf("default tREFI = %v", trefi)
-	}
-	if trfc != 127500*clock.Picosecond {
-		t.Errorf("default tRFC = %v", trfc)
-	}
-	m.TREFI = 1000 * clock.Nanosecond
-	m.TRFC = 100 * clock.Nanosecond
-	trefi, trfc = m.RefreshTimings()
-	if trefi != 1000*clock.Nanosecond || trfc != 100*clock.Nanosecond {
-		t.Error("explicit refresh timings not honored")
-	}
-}
-
 func TestRefreshValidation(t *testing.T) {
 	c := Default()
 	c.Mem.RefreshEnabled = true
 	if err := c.Validate(); err != nil {
 		t.Errorf("default refresh config invalid: %v", err)
-	}
-	c.Mem.TREFI = 50 * clock.Nanosecond
-	c.Mem.TRFC = 100 * clock.Nanosecond
-	if err := c.Validate(); err == nil {
-		t.Error("tREFI < tRFC must be rejected")
 	}
 }
 

@@ -60,6 +60,21 @@ func TestLoadNestedUnknownField(t *testing.T) {
 	}
 }
 
+// TestLoadDeletedFieldsFail: fields the model never read are gone, and a
+// file that still names one fails loudly instead of being half-honoured.
+func TestLoadDeletedFieldsFail(t *testing.T) {
+	for _, js := range []string{
+		`{"CPU": {"PipelineDepth": 21}}`,
+		`{"CPU": {"L1MSHRs": 32}}`,
+		`{"Mem": {"TREFI": 7800000}}`,
+		`{"Mem": {"TRFC": 127500}}`,
+	} {
+		if _, err := Load(strings.NewReader(js)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: error %v, want an unknown-field error", js, err)
+		}
+	}
+}
+
 func TestLoadEmptyObjectIsDefaults(t *testing.T) {
 	got, err := Load(strings.NewReader(`{}`))
 	if err != nil {

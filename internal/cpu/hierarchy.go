@@ -189,15 +189,15 @@ func (h *Hierarchy) deliver(w waiter, ready int64) {
 // Load performs core's load of addr at cycle. On success it returns true
 // and guarantees onDone will be called exactly once with the data-ready
 // cycle. It returns false when an L2 MSHR is unavailable; the core retries
-// next cycle. Cores use LoadROB (typed, serializable waiters); this
+// next cycle. Cores use LoadROB, whose waiter allocates no closure; this
 // closure form is the direct-drive seam tests use.
 func (h *Hierarchy) Load(core int, addr int64, cycle int64, onDone func(int64)) bool {
 	return h.load(core, addr, cycle, waiter{core: core, fn: onDone})
 }
 
 // LoadROB is Load for a dispatched core load: the waiter is the core's ROB
-// ring slot plus dispatch sequence number — plain data, so an in-flight
-// miss serializes.
+// ring slot plus dispatch sequence number — plain data, so subscribing to
+// a miss allocates no closure.
 func (h *Hierarchy) LoadROB(core int, addr int64, cycle int64, ringIdx int, seq int64) bool {
 	return h.load(core, addr, cycle, waiter{core: core, ringIdx: ringIdx, seq: seq})
 }

@@ -31,19 +31,14 @@ type Channel struct {
 	mapper *addrmap.Mapper
 
 	tck      clock.Time
-	burst    clock.Time // data-bus occupancy of one cacheline
 	cmdDelay clock.Time
 
 	cmdBus  *resource.Timeline
 	dataBus *resource.Timeline
-	dimms   []*dram.DIMM
+	ranks   *dram.Ranks
 
-	// Counters accumulates DRAM operations for the power model.
-	Counters dram.Counters
 	// Links accumulates channel traffic for utilized-bandwidth stats.
 	Links fbdchan.LinkStats
-	// BankConflicts counts activations delayed by bank-level timing.
-	BankConflicts int64
 
 	// lastCmdAt / lastServiceAt mirror fbdchan.Channel's fields: the
 	// command-arrival and data-bus start of the most recent Schedule* call,
@@ -55,31 +50,18 @@ type Channel struct {
 // New builds the channel model from a validated configuration.
 func New(cfg *config.Mem, mapper *addrmap.Mapper) *Channel {
 	tck := cfg.DataRate.TCK()
-	gang := clock.Time(cfg.GangWidth)
-	line := clock.Time(cfg.LineBytes)
-	beats := (line + 8*gang - 1) / (8 * gang)
-
-	c := &Channel{
+	return &Channel{
 		cfg:    cfg,
 		mapper: mapper,
 		tck:    tck,
-		burst:  beats * tck / 2,
 		// Propagation plus the stub-bus overhead of a registered, multi-
 		// drop DDR2 channel: one clock in the DIMM register and 2T command
 		// timing (three clocks total at the configured data rate).
 		cmdDelay: 3*clock.Nanosecond + 3*tck,
 		cmdBus:   resource.NewQuantized(tck),
 		dataBus:  resource.NewQuantized(0),
-		dimms:    make([]*dram.DIMM, cfg.DIMMsPerChannel),
+		ranks:    dram.NewRanks(cfg),
 	}
-	for i := range c.dimms {
-		c.dimms[i] = dram.NewDIMM(cfg.BanksPerDIMM, cfg.Timing)
-		if cfg.RefreshEnabled {
-			trefi, trfc := cfg.RefreshTimings()
-			c.dimms[i].SetRefresh(trefi, trfc, clock.Time(i)*trefi/clock.Time(cfg.DIMMsPerChannel))
-		}
-	}
-	return c
 }
 
 // IsFastRead reports an open-row hit opportunity for a read decoded to loc
@@ -88,8 +70,12 @@ func New(cfg *config.Mem, mapper *addrmap.Mapper) *Channel {
 // address and DIMM-local line ID match fbdchan's signature; DDR2 has no
 // AMB cache to look them up in.
 func (c *Channel) IsFastRead(_ int64, loc addrmap.Location, _ int64) bool {
-	return c.cfg.PageMode == config.OpenPage && c.dimms[loc.DIMM].Banks[loc.Bank].OpenRow() == loc.Row
+	return c.ranks.RowHit(loc)
 }
+
+// DRAM returns the channel's DIMMs and the counts of the operations issued
+// to them.
+func (c *Channel) DRAM() *dram.Ranks { return c.ranks }
 
 // ScheduleRead books command bus, bank, and data bus for a demand read
 // starting no earlier than ready and returns when the cacheline is back at
@@ -102,49 +88,9 @@ func (c *Channel) ScheduleRead(addr int64, ready clock.Time) (dataAt clock.Time,
 	// One reservation covers the ACT+RD command pair.
 	slot := c.cmdBus.Reserve(ready, 2*c.tck)
 	cmdArrive := slot + c.cmdDelay
-	busStart := c.bankRead(loc, cmdArrive)
+	busStart, dataAt := c.ranks.Access(loc, false, 1, cmdArrive, c.dataBus)
 	c.lastCmdAt, c.lastServiceAt = cmdArrive, busStart
-	return busStart + c.burst, false
-}
-
-func (c *Channel) bankRead(loc addrmap.Location, cmdArrive clock.Time) clock.Time {
-	dimm := c.dimms[loc.DIMM]
-	bank := dimm.Banks[loc.Bank]
-	t := c.cfg.Timing
-
-	c.openRow(loc, cmdArrive)
-
-	rdMin := bank.EarliestRead(cmdArrive)
-	busAt := c.dataBus.Reserve(rdMin+t.TCL, c.burst)
-	rdAt := busAt - t.TCL
-	bank.Read(rdAt, c.burst, &c.Counters)
-
-	if c.cfg.PageMode == config.ClosePage {
-		preAt := bank.EarliestPRE(rdAt + t.TRPD)
-		bank.Precharge(preAt, &c.Counters)
-	}
-	return busAt
-}
-
-// openRow brings loc.Row into the row buffer if it is not already there,
-// issuing PRE/ACT as needed.
-func (c *Channel) openRow(loc addrmap.Location, from clock.Time) {
-	dimm := c.dimms[loc.DIMM]
-	bank := dimm.Banks[loc.Bank]
-	if c.cfg.PageMode == config.OpenPage && bank.OpenRow() == loc.Row {
-		return
-	}
-	rowReady := from
-	if bank.OpenRow() != dram.NoRow {
-		preAt := bank.EarliestPRE(from)
-		bank.Precharge(preAt, &c.Counters)
-		rowReady = preAt
-	}
-	actAt := dimm.EarliestACT(loc.Bank, rowReady)
-	if actAt > rowReady {
-		c.BankConflicts++
-	}
-	dimm.Activate(loc.Bank, actAt, loc.Row, &c.Counters)
+	return dataAt, false
 }
 
 // ScheduleWrite books a group of writebacks sharing one DRAM row (one
@@ -159,26 +105,14 @@ func (c *Channel) ScheduleWrite(addrs []int64, ready clock.Time) clock.Time {
 
 	slot := c.cmdBus.Reserve(ready, clock.Time(1+n)*c.tck)
 	cmdArrive := slot + c.cmdDelay
-
-	dimm := c.dimms[loc.DIMM]
-	bank := dimm.Banks[loc.Bank]
-	t := c.cfg.Timing
-
-	c.openRow(loc, cmdArrive)
-
-	wrMin := bank.EarliestWrite(cmdArrive)
-	busAt := c.dataBus.Reserve(wrMin+t.TWL, clock.Time(n)*c.burst)
-	wrAt := busAt - t.TWL
+	busAt, done := c.ranks.Access(loc, true, n, cmdArrive, c.dataBus)
 	c.lastCmdAt, c.lastServiceAt = cmdArrive, busAt
-	dataStart := bank.Write(wrAt, clock.Time(n)*c.burst, &c.Counters)
-	c.Counters.ColWrit += int64(n - 1)
-	lastWr := wrAt + clock.Time(n-1)*c.burst
+	return done
+}
 
-	if c.cfg.PageMode == config.ClosePage {
-		preAt := bank.EarliestPRE(lastWr + t.TWPD)
-		bank.Precharge(preAt, &c.Counters)
-	}
-	return dataStart + clock.Time(n)*c.burst
+// LinkBytes reports the read and write data the channel has moved.
+func (c *Channel) LinkBytes() (north, south int64) {
+	return c.Links.BytesNorth, c.Links.BytesSouth
 }
 
 // LinkBusy reports the cumulative reserved time of the shared data bus

@@ -83,22 +83,22 @@ func TestOpenPageRowHit(t *testing.T) {
 		t.Fatal("page interleave: lines 0 and 1 share a row")
 	}
 	ch.ScheduleRead(0, ready12)
-	if ch.Counters.ACT != 1 {
-		t.Fatalf("first read ACT = %d", ch.Counters.ACT)
+	if ch.DRAM().Counters.ACT != 1 {
+		t.Fatalf("first read ACT = %d", ch.DRAM().Counters.ACT)
 	}
 	if !ch.IsFastRead(64, m.Map(64), m.LocalLineID(64)) {
 		t.Error("open row must be fast")
 	}
 	d2, _ := ch.ScheduleRead(64, 600*ns)
-	if ch.Counters.ACT != 1 {
-		t.Errorf("row hit issued another ACT (total %d)", ch.Counters.ACT)
+	if ch.DRAM().Counters.ACT != 1 {
+		t.Errorf("row hit issued another ACT (total %d)", ch.DRAM().Counters.ACT)
 	}
 	// Row hit skips tRCD: 12 cmd + 15 tCL + 6 data = 33ns past ready.
 	if want := 600*ns + 33*ns; d2 != want {
 		t.Errorf("row-hit read at %v, want %v", d2, want)
 	}
-	if ch.Counters.PRE != 0 {
-		t.Errorf("open page should not precharge yet: PRE = %d", ch.Counters.PRE)
+	if ch.DRAM().Counters.PRE != 0 {
+		t.Errorf("open page should not precharge yet: PRE = %d", ch.DRAM().Counters.PRE)
 	}
 }
 
@@ -118,8 +118,8 @@ func TestOpenPageRowConflict(t *testing.T) {
 	}
 	ch.ScheduleRead(0, ready12)
 	d2, _ := ch.ScheduleRead(conflict, 500*ns)
-	if ch.Counters.PRE != 1 || ch.Counters.ACT != 2 {
-		t.Errorf("PRE/ACT = %d/%d, want 1/2", ch.Counters.PRE, ch.Counters.ACT)
+	if ch.DRAM().Counters.PRE != 1 || ch.DRAM().Counters.ACT != 2 {
+		t.Errorf("PRE/ACT = %d/%d, want 1/2", ch.DRAM().Counters.PRE, ch.DRAM().Counters.ACT)
 	}
 	// tRP + tRCD + tCL + transfer + cmd ≥ 54ns past ready.
 	if d2 < 500*ns+54*ns {
@@ -132,8 +132,8 @@ func TestWriteGroupSingleActivation(t *testing.T) {
 		c.Mem.Interleave = config.MultiCachelineInterleave
 	})
 	ch.ScheduleWrite([]int64{0, 64, 128, 192}, ready12)
-	if ch.Counters.ACT != 1 || ch.Counters.ColWrit != 4 {
-		t.Errorf("ACT=%d writes=%d, want 1/4", ch.Counters.ACT, ch.Counters.ColWrit)
+	if ch.DRAM().Counters.ACT != 1 || ch.DRAM().Counters.ColWrit != 4 {
+		t.Errorf("ACT=%d writes=%d, want 1/4", ch.DRAM().Counters.ACT, ch.DRAM().Counters.ColWrit)
 	}
 }
 

@@ -1,8 +1,11 @@
 // Package dram models DDR2 logical banks at command granularity. A Bank
 // tracks the row-buffer state and the earliest legal issue time of each
 // DRAM operation under the Table 2 timing constraints; a DIMM groups banks
-// and enforces the inter-bank tRRD spacing. Data-bus occupancy is owned by
-// the interconnect models (internal/fbdchan, internal/ddrbus), not here.
+// and enforces the inter-bank tRRD spacing and the refresh windows. Ranks,
+// the DIMMs of one channel, owns the bank sequence of a transaction and
+// counts the operations it issues. The interconnect models
+// (internal/fbdchan, internal/ddrbus) own the data buses: they pass the
+// bus a transaction's bursts cross, and Ranks books the bursts on it.
 //
 // The model is transaction-driven rather than edge-triggered: callers ask
 // "when could this command issue?" and then commit it, which keeps the
@@ -12,8 +15,10 @@ package dram
 import (
 	"fmt"
 
+	"fbdsim/internal/addrmap"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
+	"fbdsim/internal/resource"
 )
 
 // NoRow marks a closed (precharged or precharging) bank.
@@ -239,4 +244,110 @@ func (d *DIMM) Activate(bank int, at clock.Time, row int64, c *Counters) {
 	d.Banks[bank].Activate(at, row, c)
 	d.lastACT = at
 	d.hasACT = true
+}
+
+// DDR2 refresh: each DIMM spends tRFC refreshing all its banks once every
+// tREFI.
+const (
+	tREFI = 7800 * clock.Nanosecond
+	tRFC  = 127500 * clock.Picosecond
+)
+
+// Ranks is the DRAM side of one memory channel: its DIMMs under one page
+// policy, and the counts of the operations issued to them.
+type Ranks struct {
+	DIMMs []*DIMM
+	page  config.PageMode
+	burst clock.Time // nominal per-line occupancy of a DIMM's DDR2 bus
+
+	// Counters accumulates DRAM operations for the power model.
+	Counters Counters
+	// BankConflicts counts activations delayed by bank-level timing
+	// (tRC/precharge/tRRD) — the inefficiency source Section 5.2 blames
+	// for idle channel cycles and AMB prefetching reduces.
+	BankConflicts int64
+}
+
+// NewRanks builds the DIMMs of one channel of cfg. With refresh enabled
+// their refresh windows are staggered so the channel never loses all of
+// them at once.
+func NewRanks(cfg *config.Mem) *Ranks {
+	gang := clock.Time(cfg.GangWidth)
+	// 8 B per beat per physical channel, two beats per tCK.
+	beats := (clock.Time(cfg.LineBytes) + 8*gang - 1) / (8 * gang)
+	r := &Ranks{
+		DIMMs: make([]*DIMM, cfg.DIMMsPerChannel),
+		page:  cfg.PageMode,
+		burst: beats * cfg.DataRate.TCK() / 2,
+	}
+	for i := range r.DIMMs {
+		r.DIMMs[i] = NewDIMM(cfg.BanksPerDIMM, cfg.Timing)
+		if cfg.RefreshEnabled {
+			r.DIMMs[i].SetRefresh(tREFI, tRFC, clock.Time(i)*tREFI/clock.Time(len(r.DIMMs)))
+		}
+	}
+	return r
+}
+
+// Burst returns the per-line DDR2 bus occupancy on dimm, scaled up when
+// the DIMM runs degraded.
+func (r *Ranks) Burst(dimm int) clock.Time {
+	return r.burst * clock.Time(r.DIMMs[dimm].BusScale())
+}
+
+// RowHit reports whether an access to loc would find its row open, which
+// only happens under open page.
+func (r *Ranks) RowHit(loc addrmap.Location) bool {
+	return r.page == config.OpenPage && r.DIMMs[loc.DIMM].Banks[loc.Bank].openRow == loc.Row
+}
+
+// Access performs the DRAM side of one transaction of n pipelined column
+// accesses to loc (reads, or writes when write is set) whose command
+// reaches the DIMM at cmdArrive. Unless the row is a hit, it precharges
+// any open row and activates loc.Row, counting a bank conflict when the
+// ACT has to wait. It books the n-burst train on bus and, under close
+// page, precharges once the train allows. It returns when the train
+// starts and ends on bus.
+func (r *Ranks) Access(loc addrmap.Location, write bool, n int, cmdArrive clock.Time, bus *resource.Timeline) (start, end clock.Time) {
+	dimm := r.DIMMs[loc.DIMM]
+	bank := dimm.Banks[loc.Bank]
+	t := dimm.t
+
+	if !r.RowHit(loc) {
+		rowReady := cmdArrive
+		if bank.openRow != NoRow {
+			// Row conflict under open page: precharge first.
+			rowReady = bank.EarliestPRE(cmdArrive)
+			bank.Precharge(rowReady, &r.Counters)
+		}
+		actAt := dimm.EarliestACT(loc.Bank, rowReady)
+		if actAt > rowReady {
+			r.BankConflicts++
+		}
+		dimm.Activate(loc.Bank, actAt, loc.Row, &r.Counters)
+	}
+
+	burst := r.Burst(loc.DIMM)
+	train := clock.Time(n) * burst
+	var colAt, toPRE clock.Time
+	if write {
+		start = bus.Reserve(bank.EarliestWrite(cmdArrive)+t.TWL, train)
+		colAt = start - t.TWL
+		bank.Write(colAt, train, &r.Counters)
+		r.Counters.ColWrit += int64(n - 1)
+		toPRE = t.TWPD
+	} else {
+		start = bus.Reserve(bank.EarliestRead(cmdArrive)+t.TCL, train)
+		colAt = start - t.TCL
+		bank.Read(colAt, train, &r.Counters)
+		r.Counters.ColRead += int64(n - 1)
+		toPRE = t.TRPD
+	}
+
+	if r.page == config.ClosePage {
+		// Auto-precharge after the train's last column access.
+		last := colAt + clock.Time(n-1)*burst
+		bank.Precharge(bank.EarliestPRE(last+toPRE), &r.Counters)
+	}
+	return start, start + train
 }

@@ -129,7 +129,7 @@ func TestAMBSoftErrorForcesMiss(t *testing.T) {
 	ch.SetInjector(in)
 
 	ch.ScheduleRead(0, ready12) // miss; prefetches lines 1..3
-	actBefore := ch.Counters.ACT
+	actBefore := ch.DRAM().Counters.ACT
 	dataAt, hit := ch.ScheduleRead(64, 1000*ns)
 	if hit {
 		t.Fatal("scrubbed line must not hit")
@@ -140,7 +140,7 @@ func TestAMBSoftErrorForcesMiss(t *testing.T) {
 	if ch.AMBStats().Scrubs != 1 {
 		t.Errorf("cache scrubs = %d, want 1", ch.AMBStats().Scrubs)
 	}
-	if ch.Counters.ACT == actBefore {
+	if ch.DRAM().Counters.ACT == actBefore {
 		t.Error("the forced miss must refetch from DRAM")
 	}
 	if dataAt < 1000*ns+51*ns {

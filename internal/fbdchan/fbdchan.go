@@ -43,13 +43,12 @@ type Channel struct {
 	frame     clock.Time // FB-DIMM frame: 2 tCK
 	cmdSlot   clock.Time // one of three command slots per frame
 	northTime clock.Time // northbound occupancy (and transfer time) of one cacheline
-	burst     clock.Time // per-line occupancy of a DIMM's DDR2 bus
 	cmdDelay  clock.Time // fixed southbound command propagation
 
 	south   *resource.Timeline
 	north   *resource.Timeline
 	dimmBus []*resource.Timeline
-	dimms   []*dram.DIMM
+	ranks   *dram.Ranks
 
 	// AMB prefetching state (nil when disabled). Each cache's entries
 	// record when their prefetched line lands; a demand read racing a
@@ -59,14 +58,8 @@ type Channel struct {
 	// dead between calls and only keeps its capacity.
 	group []int64
 
-	// Counters accumulates DRAM operations for the power model.
-	Counters dram.Counters
 	// Links accumulates channel traffic.
 	Links LinkStats
-	// BankConflicts counts activations delayed by bank-level timing
-	// (tRC/precharge/tRRD) — the inefficiency source Section 5.2 blames
-	// for idle channel cycles and AMB prefetching reduces.
-	BankConflicts int64
 
 	// lastCmdAt / lastServiceAt record the command-arrival and
 	// service-start instants of the most recent Schedule* call; the
@@ -97,24 +90,14 @@ func New(cfg *config.Mem, mapper *addrmap.Mapper) *Channel {
 		cmdDelay: 3 * clock.Nanosecond,
 		south:    resource.NewQuantized(frame / 3),
 		north:    resource.NewQuantized(0),
+		dimmBus:  make([]*resource.Timeline, cfg.DIMMsPerChannel),
+		ranks:    dram.NewRanks(cfg),
 	}
 	// Northbound: 32 B per frame per physical channel.
 	framesPerLine := (line + 32*gang - 1) / (32 * gang)
 	c.northTime = framesPerLine * frame
-	// DIMM DDR2 bus: 8 B per beat per physical channel, two beats per tCK.
-	beats := (line + 8*gang - 1) / (8 * gang)
-	c.burst = beats * tck / 2
-
-	c.dimmBus = make([]*resource.Timeline, cfg.DIMMsPerChannel)
-	c.dimms = make([]*dram.DIMM, cfg.DIMMsPerChannel)
-	for i := range c.dimms {
+	for i := range c.dimmBus {
 		c.dimmBus[i] = resource.NewQuantized(0)
-		c.dimms[i] = dram.NewDIMM(cfg.BanksPerDIMM, cfg.Timing)
-		if cfg.RefreshEnabled {
-			trefi, trfc := cfg.RefreshTimings()
-			// Stagger DIMMs so the channel never loses all of them at once.
-			c.dimms[i].SetRefresh(trefi, trfc, clock.Time(i)*trefi/clock.Time(cfg.DIMMsPerChannel))
-		}
 	}
 	if cfg.AMBPrefetch {
 		c.ambs = make([]*ambcache.Cache, cfg.DIMMsPerChannel)
@@ -133,17 +116,12 @@ func (c *Channel) SetInjector(inj *fault.Injector) { c.inj = inj }
 // DegradeDIMMBus puts one DIMM's DDR2 bus into degraded mode: every burst
 // occupies factor× its nominal bus time.
 func (c *Channel) DegradeDIMMBus(dimm, factor int) {
-	c.dimms[dimm].SetDegradedBus(factor)
+	c.ranks.DIMMs[dimm].SetDegradedBus(factor)
 }
 
-// burstFor returns the per-line DDR2 bus occupancy on dimm, scaled up when
-// the DIMM runs degraded.
-func (c *Channel) burstFor(dimm int) clock.Time {
-	if s := c.dimms[dimm].BusScale(); s > 1 {
-		return c.burst * clock.Time(s)
-	}
-	return c.burst
-}
+// DRAM returns the channel's DIMMs and the counts of the operations issued
+// to them.
+func (c *Channel) DRAM() *dram.Ranks { return c.ranks }
 
 // northStart returns when the northbound transfer of a read served by dimm
 // may begin, given its DRAM burst starts at burstStart. A healthy DIMM bus
@@ -151,8 +129,8 @@ func (c *Channel) burstFor(dimm int) clock.Time {
 // through; a degraded (slower) bus cannot sustain the link rate, so the AMB
 // buffers the full line before forwarding it.
 func (c *Channel) northStart(dimm int, burstStart clock.Time) clock.Time {
-	if b := c.burstFor(dimm); b > c.burst {
-		return burstStart + b
+	if c.ranks.DIMMs[dimm].BusScale() > 1 {
+		return burstStart + c.ranks.Burst(dimm)
 	}
 	return burstStart
 }
@@ -198,10 +176,7 @@ func (c *Channel) IsFastRead(line int64, loc addrmap.Location, localID int64) bo
 	if c.cfg.AMBPrefetch && c.ambs[loc.DIMM].Contains(line, localID) {
 		return true
 	}
-	if c.cfg.PageMode == config.OpenPage {
-		return c.dimms[loc.DIMM].Banks[loc.Bank].OpenRow() == loc.Row
-	}
-	return false
+	return c.ranks.RowHit(loc)
 }
 
 // AMBStats returns the aggregated prefetch statistics of every AMB cache on
@@ -235,7 +210,7 @@ func (c *Channel) ScheduleRead(addr int64, ready clock.Time) (dataAt clock.Time,
 	// the DRAM burst begins.
 	sSlot := c.reserveWithRetry(c.south, ready, c.cmdSlot, fault.SouthFrame)
 	cmdArrive := sSlot + c.cmdDelay
-	burstStart := c.bankRead(loc, cmdArrive, 1)
+	burstStart, _ := c.ranks.Access(loc, false, 1, cmdArrive, c.dimmBus[loc.DIMM])
 	c.lastCmdAt, c.lastServiceAt = cmdArrive, burstStart
 	nSlot := c.reserveWithRetry(c.north, c.northStart(loc.DIMM, burstStart), c.northTime, fault.NorthFrame)
 	return nSlot + c.northTime + c.hop(loc.DIMM), false
@@ -283,7 +258,7 @@ func (c *Channel) scheduleGroupFetch(loc addrmap.Location, addr int64, ready clo
 
 	sSlot := c.reserveWithRetry(c.south, ready, c.cmdSlot, fault.SouthFrame)
 	cmdArrive := sSlot + c.cmdDelay
-	burstStart := c.bankRead(loc, cmdArrive, k)
+	burstStart, _ := c.ranks.Access(loc, false, k, cmdArrive, c.dimmBus[loc.DIMM])
 	c.lastCmdAt, c.lastServiceAt = cmdArrive, burstStart
 
 	nSlot := c.reserveWithRetry(c.north, c.northStart(loc.DIMM, burstStart), c.northTime, fault.NorthFrame)
@@ -293,53 +268,11 @@ func (c *Channel) scheduleGroupFetch(loc addrmap.Location, addr int64, ready clo
 	// another (line i is fully received (i+1) bursts after the train
 	// starts; the demanded line goes first).
 	amb := c.ambs[loc.DIMM]
-	burst := c.burstFor(loc.DIMM)
+	burst := c.ranks.Burst(loc.DIMM)
 	for i, la := range c.group[1:] {
 		amb.InsertPrefetchAt(la, c.mapper.LocalLineID(la), burstStart+clock.Time(i+2)*burst)
 	}
 	return dataAt
-}
-
-// bankRead performs the DRAM side of a read of n pipelined column accesses
-// (n > 1 only for AMB group fetches) and returns the time the first line's
-// burst starts on the DIMM's DDR2 bus. cmdArrive is when the command
-// reaches the AMB.
-func (c *Channel) bankRead(loc addrmap.Location, cmdArrive clock.Time, n int) clock.Time {
-	dimm := c.dimms[loc.DIMM]
-	bank := dimm.Banks[loc.Bank]
-	t := c.cfg.Timing
-
-	rowReady := cmdArrive
-	if c.cfg.PageMode == config.OpenPage && bank.OpenRow() == loc.Row {
-		// Row hit: column access may issue immediately.
-	} else {
-		if bank.OpenRow() != dram.NoRow {
-			// Row conflict under open-page mode: precharge first.
-			preAt := bank.EarliestPRE(cmdArrive)
-			bank.Precharge(preAt, &c.Counters)
-			rowReady = preAt
-		}
-		actAt := dimm.EarliestACT(loc.Bank, rowReady)
-		if actAt > rowReady {
-			c.BankConflicts++
-		}
-		dimm.Activate(loc.Bank, actAt, loc.Row, &c.Counters)
-	}
-
-	burst := c.burstFor(loc.DIMM)
-	rdMin := bank.EarliestRead(cmdArrive)
-	busAt := c.dimmBus[loc.DIMM].Reserve(rdMin+t.TCL, clock.Time(n)*burst)
-	rdAt := busAt - t.TCL
-	bank.Read(rdAt, clock.Time(n)*burst, &c.Counters)
-	c.Counters.ColRead += int64(n - 1) // remaining pipelined column accesses
-
-	if c.cfg.PageMode == config.ClosePage {
-		// Auto-precharge once the burst train and tRAS allow it.
-		lastRd := rdAt + clock.Time(n-1)*burst
-		preAt := bank.EarliestPRE(lastRd + t.TRPD)
-		bank.Precharge(preAt, &c.Counters)
-	}
-	return busAt
 }
 
 // ScheduleWrite books a group of cacheline writebacks that share one DRAM
@@ -371,41 +304,9 @@ func (c *Channel) ScheduleWrite(addrs []int64, ready clock.Time) clock.Time {
 	// whole transfer (one injector draw per transfer attempt).
 	sSlot := c.reserveWithRetry(c.south, ready, dur, fault.SouthFrame)
 	cmdArrive := sSlot + dur + c.cmdDelay
-
-	dimm := c.dimms[loc.DIMM]
-	bank := dimm.Banks[loc.Bank]
-	t := c.cfg.Timing
-
-	if c.cfg.PageMode == config.OpenPage && bank.OpenRow() == loc.Row {
-		// Row hit.
-	} else {
-		rowReady := cmdArrive
-		if bank.OpenRow() != dram.NoRow {
-			preAt := bank.EarliestPRE(cmdArrive)
-			bank.Precharge(preAt, &c.Counters)
-			rowReady = preAt
-		}
-		actAt := dimm.EarliestACT(loc.Bank, rowReady)
-		if actAt > rowReady {
-			c.BankConflicts++
-		}
-		dimm.Activate(loc.Bank, actAt, loc.Row, &c.Counters)
-	}
-
-	burst := c.burstFor(loc.DIMM)
-	wrMin := bank.EarliestWrite(cmdArrive)
-	busAt := c.dimmBus[loc.DIMM].Reserve(wrMin+t.TWL, clock.Time(n)*burst)
-	wrAt := busAt - t.TWL
+	busAt, done := c.ranks.Access(loc, true, n, cmdArrive, c.dimmBus[loc.DIMM])
 	c.lastCmdAt, c.lastServiceAt = cmdArrive, busAt
-	dataStart := bank.Write(wrAt, clock.Time(n)*burst, &c.Counters)
-	c.Counters.ColWrit += int64(n - 1)
-	lastWr := wrAt + clock.Time(n-1)*burst
-
-	if c.cfg.PageMode == config.ClosePage {
-		preAt := bank.EarliestPRE(lastWr + t.TWPD)
-		bank.Precharge(preAt, &c.Counters)
-	}
-	return dataStart + clock.Time(n)*burst
+	return done
 }
 
 // Housekeep prunes reservation history older than the horizon and ends
@@ -421,6 +322,11 @@ func (c *Channel) Housekeep(horizon clock.Time) {
 	for _, a := range c.ambs {
 		a.Housekeep(horizon)
 	}
+}
+
+// LinkBytes reports the read and write data the channel has moved.
+func (c *Channel) LinkBytes() (north, south int64) {
+	return c.Links.BytesNorth, c.Links.BytesSouth
 }
 
 // LinkBusy reports the cumulative reserved time of the northbound and

@@ -87,11 +87,11 @@ func TestFullLatencyHits(t *testing.T) {
 func TestGroupFetchCountersAndFills(t *testing.T) {
 	ch, m := apChannel(t, nil)
 	ch.ScheduleRead(0, ready12)
-	if ch.Counters.ACT != 1 || ch.Counters.PRE != 1 {
-		t.Errorf("ACT/PRE = %d/%d, want 1/1", ch.Counters.ACT, ch.Counters.PRE)
+	if ch.DRAM().Counters.ACT != 1 || ch.DRAM().Counters.PRE != 1 {
+		t.Errorf("ACT/PRE = %d/%d, want 1/1", ch.DRAM().Counters.ACT, ch.DRAM().Counters.PRE)
 	}
-	if ch.Counters.ColRead != 4 {
-		t.Errorf("column reads = %d, want K=4", ch.Counters.ColRead)
+	if ch.DRAM().Counters.ColRead != 4 {
+		t.Errorf("column reads = %d, want K=4", ch.DRAM().Counters.ColRead)
 	}
 	for _, line := range []int64{64, 128, 192} {
 		if !ch.ambs[0].Contains(line, m.LocalLineID(line)) {
@@ -112,14 +112,14 @@ func TestGroupFetchCountersAndFills(t *testing.T) {
 func TestInflightRace(t *testing.T) {
 	ch, _ := apChannel(t, nil)
 	ch.ScheduleRead(0, ready12)
-	actBefore := ch.Counters.ACT
+	actBefore := ch.DRAM().Counters.ACT
 	// Immediately demand line 3 (the last to arrive, at burstStart+4*burst;
 	// the miss's burst starts at 45ns with burst 6ns → in AMB at 69ns).
 	dataAt, hit := ch.ScheduleRead(192, ready12)
 	if !hit {
 		t.Fatal("in-flight line must count as a hit")
 	}
-	if ch.Counters.ACT != actBefore {
+	if ch.DRAM().Counters.ACT != actBefore {
 		t.Error("in-flight hit must not touch DRAM")
 	}
 	// It cannot return before the line reaches the AMB (69ns) plus the
@@ -225,11 +225,11 @@ func TestNorthboundSerializesIndependentDIMMs(t *testing.T) {
 func TestWriteGroupSingleActivation(t *testing.T) {
 	ch, _ := apChannel(t, nil)
 	done := ch.ScheduleWrite([]int64{0, 64, 128, 192}, ready12)
-	if ch.Counters.ACT != 1 || ch.Counters.PRE != 1 {
-		t.Errorf("ACT/PRE = %d/%d, want 1/1", ch.Counters.ACT, ch.Counters.PRE)
+	if ch.DRAM().Counters.ACT != 1 || ch.DRAM().Counters.PRE != 1 {
+		t.Errorf("ACT/PRE = %d/%d, want 1/1", ch.DRAM().Counters.ACT, ch.DRAM().Counters.PRE)
 	}
-	if ch.Counters.ColWrit != 4 {
-		t.Errorf("column writes = %d, want 4", ch.Counters.ColWrit)
+	if ch.DRAM().Counters.ColWrit != 4 {
+		t.Errorf("column writes = %d, want 4", ch.DRAM().Counters.ColWrit)
 	}
 	if done <= ready12 {
 		t.Error("completion time not in the future")
@@ -247,8 +247,8 @@ func TestSeparateWritesCostSeparateActivations(t *testing.T) {
 	// channel) live in different banks → separate activations.
 	ch.ScheduleWrite([]int64{0}, ready12)
 	ch.ScheduleWrite([]int64{2 * 64}, ready12)
-	if ch.Counters.ACT != 2 {
-		t.Errorf("ACT = %d, want 2", ch.Counters.ACT)
+	if ch.DRAM().Counters.ACT != 2 {
+		t.Errorf("ACT = %d, want 2", ch.DRAM().Counters.ACT)
 	}
 }
 
@@ -321,8 +321,8 @@ func TestEvictionDropsInflight(t *testing.T) {
 	if ch.IsFastRead(64, m.Map(64), m.LocalLineID(64)) {
 		t.Error("evicted line still reads as fast")
 	}
-	actBefore := ch.Counters.ACT
-	if _, hit := ch.ScheduleRead(64, 30*ns); hit || ch.Counters.ACT == actBefore {
+	actBefore := ch.DRAM().Counters.ACT
+	if _, hit := ch.ScheduleRead(64, 30*ns); hit || ch.DRAM().Counters.ACT == actBefore {
 		t.Error("evicted line must be refetched from DRAM")
 	}
 }
@@ -379,8 +379,8 @@ func TestSoakInvariants(t *testing.T) {
 				ch.Housekeep(ready)
 			}
 		}
-		if ch.Counters.ACT != ch.Counters.PRE {
-			t.Errorf("ap=%v: close-page ACT %d != PRE %d", ap, ch.Counters.ACT, ch.Counters.PRE)
+		if ch.DRAM().Counters.ACT != ch.DRAM().Counters.PRE {
+			t.Errorf("ap=%v: close-page ACT %d != PRE %d", ap, ch.DRAM().Counters.ACT, ch.DRAM().Counters.PRE)
 		}
 		if ap {
 			s := ch.AMBStats()
@@ -392,11 +392,11 @@ func TestSoakInvariants(t *testing.T) {
 			}
 			// Column reads = misses*K + 0 for hits.
 			misses := reads - s.Hits
-			if ch.Counters.ColRead != misses*4 {
-				t.Errorf("column reads %d != misses %d * K", ch.Counters.ColRead, misses)
+			if ch.DRAM().Counters.ColRead != misses*4 {
+				t.Errorf("column reads %d != misses %d * K", ch.DRAM().Counters.ColRead, misses)
 			}
-		} else if ch.Counters.ColRead != reads {
-			t.Errorf("column reads %d != reads %d", ch.Counters.ColRead, reads)
+		} else if ch.DRAM().Counters.ColRead != reads {
+			t.Errorf("column reads %d != reads %d", ch.DRAM().Counters.ColRead, reads)
 		}
 	}
 }

@@ -37,6 +37,12 @@ type channelModel interface {
 	LastTiming() (cmdAt, serviceAt clock.Time)
 	// DIMMBusBusy reports cumulative DIMM-side data-bus occupancy.
 	DIMMBusBusy() clock.Time
+	// DRAM returns the channel's DIMMs with their operation counts.
+	DRAM() *dram.Ranks
+	// LinkBytes and LinkBusy report the data moved over the channel's read
+	// and write paths and the time those paths were reserved.
+	LinkBytes() (north, south int64)
+	LinkBusy() (north, south clock.Time)
 }
 
 var (
@@ -70,7 +76,6 @@ type Controller struct {
 
 	chans []channelModel
 	fbd   []*fbdchan.Channel // non-nil entries when Kind == FBDIMM
-	ddr   []*ddrbus.Channel  // non-nil entries when Kind == DDR2
 
 	readQ  [][]*memreq.Request
 	writeQ [][]*memreq.Request
@@ -136,10 +141,8 @@ func New(cfg *config.Mem) *Controller {
 			c.chans[i] = c.fbd[i]
 		}
 	case config.DDR2:
-		c.ddr = make([]*ddrbus.Channel, cfg.LogicalChannels)
 		for i := range c.chans {
-			c.ddr[i] = ddrbus.New(&c.cfg, m)
-			c.chans[i] = c.ddr[i]
+			c.chans[i] = ddrbus.New(&c.cfg, m)
 		}
 	default:
 		panic("memctrl: unknown memory kind")
@@ -532,24 +535,18 @@ func (c *Controller) startWrites(batch []*memreq.Request, model channelModel, no
 // DRAMCounters sums the DRAM operation counters across all channels.
 func (c *Controller) DRAMCounters() dram.Counters {
 	var sum dram.Counters
-	for _, f := range c.fbd {
-		sum.Add(f.Counters)
-	}
-	for _, d := range c.ddr {
-		sum.Add(d.Counters)
+	for _, ch := range c.chans {
+		sum.Add(ch.DRAM().Counters)
 	}
 	return sum
 }
 
 // LinkBytes sums channel traffic (read bytes, write bytes) across channels.
 func (c *Controller) LinkBytes() (north, south int64) {
-	for _, f := range c.fbd {
-		north += f.Links.BytesNorth
-		south += f.Links.BytesSouth
-	}
-	for _, d := range c.ddr {
-		north += d.Links.BytesNorth
-		south += d.Links.BytesSouth
+	for _, ch := range c.chans {
+		n, s := ch.LinkBytes()
+		north += n
+		south += s
 	}
 	return north, south
 }
@@ -557,11 +554,8 @@ func (c *Controller) LinkBytes() (north, south int64) {
 // BankConflicts sums delayed activations across all channels.
 func (c *Controller) BankConflicts() int64 {
 	var n int64
-	for _, f := range c.fbd {
-		n += f.BankConflicts
-	}
-	for _, d := range c.ddr {
-		n += d.BankConflicts
+	for _, ch := range c.chans {
+		n += ch.DRAM().BankConflicts
 	}
 	return n
 }
@@ -569,13 +563,8 @@ func (c *Controller) BankConflicts() int64 {
 // LinkBusy sums the cumulative link occupancy across channels: the read
 // path (northbound / DDR2 data bus) and the write/command path.
 func (c *Controller) LinkBusy() (north, south clock.Time) {
-	for _, f := range c.fbd {
-		n, s := f.LinkBusy()
-		north += n
-		south += s
-	}
-	for _, d := range c.ddr {
-		n, s := d.LinkBusy()
+	for _, ch := range c.chans {
+		n, s := ch.LinkBusy()
 		north += n
 		south += s
 	}

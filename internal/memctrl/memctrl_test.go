@@ -5,6 +5,7 @@ import (
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
+	"fbdsim/internal/dram"
 	"fbdsim/internal/memreq"
 )
 
@@ -241,6 +242,82 @@ func TestLinkBytesAndAMBStatsAggregation(t *testing.T) {
 	s := c.AMBStats()
 	if s.Reads != 2 || s.Hits != 1 || s.Prefetched != 3 {
 		t.Errorf("AMB stats = %+v", s)
+	}
+
+	// Both interconnects, four-line regions: reads spread over every
+	// channel, DIMM and bank (two rows per bank, so activations conflict),
+	// a second read into half the regions, and eight four-line write
+	// batches. Every aggregate must equal the sum of its channels' values
+	// and the totals the traffic implies.
+	ddr2 := config.DDR2Baseline()
+	ddr2.Mem.Interleave = config.MultiCachelineInterleave
+	for _, cfg := range []config.Config{config.WithAMBPrefetch(config.Default()), ddr2} {
+		const region = 4 * 64
+		c := New(&cfg.Mem)
+		var reads, writes int64
+		for u := int64(0); u < 64; u++ {
+			c.Enqueue(read(u*region+u%4*64), 0)
+			reads++
+			if u%2 == 0 {
+				c.Enqueue(read(u*region+(u+1)%4*64), 0)
+				reads++
+			}
+		}
+		for u := int64(64); u < 72; u++ {
+			for l := int64(0); l < 4; l++ {
+				c.Enqueue(write(u*region+l*64), 0)
+				writes++
+			}
+		}
+		drive(c, 0, 50000*ns)
+		if c.Pending()+c.QueuedReads()+c.QueuedWrites() != 0 || c.Stats.Reads != reads || c.Stats.Writes != writes {
+			t.Fatalf("%v: %d reads, %d writes issued of %d/%d; %d still pending",
+				cfg.Mem.Kind, c.Stats.Reads, c.Stats.Writes, reads, writes, c.Pending())
+		}
+
+		var dc dram.Counters
+		var conflicts, bytesN, bytesS int64
+		var busyN, busyS clock.Time
+		for i, ch := range c.chans {
+			d := ch.DRAM()
+			if d.Counters.ACT == 0 {
+				t.Errorf("%v: channel %d carried no traffic", cfg.Mem.Kind, i)
+			}
+			dc.Add(d.Counters)
+			conflicts += d.BankConflicts
+			n, s := ch.LinkBytes()
+			bytesN, bytesS = bytesN+n, bytesS+s
+			bn, bs := ch.LinkBusy()
+			busyN, busyS = busyN+bn, busyS+bs
+		}
+		if got := c.DRAMCounters(); got != dc {
+			t.Errorf("%v: DRAMCounters = %+v, channels sum to %+v", cfg.Mem.Kind, got, dc)
+		}
+		if got := c.BankConflicts(); got != conflicts || got == 0 {
+			t.Errorf("%v: BankConflicts = %d, channels sum to %d", cfg.Mem.Kind, got, conflicts)
+		}
+		if n, s := c.LinkBytes(); n != bytesN || s != bytesS || n != 64*reads || s != 64*writes {
+			t.Errorf("%v: LinkBytes = %d/%d, channels sum to %d/%d, traffic %d/%d",
+				cfg.Mem.Kind, n, s, bytesN, bytesS, 64*reads, 64*writes)
+		}
+		// One line takes 6 ns on the northbound link (FB-DIMM) or on the
+		// data bus that reads and writes share (DDR2).
+		lines := reads
+		if cfg.Mem.Kind == config.DDR2 {
+			lines += writes
+		}
+		if n, s := c.LinkBusy(); n != busyN || s != busyS || n != clock.Time(lines)*6*ns {
+			t.Errorf("%v: LinkBusy = %v/%v, channels sum to %v/%v, %d lines",
+				cfg.Mem.Kind, n, s, busyN, busyS, lines)
+		}
+		colReads := reads
+		if cfg.Mem.AMBPrefetch {
+			colReads = 4 * (reads - c.Stats.AMBHits) // each miss fetches its region
+		}
+		if dc.ACT != dc.PRE || dc.ColRead != colReads || dc.ColWrit != writes {
+			t.Errorf("%v: DRAM counters %+v, want ACT = PRE, %d column reads, %d column writes",
+				cfg.Mem.Kind, dc, colReads, writes)
+		}
 	}
 }
 
