@@ -167,6 +167,38 @@ install:
 	return out
 }
 
+// Prewarm fills every frame of an unused cache with placeholder lines in
+// one pass: way w of set s holds base + (w·sets + s)·lineBytes, dirty when
+// w < int(dirtyFrac·ways), so every set starts with the same number of
+// dirty ways. Frames, LRU stamps and tick end exactly as a Fill of each
+// line would leave them, set by set and way by way in ascending order
+// (stamp s·ways + w + 1), and Stats end cleared. base must lie on a set
+// boundary, so that each placeholder belongs to the set it is written to.
+func (c *Cache) Prewarm(base int64, dirtyFrac float64) {
+	if c.tick != 0 {
+		panic("cache: Prewarm of a cache that has been filled")
+	}
+	stride := int64(c.sets) * c.lineBytes
+	if base%stride != 0 {
+		panic(fmt.Sprintf("cache: prewarm base %#x is not on a set boundary", base))
+	}
+	mark := int(dirtyFrac * float64(c.ways))
+	for s := 0; s < c.sets; s++ {
+		set := c.data[s*c.ways : (s+1)*c.ways]
+		addr := base + int64(s)*c.lineBytes
+		for w := range set {
+			tag := addr | validBit
+			if w < mark {
+				tag |= dirtyBit
+			}
+			c.tick++
+			set[w] = line{tag: tag, use: c.tick}
+			addr += stride
+		}
+	}
+	c.Stats = Stats{}
+}
+
 // FillPrefetch installs a line fetched by a (software) prefetch; identical
 // to Fill but counted separately.
 func (c *Cache) FillPrefetch(addr int64) Victim {

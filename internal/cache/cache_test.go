@@ -393,3 +393,106 @@ func TestMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// prewarmByFill is the prewarm as the hierarchy first built it: one Fill
+// per frame, set by set and way by way, the first int(dirtyFrac·ways) ways
+// of each set dirty, then Stats cleared. TestPrewarmMatchesFill holds
+// Prewarm to it.
+func prewarmByFill(c *Cache, base int64, dirtyFrac float64) {
+	sets, ways := c.Sets(), c.Ways()
+	mark := int(dirtyFrac * float64(ways))
+	for s := 0; s < sets; s++ {
+		for w := 0; w < ways; w++ {
+			c.Fill(base+(int64(w)*int64(sets)+int64(s))*c.lineBytes, w < mark)
+		}
+	}
+	c.Stats = Stats{}
+}
+
+// TestPrewarmMatchesFill: Prewarm leaves every frame's tag word and LRU
+// stamp, the tick and Stats as the per-frame Fill loop does, on the
+// Table 1 L2 and on 1- to 16-way caches, clean, partly and wholly dirty.
+// Both caches then take the same random Access, Fill and Invalidate
+// stream over a few sets, touching placeholder and fresh lines, and must
+// agree on every hit and victim: the placeholders leave in the same LRU
+// order with the same dirty state.
+func TestPrewarmMatchesFill(t *testing.T) {
+	const base = int64(1) << 60
+	l2 := config.Default().CPU
+	geoms := []struct{ kb, ways, lineBytes int }{
+		{l2.L2KB, l2.L2Assoc, l2.LineBytes},
+		{64, 1, 64}, {64, 2, 64}, {64, 8, 64}, {64, 16, 64},
+	}
+	for _, g := range geoms {
+		for _, frac := range []float64{0, 0.35, 1} {
+			name := fmt.Sprintf("%dKB %d-way %dB lines, dirty %v", g.kb, g.ways, g.lineBytes, frac)
+			c, ref := New(g.kb, g.ways, g.lineBytes), New(g.kb, g.ways, g.lineBytes)
+			c.Prewarm(base, frac)
+			prewarmByFill(ref, base, frac)
+			for i := range ref.data {
+				if c.data[i] != ref.data[i] {
+					t.Fatalf("%s: set %d way %d = %+v, Fill loop leaves %+v",
+						name, i/g.ways, i%g.ways, c.data[i], ref.data[i])
+				}
+			}
+			if c.tick != ref.tick || c.Stats != ref.Stats {
+				t.Fatalf("%s: tick %d, stats %+v; Fill loop leaves tick %d, stats %+v",
+					name, c.tick, c.Stats, ref.tick, ref.Stats)
+			}
+
+			rng := rand.New(rand.NewSource(1))
+			sets := int64(c.Sets())
+			addr := func() int64 {
+				line := rng.Int63n(2*int64(g.ways))*sets + rng.Int63n(4)
+				a := line*int64(g.lineBytes) + rng.Int63n(int64(g.lineBytes))
+				if rng.Intn(2) == 0 {
+					return base + a
+				}
+				return a
+			}
+			for step := 0; step < 5000; step++ {
+				a := addr()
+				var op string
+				var got, want any
+				switch rng.Intn(3) {
+				case 0:
+					w := rng.Intn(2) == 0
+					op, got, want = fmt.Sprintf("Access(%#x, %v)", a, w), c.Access(a, w), ref.Access(a, w)
+				case 1:
+					d := rng.Intn(2) == 0
+					op, got, want = fmt.Sprintf("Fill(%#x, %v)", a, d), c.Fill(a, d), ref.Fill(a, d)
+				case 2:
+					d1, p1 := c.Invalidate(a)
+					d2, p2 := ref.Invalidate(a)
+					op, got, want = fmt.Sprintf("Invalidate(%#x)", a), [2]bool{d1, p1}, [2]bool{d2, p2}
+				}
+				if got != want || c.Stats != ref.Stats {
+					t.Fatalf("%s, step %d: %s = %+v, stats %+v; Fill-prewarmed cache gives %+v, stats %+v",
+						name, step, op, got, c.Stats, want, ref.Stats)
+				}
+			}
+		}
+	}
+}
+
+// TestPrewarmRefusesUsedCacheAndUnalignedBase: Prewarm writes frames
+// directly, so it panics on a cache that already holds a line and on a
+// base whose placeholders would not belong to the sets they are written to.
+func TestPrewarmRefusesUsedCacheAndUnalignedBase(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    func(c *Cache)
+	}{
+		{"used cache", func(c *Cache) { c.Fill(0, false); c.Prewarm(1<<60, 0.35) }},
+		{"base off a set boundary", func(c *Cache) { c.Prewarm(1<<60+64, 0.35) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Prewarm did not panic", tc.name)
+				}
+			}()
+			tc.f(New(4, 2, 64))
+		}()
+	}
+}

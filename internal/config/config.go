@@ -78,10 +78,14 @@ const (
 )
 
 func (m PageMode) String() string {
-	if m == ClosePage {
+	switch m {
+	case ClosePage:
 		return "close-page"
+	case OpenPage:
+		return "open-page"
+	default:
+		return fmt.Sprintf("PageMode(%d)", int(m))
 	}
-	return "open-page"
 }
 
 // Replacement selects the AMB-cache replacement policy.
@@ -97,10 +101,14 @@ const (
 )
 
 func (r Replacement) String() string {
-	if r == FIFO {
+	switch r {
+	case FIFO:
 		return "FIFO"
+	case LRU:
+		return "LRU"
+	default:
+		return fmt.Sprintf("Replacement(%d)", int(r))
 	}
-	return "LRU"
 }
 
 // FullAssoc denotes a fully-associative AMB cache when used as the
@@ -583,6 +591,15 @@ func (m *Mem) validate() error {
 		return fmt.Errorf("config: unsupported data rate %d MT/s", int(m.DataRate))
 	}
 	switch {
+	case m.Kind != DDR2 && m.Kind != FBDIMM:
+		return fmt.Errorf("config: Mem.Kind %d is neither DDR2 (%d) nor FB-DIMM (%d)", int(m.Kind), DDR2, FBDIMM)
+	case m.Interleave < CachelineInterleave || m.Interleave > MultiCachelineInterleave:
+		return fmt.Errorf("config: Mem.Interleave %d is not cacheline (%d), page (%d) or multi-cacheline (%d)",
+			int(m.Interleave), CachelineInterleave, PageInterleave, MultiCachelineInterleave)
+	case m.PageMode != ClosePage && m.PageMode != OpenPage:
+		return fmt.Errorf("config: Mem.PageMode %d is neither close-page (%d) nor open-page (%d)", int(m.PageMode), ClosePage, OpenPage)
+	case m.AMBReplacement != FIFO && m.AMBReplacement != LRU:
+		return fmt.Errorf("config: Mem.AMBReplacement %d is neither FIFO (%d) nor LRU (%d)", int(m.AMBReplacement), FIFO, LRU)
 	case m.LogicalChannels < 1:
 		return errors.New("config: need at least one logical channel")
 	case m.GangWidth < 1:

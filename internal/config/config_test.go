@@ -374,8 +374,57 @@ func TestEnumStrings(t *testing.T) {
 			t.Errorf("String() = %q, want %q", c.got, c.want)
 		}
 	}
-	if MemKind(99).String() == "" || Interleave(99).String() == "" {
-		t.Error("unknown enum values must still print")
+	for _, c := range []struct {
+		got, want string
+	}{
+		{MemKind(2).String(), "MemKind(2)"},
+		{Interleave(7).String(), "Interleave(7)"},
+		{PageMode(2).String(), "PageMode(2)"},
+		{Replacement(2).String(), "Replacement(2)"},
+	} {
+		if c.got != c.want {
+			t.Errorf("unknown value prints %q, want %q", c.got, c.want)
+		}
+	}
+}
+
+// TestValidateEnums: a value of Mem.Kind, Mem.Interleave, Mem.PageMode or
+// Mem.AMBReplacement outside its constants is a Validate error naming the
+// field and the value, on either side of the valid range. The simulator
+// would otherwise panic (Kind, Interleave) or run a policy it never names
+// (PageMode, AMBReplacement).
+func TestValidateEnums(t *testing.T) {
+	for _, tc := range []struct {
+		f    func(*Mem)
+		want string
+	}{
+		{func(m *Mem) { m.Kind = 5 }, "Mem.Kind 5"},
+		{func(m *Mem) { m.Kind = -1 }, "Mem.Kind -1"},
+		{func(m *Mem) { m.Interleave = 7 }, "Mem.Interleave 7"},
+		{func(m *Mem) { m.Interleave = -1 }, "Mem.Interleave -1"},
+		{func(m *Mem) { m.PageMode = 2 }, "Mem.PageMode 2"},
+		{func(m *Mem) { m.PageMode = -1 }, "Mem.PageMode -1"},
+		{func(m *Mem) { m.AMBReplacement = 2 }, "Mem.AMBReplacement 2"},
+		{func(m *Mem) { m.AMBReplacement = -1 }, "Mem.AMBReplacement -1"},
+	} {
+		for _, preset := range []string{"ddr2", "fbd", "fbd-ap"} {
+			c, err := Preset(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.f(&c.Mem)
+			err = c.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s with %s: Validate() = %v, want an error naming %q", preset, tc.want, err, tc.want)
+			}
+		}
+	}
+	for _, preset := range []string{"ddr2", "fbd", "fbd-ap", "fbd-apfl"} {
+		c, _ := Preset(preset)
+		c.Mem.AMBReplacement = LRU
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s with LRU: %v", preset, err)
+		}
 	}
 }
 

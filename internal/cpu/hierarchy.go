@@ -135,25 +135,16 @@ func (h *Hierarchy) HWPrefetcher() *hwprefetch.Prefetcher { return h.hwpf }
 // L2 exposes the shared cache for statistics.
 func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
 
-// PrewarmL2 fills every L2 frame with placeholder lines, dirtyFrac of them
-// dirty. Short simulations then start from a realistic steady state — every
-// demand fill causes an eviction, and dirty evictions generate writeback
-// traffic from the first measured cycle instead of only after the multi-
-// million-instruction ramp a 4 MB cache would otherwise need. Placeholder
-// addresses live far above any core's address space so they never hit.
+// PrewarmL2 fills every L2 frame with placeholder lines, the first
+// int(dirtyFrac·ways) ways of each set dirty (the dirty share is rounded
+// down per set). Short simulations then start from a realistic steady
+// state — every demand fill causes an eviction, and dirty evictions
+// generate writeback traffic from the first measured cycle instead of only
+// after the multi-million-instruction ramp a 4 MB cache would otherwise
+// need. Placeholder addresses live far above any core's address space so
+// they never hit.
 func (h *Hierarchy) PrewarmL2(dirtyFrac float64) {
-	const base = int64(1) << 60
-	sets, ways := h.l2.Sets(), h.l2.Ways()
-	line := int64(h.cfg.LineBytes)
-	mark := int(dirtyFrac * float64(ways))
-	for s := 0; s < sets; s++ {
-		for w := 0; w < ways; w++ {
-			addr := base + (int64(w)*int64(sets)+int64(s))*line
-			h.l2.Fill(addr, w < mark)
-		}
-	}
-	// Prewarm fills are bookkeeping, not measured behaviour.
-	h.l2.Stats = cache.Stats{}
+	h.l2.Prewarm(1<<60, dirtyFrac)
 }
 
 // L1 exposes core i's data cache for statistics.

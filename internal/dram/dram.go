@@ -58,8 +58,8 @@ type Bank struct {
 	// preOKAt is the earliest a PRE may issue (tRAS after ACT, tRPD after
 	// a read, tWPD after a write).
 	preOKAt clock.Time
-	// lastColEnd is when the most recent column access's bus burst ends;
-	// used by tWTR accounting at the DIMM level.
+	// lastWriteDataEnd is when the data burst of the latest column write
+	// ends; a read may not issue until tWTR after it.
 	lastWriteDataEnd clock.Time
 }
 
@@ -101,8 +101,11 @@ func (b *Bank) EarliestRead(now clock.Time) clock.Time {
 }
 
 // Read issues a column read at time at and returns when the first data
-// beats leave the DRAM (tCL later). burst is the data-bus occupancy of the
-// transfer, used to extend the precharge constraint.
+// beats leave the DRAM (tCL later). It lets the bank precharge tRPD after
+// at; a train of column reads reaches the precharge through Ranks.Access,
+// which precharges tRPD after the train's last column. burst is not read:
+// the signature keeps it, like Write's, because the bench module's
+// dram.access_ns kernel calls Read with it.
 func (b *Bank) Read(at clock.Time, burst clock.Time, c *Counters) (dataAt clock.Time) {
 	b.mustBeOpen("RD")
 	b.preOKAt = maxTime(b.preOKAt, at+b.t.TRPD)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -239,3 +240,26 @@ func BenchmarkNextEventCycle(b *testing.B) {
 }
 
 var cycleSink int64
+
+// BenchmarkNew measures building the writes-8c machine of the benchmark
+// (fbd-ap, Table 3 mix 8C-2): the controller, the caches with the
+// prewarmed L2, and eight trace generators and cores. Each build starts
+// from a collected heap with its free memory returned to the OS, as in a
+// fresh process, so it pays the page faults of its first touch.
+func BenchmarkNew(b *testing.B) {
+	wl, err := workload.Lookup("8C-2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := config.WithAMBPrefetch(config.Default())
+	cfg.WarmupInsts, cfg.MaxInsts = 300_000, 3_000_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		debug.FreeOSMemory()
+		b.StartTimer()
+		if _, err := New(cfg, wl.Benchmarks); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -192,10 +192,11 @@ func New(cfg config.Config, benchmarks []string) (*System, error) {
 	}
 	hier := cpu.NewHierarchy(&cfg.CPU, cfg.CPU.Cores, ctrl)
 	// Start from a steady-state L2 so short runs produce representative
-	// eviction/writeback traffic (see PrewarmL2). The dirty fraction
-	// approximates the steady-state share of written-to lines: about one
-	// in three streams is a store stream, and stores also dirty part of
-	// the hot set.
+	// eviction/writeback traffic (see PrewarmL2). The fraction 0.35 aims
+	// at the steady-state share of written-to lines (about one in three
+	// streams is a store stream, and stores also dirty part of the hot
+	// set), but PrewarmL2 rounds it down per set: int(0.35·4) = 1 of
+	// Table 1's 4 ways, so 25% of the L2 starts dirty.
 	hier.PrewarmL2(0.35)
 	s := &System{
 		cfg:     cfg,

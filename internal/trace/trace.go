@@ -8,7 +8,10 @@
 // published character (see Profile and DESIGN.md §2).
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Op is the kind of a memory reference in the trace.
 type Op int
@@ -108,14 +111,15 @@ type Profile struct {
 	PrefetchDistanceLines int64
 }
 
-// Profiles returns the twelve benchmark profiles of Table 3. The absolute
-// values are calibrated so that relative intensity and locality across the
-// programs track their published SPEC2000 behaviour: the FP streaming codes
-// (swim, applu, lucas, equake, mgrid) are the most memory-intensive with
-// strong spatial locality and high compiler-prefetch coverage; the integer
-// codes (vpr, parser, gap, vortex) have lower intensity, poorer spatial
-// locality, and little software prefetching.
-func Profiles() map[string]Profile {
+// profiles holds the twelve benchmark profiles of Table 3 and the two
+// excluded programs, by name. The absolute values are calibrated so that
+// relative intensity and locality across the programs track their
+// published SPEC2000 behaviour: the FP streaming codes (swim, applu, lucas,
+// equake, mgrid) are the most memory-intensive with strong spatial
+// locality and high compiler-prefetch coverage; the integer codes (vpr,
+// parser, gap, vortex) have lower intensity, poorer spatial locality, and
+// little software prefetching.
+var profiles = func() map[string]Profile {
 	list := []Profile{
 		{Name: "wupwise", MemRatio: 0.24, StoreRatio: 0.28, HotFrac: 0.70, StreamFrac: 0.27, Streams: 4, StrideBytes: 8, FootprintMB: 176, DepFrac: 0.15, SWPrefetchCoverage: 0.55, PrefetchDistanceLines: 8},
 		{Name: "swim", MemRatio: 0.30, StoreRatio: 0.30, HotFrac: 0.29, StreamFrac: 0.70, Streams: 6, StrideBytes: 8, FootprintMB: 192, DepFrac: 0.10, SWPrefetchCoverage: 0.75, PrefetchDistanceLines: 8},
@@ -147,7 +151,11 @@ func Profiles() map[string]Profile {
 		m[p.Name] = p
 	}
 	return m
-}
+}()
+
+// Profiles returns every benchmark profile by name, in a map the caller
+// owns.
+func Profiles() map[string]Profile { return maps.Clone(profiles) }
 
 // BenchmarkNames returns the twelve program names the paper's workloads
 // draw from, in the paper's order. See AllProgramNames for the full set
@@ -168,7 +176,7 @@ func AllProgramNames() []string {
 
 // ProfileFor returns the named profile or an error listing valid names.
 func ProfileFor(name string) (Profile, error) {
-	p, ok := Profiles()[name]
+	p, ok := profiles[name]
 	if !ok {
 		return Profile{}, fmt.Errorf("trace: unknown benchmark %q (valid: %v)", name, BenchmarkNames())
 	}
@@ -280,10 +288,12 @@ func (g *Synthetic) buildGapTable() {
 		return
 	}
 	p := 1 / (mean + 1)
+	q, qn := 1-p, 1.0 // qn is (1-p)^n, one factor of q per step
 	acc := p
 	g.gapCDF[0] = acc
 	for n := 1; n <= maxGap; n++ {
-		acc += p * pow1mp(p, n)
+		qn *= q
+		acc += p * qn
 		g.gapCDF[n] = acc
 	}
 	n := 0
@@ -379,13 +389,4 @@ func (g *Synthetic) gapFor(u float64) int {
 		n++
 	}
 	return n
-}
-
-func pow1mp(p float64, n int) float64 {
-	q := 1 - p
-	out := 1.0
-	for i := 0; i < n; i++ {
-		out *= q
-	}
-	return out
 }

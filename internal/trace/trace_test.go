@@ -302,6 +302,39 @@ func refGap(prof Profile, u float64) int {
 	return n
 }
 
+// pow1mp is (1-p)^n as the generator once formed it for each n: n
+// multiplications by 1-p, starting from 1.
+func pow1mp(p float64, n int) float64 {
+	q := 1 - p
+	out := 1.0
+	for i := 0; i < n; i++ {
+		out *= q
+	}
+	return out
+}
+
+// TestGapCDFMatchesPowers: each gap table entry is bit for bit the sum the
+// table was first built with, which formed (1-p)^n afresh for every n.
+func TestGapCDFMatchesPowers(t *testing.T) {
+	for _, name := range AllProgramNames() {
+		prof, err := ProfileFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewSynthetic(prof, 0, 1)
+		p := 1 / (1/prof.MemRatio - 1 + 1)
+		acc := p
+		for n := 0; n <= maxGap; n++ {
+			if n > 0 {
+				acc += p * pow1mp(p, n)
+			}
+			if g.gapCDF[n] != acc {
+				t.Fatalf("%s: gapCDF[%d] = %v, powers give %v", name, n, g.gapCDF[n], acc)
+			}
+		}
+	}
+}
+
 // TestGapTableMatchesLoop: the table-driven gap draw returns what the
 // loop it replaced returns, for every profile, over a million draws from
 // each of three seeds and at every CDF entry and guide-table edge together
