@@ -61,6 +61,9 @@ func main() {
 		deadBank     = flag.Int("dead-bank", -1, "map out this bank of the degraded DIMM (-1 = none)")
 	)
 	flag.Parse()
+	if err := checkFaultFlags(*faultRate, *faultAMB, *degradedBus, *degradedDIMM, *deadBank); err != nil {
+		fatalf("%v", err)
+	}
 
 	cfg, err := config.Preset(*memKind)
 	if err != nil {
@@ -315,6 +318,29 @@ func assocName(a int) string {
 		return "full"
 	}
 	return fmt.Sprintf("%d-way", a)
+}
+
+// checkFaultFlags refuses fault flag values that no setting accepts,
+// whatever else is set: the flags turn injection on only with a positive
+// rate or a DIMM or bank number, so a negative rate would otherwise run a
+// healthy machine and -degraded-dimm -5 would read as "none".
+func checkFaultFlags(rate, amb float64, bus, dimm, bank int) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+		min  float64
+	}{
+		{"-fault-rate", rate, 0},
+		{"-fault-amb", amb, 0},
+		{"-degraded-bus", float64(bus), 0},
+		{"-degraded-dimm", float64(dimm), -1},
+		{"-dead-bank", float64(bank), -1},
+	} {
+		if !(f.v >= f.min) {
+			return fmt.Errorf("%s %v: must be at least %v", f.name, f.v, f.min)
+		}
+	}
+	return nil
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -62,7 +62,7 @@ func (h *Hierarchy) FunctionalAccess(core int, addr int64, store bool) {
 		return
 	}
 	line := h.l2.LineAddr(addr)
-	if _, ok := h.outstanding[line]; ok {
+	if h.mshrs.find(line) != none {
 		return
 	}
 	if h.l2.Access(addr, store) {
@@ -94,7 +94,7 @@ func (h *Hierarchy) FunctionalPrefetch(core int, addr int64) {
 // resource limits to model).
 func (h *Hierarchy) functionalPrefetchLine(addr int64, counter *int64) {
 	line := h.l2.LineAddr(addr)
-	if _, ok := h.outstanding[line]; ok {
+	if h.mshrs.find(line) != none {
 		return
 	}
 	if h.l2.Contains(addr) {

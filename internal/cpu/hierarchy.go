@@ -10,6 +10,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"fbdsim/internal/cache"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
@@ -18,7 +20,7 @@ import (
 	"fbdsim/internal/memreq"
 )
 
-// waiter is one completion subscription on a missEntry. Production waiters
+// waiter is one completion subscription on an MSHR. Production waiters
 // are plain data — a core's ROB slot (loads) or store queue (ringIdx < 0) —
 // so subscribing allocates no closure; fn is the closure escape hatch the
 // closure-based Load/Store test seam uses (nil in production).
@@ -27,19 +29,6 @@ type waiter struct {
 	ringIdx int   // ROB ring slot of a load waiter; -1 for a store waiter
 	seq     int64 // the load's dispatch sequence number (dependence tracking)
 	fn      func(doneCycle int64)
-}
-
-// missEntry tracks one outstanding L2 miss (one cacheline) and everyone
-// waiting for it. Requests to the same line coalesce into one entry, as
-// MSHRs do.
-type missEntry struct {
-	line    int64
-	core    int
-	dirty   bool       // a store (RFO) is among the requesters
-	sw      bool       // purely a software prefetch (no waiters)
-	issued  bool       // accepted by the memory controller
-	created clock.Time // MSHR allocation time, kept across Enqueue retries
-	waiters []waiter
 }
 
 // wbEntry is a dirty victim line awaiting controller space, with the time
@@ -62,27 +51,24 @@ type Hierarchy struct {
 	// typed waiters (NewCore self-registers).
 	cores []*Core
 
-	outstanding map[int64]*missEntry
-	unissued    []*missEntry // created but not yet accepted by the controller
-	writebacks  []wbEntry    // dirty victim lines awaiting controller space
-	wbHead      int          // first un-drained writeback (the rest were sent)
+	mshrs      mshrFile
+	unissued   []int32   // MSHR slots not yet accepted by the controller, oldest first
+	writebacks []wbEntry // dirty victim lines awaiting controller space
+	wbHead     int       // first un-drained writeback (the rest were sent)
 
-	// pool recycles memory transactions and entryFree recycles MSHR
-	// records, so the steady-state miss path allocates nothing. onReadDone
-	// and onWriteDone are the two completion callbacks shared by every
-	// request (built once in NewHierarchy, so issuing a request allocates
-	// no closure).
+	// pool recycles writeback transactions; reads travel in their MSHR
+	// slot's request. onReadDone and onWriteDone are the two completion
+	// callbacks shared by every request (built once in NewHierarchy, so
+	// issuing a request allocates no closure).
 	pool        memreq.Pool
-	entryFree   []*missEntry
 	onReadDone  func(*memreq.Request)
 	onWriteDone func(*memreq.Request)
 
 	// hwpf is the optional stream prefetcher trained by demand L2 misses.
 	hwpf *hwprefetch.Prefetcher
 
-	l2MSHRInUse int
-	reqID       int64
-	now         clock.Time // time of the current cycle, set by Tick
+	reqID int64
+	now   clock.Time // time of the current cycle, set by Tick
 
 	// Stats.
 	DemandMisses int64 // L2 demand (load/store) misses sent to memory
@@ -93,14 +79,22 @@ type Hierarchy struct {
 }
 
 // NewHierarchy builds the hierarchy for cores cores sharing one L2 in
-// front of mem.
+// front of mem. Everything a run's misses and writebacks use is sized here:
+// the MSHR file with room for one waiter per load- and store-queue entry,
+// the writeback pool for full controller write queues, and the
+// controller's completion heap for a read per MSHR.
 func NewHierarchy(cfg *config.CPU, cores int, mem *memctrl.Controller) *Hierarchy {
 	h := &Hierarchy{
-		cfg:         cfg,
-		l2:          cache.New(cfg.L2KB, cfg.L2Assoc, cfg.LineBytes),
-		mem:         mem,
-		outstanding: make(map[int64]*missEntry),
+		cfg:      cfg,
+		l2:       cache.New(cfg.L2KB, cfg.L2Assoc, cfg.LineBytes),
+		mem:      mem,
+		mshrs:    newMSHRFile(cfg.L2MSHRs, cores*(cfg.LQEntries+cfg.SQEntries)),
+		unissued: make([]int32, 0, cfg.L2MSHRs),
+		// A victim per MSHR; the bench workloads keep at most five waiting.
+		writebacks: make([]wbEntry, 0, cfg.L2MSHRs),
 	}
+	h.pool.Grow(mem.WriteRoom())
+	mem.ReserveReads(cfg.L2MSHRs)
 	h.l1 = make([]*cache.Cache, cores)
 	for i := range h.l1 {
 		h.l1[i] = cache.New(cfg.L1DataKB, cfg.L1Assoc, cfg.LineBytes)
@@ -115,14 +109,15 @@ func NewHierarchy(cfg *config.CPU, cores int, mem *memctrl.Controller) *Hierarch
 		}
 		h.hwpf = hwprefetch.New(pc, cfg.LineBytes)
 	}
-	// A read completion resolves its MSHR entry through the outstanding
-	// map (the request address is the entry's line), so one callback
-	// serves every read ever issued.
+	// A read completion finds its MSHR slot through the line index (the
+	// request address is the slot's line), so one callback serves every
+	// read ever issued.
 	h.onReadDone = func(r *memreq.Request) {
-		e := h.outstanding[r.Addr]
-		done := r.Done
-		h.pool.Put(r)
-		h.complete(e, done)
+		s := h.mshrs.find(r.Addr)
+		if s == none || &h.mshrs.slots[s].req != r {
+			panic(fmt.Sprintf("cpu: read %d completed for line %#x, which has no busy MSHR slot issuing it", r.ID, r.Addr))
+		}
+		h.complete(s, r.Done)
 	}
 	h.onWriteDone = func(r *memreq.Request) { h.pool.Put(r) }
 	return h
@@ -151,7 +146,7 @@ func (h *Hierarchy) PrewarmL2(dirtyFrac float64) {
 func (h *Hierarchy) L1(i int) *cache.Cache { return h.l1[i] }
 
 // OutstandingMisses returns the number of L2 misses in flight.
-func (h *Hierarchy) OutstandingMisses() int { return len(h.outstanding) }
+func (h *Hierarchy) OutstandingMisses() int { return h.mshrs.inUse() }
 
 // registerCore records c as the delivery target for waiters carrying its
 // id (NewCore calls it).
@@ -199,12 +194,11 @@ func (h *Hierarchy) load(core int, addr int64, cycle int64, w waiter) bool {
 		return true
 	}
 	line := h.l2.LineAddr(addr)
-	if e, ok := h.outstanding[line]; ok {
-		e.waiters = append(e.waiters, w)
-		e.sw = false
-		if e.core != core {
-			e.core = core // fill the most recent requester's L1 too
-		}
+	if s := h.mshrs.find(line); s != none {
+		h.mshrs.addWaiter(s, w)
+		m := &h.mshrs.slots[s]
+		m.sw = false
+		m.core = core // fill the most recent requester's L1 too
 		return true
 	}
 	if h.l2.Access(addr, false) {
@@ -234,10 +228,11 @@ func (h *Hierarchy) store(core int, addr int64, cycle int64, w waiter) bool {
 		return true
 	}
 	line := h.l2.LineAddr(addr)
-	if e, ok := h.outstanding[line]; ok {
-		e.dirty = true
-		e.sw = false
-		e.waiters = append(e.waiters, w)
+	if s := h.mshrs.find(line); s != none {
+		m := &h.mshrs.slots[s]
+		m.dirty = true
+		m.sw = false
+		h.mshrs.addWaiter(s, w)
 		return true
 	}
 	if h.l2.Access(addr, true) {
@@ -258,22 +253,20 @@ func (h *Hierarchy) Prefetch(core int, addr int64, cycle int64) {
 // counter. Duplicate, resident or resource-starved prefetches drop.
 func (h *Hierarchy) prefetchLine(core int, addr int64, counter *int64) {
 	line := h.l2.LineAddr(addr)
-	if _, ok := h.outstanding[line]; ok {
+	if h.mshrs.find(line) != none {
 		return
 	}
 	if h.l2.Contains(addr) {
 		return
 	}
-	if h.l2MSHRInUse >= h.cfg.L2MSHRs {
+	if h.mshrs.full() {
 		h.DroppedPF++
 		return
 	}
-	e := h.newEntry(line, core, false, true)
-	h.outstanding[line] = e
-	h.l2MSHRInUse++
+	s := h.mshrs.alloc(line, core, false, true, h.now)
 	*counter++
-	if !h.issue(e) {
-		h.unissued = append(h.unissued, e)
+	if !h.issue(s) {
+		h.unissued = append(h.unissued, s)
 	}
 }
 
@@ -288,85 +281,64 @@ func (h *Hierarchy) trainHW(core int, line int64) {
 	}
 }
 
-// startMiss allocates the MSHR and memory request for a demand miss.
+// startMiss allocates the MSHR slot for a demand miss and sends its read.
 func (h *Hierarchy) startMiss(core int, line int64, dirty, sw bool, w waiter) bool {
-	if h.l2MSHRInUse >= h.cfg.L2MSHRs {
+	if h.mshrs.full() {
 		return false
 	}
-	e := h.newEntry(line, core, dirty, sw)
-	e.waiters = append(e.waiters, w)
-	h.outstanding[line] = e
-	h.l2MSHRInUse++
+	s := h.mshrs.alloc(line, core, dirty, sw, h.now)
+	h.mshrs.addWaiter(s, w)
 	h.DemandMisses++
-	if !h.issue(e) {
-		h.unissued = append(h.unissued, e)
+	if !h.issue(s) {
+		h.unissued = append(h.unissued, s)
 	}
 	h.trainHW(core, line)
 	return true
 }
 
-// newEntry allocates an MSHR record stamped with the current time, reusing
-// a freed one (and its waiters backing array) when available.
-func (h *Hierarchy) newEntry(line int64, core int, dirty, sw bool) *missEntry {
-	if n := len(h.entryFree); n > 0 {
-		e := h.entryFree[n-1]
-		h.entryFree = h.entryFree[:n-1]
-		*e = missEntry{line: line, core: core, dirty: dirty, sw: sw, created: h.now, waiters: e.waiters[:0]}
-		return e
-	}
-	return &missEntry{line: line, core: core, dirty: dirty, sw: sw, created: h.now}
-}
-
-// freeEntry recycles a completed MSHR record. Waiter records are cleared
-// so the free list cannot pin dead closures.
-func (h *Hierarchy) freeEntry(e *missEntry) {
-	for i := range e.waiters {
-		e.waiters[i] = waiter{}
-	}
-	h.entryFree = append(h.entryFree, e)
-}
-
-// issue hands the miss to the memory controller; false means the
-// transaction buffer was full and the entry stays on the unissued list.
-func (h *Hierarchy) issue(e *missEntry) bool {
+// issue hands slot s's miss to the memory controller in the slot's own
+// request; false means the transaction buffer was full and the slot stays
+// on the unissued list.
+func (h *Hierarchy) issue(s int32) bool {
 	h.reqID++
-	req := h.pool.Get()
-	req.ID = h.reqID
-	req.Addr = e.line
-	req.Kind = memreq.Read
-	req.Core = e.core
-	req.SWPrefetch = e.sw
-	req.Created = e.created
-	req.OnDone = h.onReadDone
-	if !h.mem.Enqueue(req, h.now) {
-		h.pool.Put(req)
-		return false
+	m := &h.mshrs.slots[s]
+	m.req = memreq.Request{
+		ID:         h.reqID,
+		Addr:       m.line,
+		Kind:       memreq.Read,
+		Core:       m.core,
+		SWPrefetch: m.sw,
+		Created:    m.created,
+		OnDone:     h.onReadDone,
 	}
-	e.issued = true
-	return true
+	return h.mem.Enqueue(&m.req, h.now)
 }
 
-// complete fills the caches and releases waiters when memory data returns.
-func (h *Hierarchy) complete(e *missEntry, at clock.Time) {
+// complete frees slot s, fills the caches and releases its waiters, in
+// arrival order, when memory data returns.
+func (h *Hierarchy) complete(s int32, at clock.Time) {
 	doneCycle := clock.CyclesCeil(at)
-	delete(h.outstanding, e.line)
-	h.l2MSHRInUse--
+	m := &h.mshrs.slots[s]
+	line, core, dirty, sw, next := m.line, m.core, m.dirty, m.sw, m.first
+	h.mshrs.release(s)
 
 	var victim cache.Victim
-	if e.sw {
-		victim = h.l2.FillPrefetch(e.line)
+	if sw {
+		victim = h.l2.FillPrefetch(line)
 	} else {
-		victim = h.l2.Fill(e.line, e.dirty)
-		h.fillL1(e.core, e.line, e.dirty)
+		victim = h.l2.Fill(line, dirty)
+		h.fillL1(core, line, dirty)
 	}
 	if victim.Valid && victim.Dirty {
 		h.writeback(victim.Addr)
 	}
 	ready := doneCycle + int64(h.cfg.L2HitCycles)
-	for _, w := range e.waiters {
-		h.deliver(w, ready)
+	for next != none {
+		l := h.mshrs.links[next]
+		h.mshrs.freeLink(next)
+		h.deliver(l.w, ready)
+		next = l.next
 	}
-	h.freeEntry(e)
 }
 
 func (h *Hierarchy) fillL1(core int, addr int64, dirty bool) {
@@ -391,9 +363,9 @@ func (h *Hierarchy) Tick(cycle int64, now clock.Time) {
 	h.now = now
 	// Retry unissued demand misses first: they block cores.
 	n := 0
-	for _, e := range h.unissued {
-		if !e.issued && !h.issue(e) {
-			h.unissued[n] = e
+	for _, s := range h.unissued {
+		if !h.issue(s) {
+			h.unissued[n] = s
 			n++
 		}
 	}
@@ -440,8 +412,8 @@ func (h *Hierarchy) SetNow(now clock.Time) {
 // drains inside a controller tick, and the controller's own next-event
 // query schedules that.
 func (h *Hierarchy) Quiescent() bool {
-	for _, e := range h.unissued {
-		if h.mem.CanAccept(e.line, memreq.Read) {
+	for _, s := range h.unissued {
+		if h.mem.CanAccept(h.mshrs.slots[s].line, memreq.Read) {
 			return false
 		}
 	}
@@ -461,13 +433,13 @@ func (h *Hierarchy) canAccept(core int, addr int64) bool {
 		return true
 	}
 	line := h.l2.LineAddr(addr)
-	if _, ok := h.outstanding[line]; ok {
+	if h.mshrs.find(line) != none {
 		return true
 	}
 	if h.l2.Contains(addr) {
 		return true
 	}
-	return h.l2MSHRInUse < h.cfg.L2MSHRs
+	return !h.mshrs.full()
 }
 
 // CanAcceptLoad reports whether a load of addr by core would be accepted

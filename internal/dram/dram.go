@@ -63,11 +63,6 @@ type Bank struct {
 	lastWriteDataEnd clock.Time
 }
 
-// NewBank returns a precharged, idle bank.
-func NewBank(t config.Timing) *Bank {
-	return &Bank{t: t, openRow: NoRow}
-}
-
 // OpenRow returns the currently open row, or NoRow.
 func (b *Bank) OpenRow() int64 { return b.openRow }
 
@@ -223,11 +218,14 @@ func (d *DIMM) avoidRefresh(t clock.Time) clock.Time {
 	return t
 }
 
-// NewDIMM builds a DIMM with n precharged banks.
+// NewDIMM builds a DIMM with n precharged, idle banks, allocated in one
+// block.
 func NewDIMM(n int, t config.Timing) *DIMM {
 	d := &DIMM{t: t, Banks: make([]*Bank, n)}
-	for i := range d.Banks {
-		d.Banks[i] = NewBank(t)
+	banks := make([]Bank, n)
+	for i := range banks {
+		banks[i] = Bank{t: t, openRow: NoRow}
+		d.Banks[i] = &banks[i]
 	}
 	return d
 }

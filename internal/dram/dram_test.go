@@ -10,7 +10,7 @@ import (
 const ns = clock.Nanosecond
 
 func newBank() (*Bank, *Counters) {
-	return NewBank(config.Table2()), &Counters{}
+	return NewDIMM(1, config.Table2()).Banks[0], &Counters{}
 }
 
 func TestFreshBankIsClosed(t *testing.T) {

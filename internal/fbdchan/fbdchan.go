@@ -54,8 +54,9 @@ type Channel struct {
 	// record when their prefetched line lands; a demand read racing a
 	// prefetch waits for that instant rather than re-accessing DRAM.
 	ambs []*ambcache.Cache
-	// group holds the prefetch group of the miss being scheduled; it is
-	// dead between calls and only keeps its capacity.
+	// group holds the prefetch group of the miss being scheduled, at most
+	// RegionLines lines; it is dead between calls and only keeps its
+	// capacity.
 	group []int64
 
 	// Links accumulates channel traffic.
@@ -100,6 +101,7 @@ func New(cfg *config.Mem, mapper *addrmap.Mapper) *Channel {
 		c.dimmBus[i] = resource.NewQuantized(0)
 	}
 	if cfg.AMBPrefetch {
+		c.group = make([]int64, 0, max(cfg.RegionLines, 1))
 		c.ambs = make([]*ambcache.Cache, cfg.DIMMsPerChannel)
 		for i := range c.ambs {
 			c.ambs[i] = ambcache.New(cfg.AMBCacheLines, cfg.AMBCacheAssoc,

@@ -86,8 +86,8 @@ type Controller struct {
 
 	completions completionHeap
 	// scratchBatch and scratchAddrs are reused across pickWriteBatch /
-	// startWrites calls so the write path allocates nothing in steady
-	// state. Both are dead between issue() calls.
+	// startWrites calls so the write path allocates nothing. Both are dead
+	// between issue() calls, and hold one write queue, the largest batch.
 	scratchBatch []*memreq.Request
 	scratchAddrs []int64
 	// inflight counts issued-but-uncompleted transactions per channel;
@@ -118,20 +118,32 @@ type Controller struct {
 	inj *fault.Injector
 }
 
-// New builds the controller for a validated memory configuration.
+// New builds the controller for a validated memory configuration. Every
+// read and write queue gets its QueueEntries of capacity from one block,
+// and the completion heap room for a full write queue per channel (see
+// ReserveReads for the reads), so a run never grows them.
 func New(cfg *config.Mem) *Controller {
 	m := addrmap.New(cfg)
+	n, q := cfg.LogicalChannels, cfg.QueueEntries
 	c := &Controller{
-		cfg:       *cfg,
-		mapper:    m,
-		chans:     make([]channelModel, cfg.LogicalChannels),
-		readQ:     make([][]*memreq.Request, cfg.LogicalChannels),
-		writeQ:    make([][]*memreq.Request, cfg.LogicalChannels),
-		draining:  make([]bool, cfg.LogicalChannels),
-		inflight:  make([]int, cfg.LogicalChannels),
-		housekept: -1,
-		tck:       cfg.DataRate.TCK(),
-		LatHist:   &stats.Histogram{},
+		cfg:          *cfg,
+		mapper:       m,
+		chans:        make([]channelModel, n),
+		readQ:        make([][]*memreq.Request, n),
+		writeQ:       make([][]*memreq.Request, n),
+		draining:     make([]bool, n),
+		inflight:     make([]int, n),
+		completions:  make(completionHeap, 0, n*q),
+		scratchBatch: make([]*memreq.Request, 0, q),
+		scratchAddrs: make([]int64, 0, q),
+		housekept:    -1,
+		tck:          cfg.DataRate.TCK(),
+		LatHist:      &stats.Histogram{},
+	}
+	slab := make([]*memreq.Request, 2*n*q)
+	for i := range n {
+		c.readQ[i] = slab[2*i*q : 2*i*q : (2*i+1)*q]
+		c.writeQ[i] = slab[(2*i+1)*q : (2*i+1)*q : (2*i+2)*q]
 	}
 	switch cfg.Kind {
 	case config.FBDIMM:
@@ -196,6 +208,19 @@ func (c *Controller) FaultCounters() fault.Counters {
 	}
 	return c.inj.Counters
 }
+
+// ReserveReads gives the completion heap room for n reads in flight beside
+// a full write queue per channel. The cache hierarchy calls it with its MSHR
+// count, which bounds the reads it can have in flight.
+func (c *Controller) ReserveReads(n int) {
+	if need := n + c.WriteRoom(); cap(c.completions) < need {
+		c.completions = append(make(completionHeap, 0, need), c.completions...)
+	}
+}
+
+// WriteRoom returns how many writes the controller's write queues hold when
+// full.
+func (c *Controller) WriteRoom() int { return len(c.writeQ) * c.cfg.QueueEntries }
 
 // TCK returns the memory clock period driving Tick.
 func (c *Controller) TCK() clock.Time { return c.tck }
@@ -502,14 +527,9 @@ func (c *Controller) startRead(req *memreq.Request, model channelModel, now cloc
 
 func (c *Controller) startWrites(batch []*memreq.Request, model channelModel, now clock.Time) {
 	ready := batch[0].Arrived + c.cfg.CtrlOverhead
-	addrs := c.scratchAddrs
-	if cap(addrs) < len(batch) {
-		addrs = make([]int64, len(batch))
-	} else {
-		addrs = addrs[:len(batch)]
-	}
-	for i, req := range batch {
-		addrs[i] = req.Addr
+	addrs := c.scratchAddrs[:0]
+	for _, req := range batch {
+		addrs = append(addrs, req.Addr)
 		if c.inj != nil && c.mapper.Remapped(req.Addr) {
 			c.inj.NoteRemap()
 		}

@@ -3,6 +3,8 @@
 package memreq
 
 import (
+	"fmt"
+
 	"fbdsim/internal/addrmap"
 	"fbdsim/internal/clock"
 )
@@ -77,35 +79,67 @@ type Request struct {
 	// OnDone, if non-nil, is invoked exactly once when the request
 	// completes.
 	OnDone func(*Request)
+
+	// pooled is set while the request sits idle in a Pool, and next links
+	// it to the Pool's next idle request.
+	pooled bool
+	next   *Request
 }
 
-// Pool is a single-owner free list of Requests. The cache hierarchy
-// allocates every memory transaction from one and returns it in the
-// completion callback, so steady-state simulation creates no per-request
-// garbage. Like the simulator that uses it, a Pool is not goroutine-safe;
-// each System owns its own.
+// poolBlock is how many Requests a Pool allocates at once when it runs out:
+// one Table 1 write queue's worth.
+const poolBlock = 64
+
+// Pool is a single-owner free list of Requests. The cache hierarchy takes
+// every writeback from one and returns it in the completion callback, so
+// steady-state simulation creates no per-request garbage. Requests come
+// from blocks allocated Grow or poolBlock at a time, and idle ones chain
+// through their own next field, so recycling allocates nothing. Like the
+// simulator that uses it, a Pool is not goroutine-safe; each System owns
+// its own.
 type Pool struct {
-	free []*Request
+	idle  *Request  // the most recently Put request
+	n     int       // idle requests
+	fresh []Request // never handed out
 }
 
-// Get returns a zeroed Request, reusing a previously Put one when
-// available.
+// Grow makes sure that the next n Gets that find no idle request allocate
+// nothing, allocating one block when the pool holds fewer fresh Requests.
+func (p *Pool) Grow(n int) {
+	if len(p.fresh) < n {
+		p.fresh = make([]Request, n)
+	}
+}
+
+// Get returns a zeroed Request, reusing the most recently Put one when
+// there is one.
 func (p *Pool) Get() *Request {
-	if n := len(p.free); n > 0 {
-		r := p.free[n-1]
-		p.free = p.free[:n-1]
+	if r := p.idle; r != nil {
+		p.idle = r.next
+		p.n--
+		*r = Request{}
 		return r
 	}
-	return &Request{}
+	if len(p.fresh) == 0 {
+		p.Grow(poolBlock)
+	}
+	r := &p.fresh[0]
+	p.fresh = p.fresh[1:]
+	return r
 }
 
 // Put recycles r. The caller must not retain any reference to r afterwards:
-// the next Get may hand it out again. r is zeroed here so stale timestamps
-// or callbacks can never leak into a reused transaction.
+// the next Get may hand it out again. Put keeps only r's ID and address,
+// which a second Put of r panics with, so a stale timestamp or callback can
+// never leak into a reused transaction.
 func (p *Pool) Put(r *Request) {
-	*r = Request{}
-	p.free = append(p.free, r)
+	if r.pooled {
+		panic(fmt.Sprintf("memreq: request %d for line %#x put into its pool twice", r.ID, r.Addr))
+	}
+	*r = Request{ID: r.ID, Addr: r.Addr, pooled: true, next: p.idle}
+	p.idle = r
+	p.n++
 }
 
 // Len reports the number of idle pooled requests (tests and diagnostics).
-func (p *Pool) Len() int { return len(p.free) }
+func (p *Pool) Len() int { return p.n }

@@ -1,6 +1,9 @@
 package memreq
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestKindString(t *testing.T) {
 	if Read.String() != "read" || Write.String() != "write" {
@@ -70,5 +73,48 @@ func TestPoolGrowsUnderLoad(t *testing.T) {
 			t.Fatal("pool handed out the same request twice")
 		}
 		seen[r] = true
+	}
+}
+
+// TestPoolDoublePutPanics: putting a request that is already in the pool
+// panics, naming its ID and address, instead of letting two later Gets
+// hand out the same request.
+func TestPoolDoublePutPanics(t *testing.T) {
+	var p Pool
+	r := p.Get()
+	r.ID, r.Addr = 7, 0x1c0
+	p.Put(r)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "request 7 ") || !strings.Contains(msg, "0x1c0") {
+			t.Errorf("second Put panicked with %q, want the request's ID and address", msg)
+		}
+		if p.Len() != 1 {
+			t.Errorf("len after the refused Put = %d, want 1", p.Len())
+		}
+	}()
+	p.Put(r)
+}
+
+// TestPoolGrow: after Grow(n), n Gets on an empty pool allocate nothing and
+// hand out distinct requests.
+func TestPoolGrow(t *testing.T) {
+	var p Pool
+	p.Grow(100)
+	got := make([]*Request, 0, 100)
+	// AllocsPerRun calls its function once more than it is asked to.
+	if n := testing.AllocsPerRun(1, func() {
+		for range 50 {
+			got = append(got, p.Get())
+		}
+	}); n != 0 {
+		t.Errorf("Gets after Grow(100) allocated %v times", n)
+	}
+	seen := map[*Request]bool{}
+	for _, r := range got {
+		seen[r] = true
+	}
+	if len(got) != 100 || len(seen) != 100 {
+		t.Errorf("%d distinct requests from %d Gets, want 100", len(seen), len(got))
 	}
 }

@@ -28,9 +28,17 @@ type Timeline struct {
 	total clock.Time
 }
 
+// startIntervals is the interval capacity NewQuantized starts a Timeline
+// with. A simulated channel's timelines track a few hundred intervals
+// between prunes; they grow there from this start in a few doublings,
+// where a full-size start would cost every machine ~16 KB per timeline.
+const startIntervals = 64
+
 // NewQuantized returns a Timeline whose reservations begin on multiples of
 // q (frame-aligned links). A zero q means unaligned.
-func NewQuantized(q clock.Time) *Timeline { return &Timeline{quantum: q} }
+func NewQuantized(q clock.Time) *Timeline {
+	return &Timeline{quantum: q, busy: make([]interval, 0, startIntervals)}
+}
 
 func (t *Timeline) align(x clock.Time) clock.Time {
 	if t.quantum <= 0 {
