@@ -28,12 +28,11 @@ import (
 
 func main() {
 	var (
-		cfgFile  = flag.String("config", "", "JSON configuration file (overrides -mem and hardware flags)")
+		cfgFile  = flag.String("config", "", "JSON configuration file (overrides -mem and hardware flags; a fault flag that is set overrides its field)")
 		saveCfg  = flag.String("save-config", "", "write the effective configuration to this file and exit")
 		memKind  = flag.String("mem", "fbd", "memory system: ddr2, fbd, fbd-ap, fbd-apfl")
 		wlName   = flag.String("workload", "", "Table 3 workload name (e.g. 4C-1); overrides -bench")
 		benches  = flag.String("bench", "swim", "comma-separated benchmark list, one per core")
-		fid      = flag.String("fidelity", "", "simulation tier: cycle-accurate (default) or sampled")
 		insts    = flag.Int64("insts", 300_000, "measured instructions per core")
 		warmup   = flag.Int64("warmup", 40_000, "warmup instructions per core")
 		seed     = flag.Int64("seed", 1, "trace generation seed")
@@ -100,18 +99,39 @@ func main() {
 		}
 		cfg = loaded
 	}
-	// Fault flags layer on top of either the preset or the config file.
-	if *faultRate > 0 || *faultAMB > 0 || *degradedDIMM >= 0 || *deadBank >= 0 {
-		cfg.Fault = config.Fault{
-			Enabled:           true,
-			Seed:              *faultSeed,
-			SouthErrorRate:    *faultRate,
-			NorthErrorRate:    *faultRate,
-			AMBSoftErrorRate:  *faultAMB,
-			DegradedDIMM:      *degradedDIMM,
-			DegradedBusFactor: *degradedBus,
-			DeadBank:          *deadBank,
+	// Fault flags layer on top of either the preset or the config file. On
+	// the preset, a positive rate or a DIMM or bank number sets the whole
+	// fault block from the flags. On a config file, each fault flag named
+	// on the command line overrides its own field, and the file's other
+	// fault settings stand.
+	enable := *faultRate > 0 || *faultAMB > 0 || *degradedDIMM >= 0 || *deadBank >= 0
+	named := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { named[f.Name] = true })
+	fromFlag := func(name string) bool {
+		if *cfgFile == "" {
+			return enable
 		}
+		return named[name]
+	}
+	f := &cfg.Fault
+	f.Enabled = f.Enabled || enable
+	if fromFlag("fault-seed") {
+		f.Seed = *faultSeed
+	}
+	if fromFlag("fault-rate") {
+		f.SouthErrorRate, f.NorthErrorRate = *faultRate, *faultRate
+	}
+	if fromFlag("fault-amb") {
+		f.AMBSoftErrorRate = *faultAMB
+	}
+	if fromFlag("degraded-dimm") {
+		f.DegradedDIMM = *degradedDIMM
+	}
+	if fromFlag("degraded-bus") {
+		f.DegradedBusFactor = *degradedBus
+	}
+	if fromFlag("dead-bank") {
+		f.DeadBank = *deadBank
 	}
 	if *saveCfg != "" {
 		if err := cfg.SaveFile(*saveCfg); err != nil {
@@ -157,16 +177,7 @@ func main() {
 		}()
 	}
 
-	var opts []fbdsim.Option
-	if *fid != "" {
-		tier, err := fbdsim.ParseFidelity(*fid)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opts = append(opts, fbdsim.WithFidelity(tier))
-	}
-
-	res, err := fbdsim.Run(context.Background(), cfg, names, opts...)
+	res, err := fbdsim.Run(context.Background(), cfg, names)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -213,17 +224,6 @@ func main() {
 		fmt.Printf("  core %d %-10s IPC %.3f (%d instructions)\n", i, name, res.IPC[i], res.Committed[i])
 	}
 	fmt.Printf("total IPC   : %.3f\n", res.TotalIPC())
-	if e := res.Estimate; e != nil {
-		fmt.Printf("estimate    : %s tier", e.Tier)
-		if e.CI95 > 0 {
-			fmt.Printf(", IPC +/- %.4f (95%% CI)", e.CI95)
-		}
-		if e.Windows > 0 {
-			fmt.Printf(", %d windows, %d detailed / %d functional insts",
-				e.Windows, e.DetailedInsts, e.FunctionalInsts)
-		}
-		fmt.Println()
-	}
 	fmt.Printf("reads       : %d (avg latency %.1f ns, p50/p90/p99 %.0f/%.0f/%.0f ns)\n",
 		res.Reads, res.AvgReadLatencyNS, res.P50LatencyNS, res.P90LatencyNS, res.P99LatencyNS)
 	fmt.Printf("writes      : %d\n", res.Writes)
@@ -299,9 +299,6 @@ func emitJSON(cfg fbdsim.Config, names []string, res fbdsim.Results) {
 		out["faultRetryLatencyNS"] = res.Faults.RetryLatency.Nanoseconds()
 		out["faultAMBSoftErrors"] = res.Faults.AMBSoftErrors
 		out["faultRemapped"] = res.Faults.Remapped
-	}
-	if res.Estimate != nil {
-		out["estimate"] = res.Estimate
 	}
 	if res.Trace != nil {
 		out["trace"] = res.Trace

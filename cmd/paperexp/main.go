@@ -32,7 +32,7 @@ import (
 func main() {
 	var (
 		all      = flag.Bool("all", false, "run every experiment")
-		fig      = flag.String("fig", "", "comma-separated figure numbers (4-13), 'v1', or extensions 'e1'-'e6', 'e8'")
+		fig      = flag.String("fig", "", "comma-separated figure numbers (4-13), 'v1', or extensions 'e1'-'e6'")
 		quick    = flag.Bool("quick", false, "use the reduced workload set")
 		insts    = flag.Int64("insts", 300_000, "measured instructions per core per run")
 		warmup   = flag.Int64("warmup", 40_000, "warmup instructions per core per run (0 = the 40,000 default)")
@@ -106,7 +106,6 @@ func main() {
 		{"e4", runFig(func() (formatter, error) { d, err := exp.ExtensionSeedSensitivity(runner, nil); return d, err })},
 		{"e5", runFig(func() (formatter, error) { d, err := exp.ExtensionDDR3(runner); return d, err })},
 		{"e6", runFig(func() (formatter, error) { d, err := exp.ExtensionFaultSweep(runner); return d, err })},
-		{"e8", runFig(func() (formatter, error) { d, err := exp.ExtensionTieredFidelity(runner); return d, err })},
 	}
 
 	// want maps every id in the table to whether this run selects it.

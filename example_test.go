@@ -31,6 +31,28 @@ func ExampleRun() {
 	// and cuts DRAM activations: true
 }
 
+// Fault injection is switched on in the configuration, on top of
+// Default()'s fault settings. They degrade no DIMM and map out no bank, so
+// the run sees only the raised link-error rate.
+func ExampleRun_faults() {
+	cfg := fbdsim.Default()
+	cfg.MaxInsts = 60_000
+	cfg.WarmupInsts = 8_000
+	cfg.Fault.Enabled = true
+	cfg.Fault.SouthErrorRate = 0.01
+
+	res, err := fbdsim.Run(context.Background(), cfg, []string{"swim"})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("link errors:", res.Faults.SouthFrameErrors > 0)
+	fmt.Println("remapped", res.Faults.Remapped)
+	// Output:
+	// link errors: true
+	// remapped 0
+}
+
 // Workload mixes come straight from Table 3.
 func ExampleWorkloads() {
 	for _, w := range fbdsim.MulticoreWorkloads()[:2] {

@@ -27,13 +27,15 @@
 //	if err != nil { ... }
 //	fmt.Println(res.TotalIPC(), res.AvgReadLatencyNS)
 //
-// Run accepts functional options for the cross-cutting concerns —
-// WithTrace (per-request pipeline tracing), WithFault (fault injection),
-// WithFidelity (a sampled estimate instead of the cycle-accurate run; the
-// only other tier):
+// Tracing and fault injection are switched on in the configuration. A
+// faulted run starts from Default()'s fault settings, which degrade no DIMM
+// and map out no bank, and raises a rate:
 //
-//	res, err := fbdsim.Run(ctx, cfg, benchmarks,
-//		fbdsim.WithFault(fbdsim.FaultConfig{SouthErrorRate: 1e-7}))
+//	cfg := fbdsim.Default()
+//	cfg.Fault.Enabled = true
+//	cfg.Fault.SouthErrorRate = 0.01
+//	cfg.Trace.Enabled = true // per-request pipeline tracing in res.Trace
+//	res, err := fbdsim.Run(ctx, cfg, benchmarks)
 //
 // The experiment harness that regenerates every table and figure of the
 // paper lives in internal/exp and is exposed through cmd/paperexp. Each
@@ -43,11 +45,9 @@ package fbdsim
 
 import (
 	"context"
-	"errors"
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
-	"fbdsim/internal/fidelity"
 	"fbdsim/internal/system"
 	"fbdsim/internal/trace"
 	"fbdsim/internal/workload"
@@ -119,86 +119,24 @@ func WithAMBPrefetch(c Config) Config { return config.WithAMBPrefetch(c) }
 // avoid bank activity.
 func WithFullLatencyHits(c Config) Config { return config.WithFullLatencyHits(c) }
 
-// TraceConfig configures the memtrace recorder (see WithTrace).
+// TraceConfig configures the memtrace recorder (Config.Trace).
 type TraceConfig = config.Trace
 
-// FaultConfig configures the deterministic fault injector (see WithFault).
+// FaultConfig configures the deterministic fault injector (Config.Fault).
+// Enable it on top of Default()'s settings: DegradedDIMM and DeadBank mean
+// "none" only at -1, so the zero value degrades DIMM 0 of channel 0 and
+// maps out its bank 0.
 type FaultConfig = config.Fault
-
-// Fidelity selects the simulation tier of one Run call; see WithFidelity.
-type Fidelity = fidelity.Tier
-
-// Fidelity tiers, full detail first. The zero value is cycle-accurate.
-const (
-	CycleAccurate = fidelity.CycleAccurate
-	Sampled       = fidelity.Sampled
-)
-
-// ParseFidelity maps a wire/flag string to a Fidelity ("" means
-// cycle-accurate).
-func ParseFidelity(s string) (Fidelity, error) { return fidelity.Parse(s) }
-
-// Option customizes one Run call. Options are applied in order; later
-// options win on conflict.
-type Option func(*runSettings)
-
-type runSettings struct {
-	cfg      Config
-	fidelity Fidelity
-}
-
-// WithTrace enables the memtrace recorder for this run with settings t
-// (t.Enabled is implied). The run's Results.Trace carries per-stage
-// latency breakdowns, epoch time-series and retained per-request events.
-func WithTrace(t TraceConfig) Option {
-	return func(s *runSettings) {
-		t.Enabled = true
-		s.cfg.Trace = t
-	}
-}
-
-// WithFault enables deterministic fault injection for this run with
-// settings f (f.Enabled is implied). Results.Faults summarizes the
-// injected faults and their cost.
-func WithFault(f FaultConfig) Option {
-	return func(s *runSettings) {
-		f.Enabled = true
-		s.cfg.Fault = f
-	}
-}
-
-// WithFidelity runs at tier t instead of full cycle-accurate detail:
-// Sampled interleaves functional fast-forward with detailed measured
-// windows (~10-50x cheaper, <2% IPC error, confidence interval in
-// Results.Estimate). A sampled run returns an estimate — Results.Estimate
-// is non-nil and records the tier — and does not compose with WithTrace or
-// WithFault.
-func WithFidelity(t Fidelity) Option {
-	return func(s *runSettings) { s.fidelity = t }
-}
 
 // Run simulates cfg executing one benchmark per core (valid names are
 // Benchmarks()) and returns measured results. The simulation polls ctx at
 // cycle-batch granularity (1024 CPU cycles), so cancelling an in-flight
 // run stops it within milliseconds of wall time; on cancellation the
-// returned error is ctx.Err(). Options layer tracing, fault injection and
-// the sampled tier onto the run without dedicated entry points:
-//
-//	res, err := fbdsim.Run(ctx, cfg, []string{"swim"}, fbdsim.WithTrace(fbdsim.TraceConfig{}))
-func Run(ctx context.Context, cfg Config, benchmarks []string, opts ...Option) (Results, error) {
-	s := runSettings{cfg: cfg}
-	for _, o := range opts {
-		o(&s)
-	}
-	if s.fidelity != "" && s.fidelity != CycleAccurate {
-		if !s.fidelity.Valid() {
-			return Results{}, errors.New("fbdsim: unknown fidelity tier " + string(s.fidelity))
-		}
-		if s.cfg.Trace.Enabled || s.cfg.Fault.Enabled {
-			return Results{}, errors.New("fbdsim: tracing and fault injection require cycle-accurate fidelity")
-		}
-	}
-	return fidelity.Run(ctx, s.fidelity, s.cfg, benchmarks)
+// returned error is ctx.Err(). cfg.Trace turns on per-request pipeline
+// tracing (Results.Trace) and cfg.Fault turns on fault injection
+// (Results.Faults).
+func Run(ctx context.Context, cfg Config, benchmarks []string) (Results, error) {
+	return system.RunWorkload(ctx, cfg, benchmarks)
 }
 
 // LoadConfig reads and validates a JSON configuration file. Fields missing

@@ -2,7 +2,10 @@ package fbdsim
 
 import (
 	"context"
+	"reflect"
 	"testing"
+
+	"fbdsim/internal/system"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
@@ -105,24 +108,33 @@ func TestAllProgramsIncludesExcluded(t *testing.T) {
 	}
 }
 
-// TestRunOptions exercises the functional-options surface: each option
-// must actually reach the simulator.
-func TestRunOptions(t *testing.T) {
+// TestRunIsRunWorkload: Run is the engine's run, and the config alone
+// turns tracing and fault injection on.
+func TestRunIsRunWorkload(t *testing.T) {
 	cfg := Default()
 	cfg.MaxInsts = 30_000
 	cfg.WarmupInsts = 4_000
+	cfg.Trace.Enabled = true
+	cfg.Fault.Enabled = true
+	cfg.Fault.SouthErrorRate = 0.02
+	cfg.Fault.Seed = 3
 	bench := []string{"swim"}
 
-	res, err := Run(context.Background(), cfg, bench,
-		WithTrace(TraceConfig{MaxEvents: 128}),
-		WithFault(FaultConfig{DegradedDIMM: -1, DeadBank: -1, SouthErrorRate: 0.02, Seed: 3}))
+	got, err := Run(context.Background(), cfg, bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
-		t.Error("WithTrace did not enable the recorder")
+	want, err := system.RunWorkload(context.Background(), cfg, bench)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Faults.SouthFrameErrors == 0 {
-		t.Error("WithFault did not enable the injector")
+	if !reflect.DeepEqual(got, want) {
+		t.Error("Run and system.RunWorkload returned different Results for one config")
+	}
+	if got.Trace == nil {
+		t.Error("Trace.Enabled did not turn the recorder on")
+	}
+	if got.Faults.SouthFrameErrors == 0 {
+		t.Error("Fault.Enabled did not turn the injector on")
 	}
 }

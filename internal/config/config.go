@@ -268,26 +268,17 @@ type CPU struct {
 	// prefetching composes with hardware prefetching like it does with
 	// software prefetching. Off by default (the paper's configuration).
 	HardwarePrefetch bool
-	// HWPrefetchStreams, HWPrefetchDegree size the prefetcher (defaults
-	// applied when zero: 16 streams, degree 4).
-	HWPrefetchStreams int
-	HWPrefetchDegree  int
 }
 
 // Trace configures the optional memtrace recorder (per-request lifecycle
 // events, per-stage latency histograms, epoch time-series). Disabled by
-// default; when disabled the simulator pays only a nil-pointer check.
+// default; when disabled the simulator pays only a nil-pointer check. The
+// recorder samples its time-series every 1 µs of simulated time and keeps
+// the first 65,536 per-request events for the Chrome trace; later ones
+// still count in the histograms and epochs.
 type Trace struct {
 	// Enabled turns the recorder on.
 	Enabled bool
-	// Epoch is the time-series sampling interval; 0 means the recorder
-	// default (1 µs of simulated time).
-	Epoch clock.Time
-	// MaxEvents bounds the number of retained per-request events (the
-	// Chrome trace size); 0 means the recorder default (65536). Events
-	// beyond the bound are dropped from the trace but still counted in
-	// the histograms and epochs.
-	MaxEvents int
 }
 
 // Fault configures the deterministic fault injector (internal/fault).
@@ -556,12 +547,6 @@ func (c *Config) Validate() error {
 	}
 	if err := cacheGeometry("L2KB", "L2Assoc", c.CPU.L2KB, c.CPU.L2Assoc, c.CPU.LineBytes); err != nil {
 		return err
-	}
-	if c.Trace.Epoch < 0 {
-		return errors.New("config: trace epoch must be non-negative")
-	}
-	if c.Trace.MaxEvents < 0 {
-		return errors.New("config: trace MaxEvents must be non-negative")
 	}
 	if err := c.Fault.validate(&c.Mem); err != nil {
 		return err

@@ -439,8 +439,6 @@ func TestRefreshValidation(t *testing.T) {
 func TestHWPrefetchAndPermutationValidate(t *testing.T) {
 	c := Default()
 	c.CPU.HardwarePrefetch = true
-	c.CPU.HWPrefetchStreams = 8
-	c.CPU.HWPrefetchDegree = 2
 	c.Mem.PermuteBanks = true
 	if err := c.Validate(); err != nil {
 		t.Errorf("extension knobs should validate: %v", err)

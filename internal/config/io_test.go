@@ -68,6 +68,10 @@ func TestLoadDeletedFieldsFail(t *testing.T) {
 		`{"CPU": {"L1MSHRs": 32}}`,
 		`{"Mem": {"TREFI": 7800000}}`,
 		`{"Mem": {"TRFC": 127500}}`,
+		`{"CPU": {"HWPrefetchStreams": 8}}`,
+		`{"CPU": {"HWPrefetchDegree": 2}}`,
+		`{"Trace": {"Epoch": 2000000}}`,
+		`{"Trace": {"MaxEvents": 4096}}`,
 	} {
 		if _, err := Load(strings.NewReader(js)); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("%s: error %v, want an unknown-field error", js, err)

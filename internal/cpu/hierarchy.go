@@ -100,14 +100,7 @@ func NewHierarchy(cfg *config.CPU, cores int, mem *memctrl.Controller) *Hierarch
 		h.l1[i] = cache.New(cfg.L1DataKB, cfg.L1Assoc, cfg.LineBytes)
 	}
 	if cfg.HardwarePrefetch {
-		pc := hwprefetch.DefaultConfig()
-		if cfg.HWPrefetchStreams > 0 {
-			pc.Streams = cfg.HWPrefetchStreams
-		}
-		if cfg.HWPrefetchDegree > 0 {
-			pc.Degree = cfg.HWPrefetchDegree
-		}
-		h.hwpf = hwprefetch.New(pc, cfg.LineBytes)
+		h.hwpf = hwprefetch.New(hwprefetch.DefaultConfig(), cfg.LineBytes)
 	}
 	// A read completion finds its MSHR slot through the line index (the
 	// request address is the slot's line), so one callback serves every

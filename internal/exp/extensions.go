@@ -1,15 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
-	"fbdsim/internal/fidelity"
-	"fbdsim/internal/workload"
 )
 
 // ----------------------------------------------------------- Extension E1
@@ -509,117 +505,4 @@ func (d E6Data) CSV(w io.Writer) error {
 			fmt.Sprintf("%.1f", r.RetriesPerKRead), fmt.Sprintf("%.0f", r.P95NS)})
 	}
 	return writeRecords(w, []string{"err_pct", "k", "speedup", "gain_pct", "retries_per_kread", "p95_ns"}, rows)
-}
-
-// ----------------------------------------------------------- Extension E8
-
-// E8Row is one (system, workload) cell of the tiered-fidelity table: the
-// cycle-accurate reference and the sampled tier's accuracy and cost.
-type E8Row struct {
-	System   string
-	Workload string
-	// FullIPC / FullMS are the cycle-accurate reference and its wall time.
-	FullIPC float64
-	FullMS  float64
-	// Sampled tier: the estimate, its absolute IPC error against the
-	// reference, the wall-clock speedup, and the detailed-instruction
-	// reduction (total insts / detailed insts).
-	SampledIPC     float64
-	SampledErrPct  float64
-	SampledSpeedX  float64
-	SampledReduceX float64
-}
-
-// E8Data is the accuracy-vs-speedup contract of the sampled tier: how far
-// its estimate strays from the cycle-accurate answer, and what that
-// tolerance buys in wall-clock time. The error should stay within a couple
-// of percent.
-type E8Data struct {
-	MaxInsts int64
-	Rows     []E8Row
-}
-
-// ExtensionTieredFidelity runs E8 over ddr2/fbd/fbd-ap and the runner's
-// single-core seed workloads. Cells run sequentially and bypass the result
-// cache: the wall-clock columns are the point of the table, so every run
-// must be fresh.
-func ExtensionTieredFidelity(r *Runner) (E8Data, error) {
-	d := E8Data{MaxInsts: r.opts.MaxInsts}
-	systems := []struct {
-		name string
-		cfg  config.Config
-	}{
-		{"ddr2", config.DDR2Baseline()},
-		{"fbd", config.FBDIMMBaseline()},
-		{"fbd-ap", config.WithAMBPrefetch(config.Default())},
-	}
-	ws := workload.ByCores(r.opts.Workloads, 1)
-	ctx := context.Background()
-	errPct := func(est, full float64) float64 {
-		if full == 0 {
-			return 0
-		}
-		e := (est - full) / full * 100
-		if e < 0 {
-			e = -e
-		}
-		return e
-	}
-	for _, sys := range systems {
-		for _, w := range ws {
-			cfg := r.normalize(sys.cfg, len(w.Benchmarks))
-			row := E8Row{System: sys.name, Workload: w.Name}
-
-			start := time.Now()
-			full, err := fidelity.Run(ctx, fidelity.CycleAccurate, cfg, w.Benchmarks)
-			if err != nil {
-				return d, err
-			}
-			row.FullMS = float64(time.Since(start).Nanoseconds()) / 1e6
-			row.FullIPC = full.TotalIPC()
-
-			start = time.Now()
-			smp, err := fidelity.Run(ctx, fidelity.Sampled, cfg, w.Benchmarks)
-			if err != nil {
-				return d, err
-			}
-			sampledMS := float64(time.Since(start).Nanoseconds()) / 1e6
-			row.SampledIPC = smp.TotalIPC()
-			row.SampledErrPct = errPct(row.SampledIPC, row.FullIPC)
-			if sampledMS > 0 {
-				row.SampledSpeedX = row.FullMS / sampledMS
-			}
-			if est := smp.Estimate; est != nil && est.DetailedInsts > 0 {
-				row.SampledReduceX = float64(est.DetailedInsts+est.FunctionalInsts) / float64(est.DetailedInsts)
-			}
-			d.Rows = append(d.Rows, row)
-		}
-	}
-	return d, nil
-}
-
-// Format writes the extension as a table.
-func (d E8Data) Format(w io.Writer) {
-	fmt.Fprintf(w, "E8  tiered fidelity: accuracy vs speedup (%d insts per run)\n", d.MaxInsts)
-	fmt.Fprintf(w, "%7s %-10s %8s %8s | %8s %6s %7s %8s\n",
-		"system", "workload", "full-ipc", "full-ms",
-		"smp-ipc", "err%", "speedx", "detailx")
-	for _, row := range d.Rows {
-		fmt.Fprintf(w, "%7s %-10s %8.3f %8.1f | %8.3f %6.2f %7.1f %8.1f\n",
-			row.System, row.Workload, row.FullIPC, row.FullMS,
-			row.SampledIPC, row.SampledErrPct, row.SampledSpeedX, row.SampledReduceX)
-	}
-}
-
-// CSV exports the E8 rows.
-func (d E8Data) CSV(w io.Writer) error {
-	rows := make([][]string, 0, len(d.Rows))
-	for _, r := range d.Rows {
-		rows = append(rows, []string{r.System, r.Workload,
-			fmt.Sprintf("%.4f", r.FullIPC), fmt.Sprintf("%.1f", r.FullMS),
-			fmt.Sprintf("%.4f", r.SampledIPC), fmt.Sprintf("%.2f", r.SampledErrPct),
-			fmt.Sprintf("%.1f", r.SampledSpeedX), fmt.Sprintf("%.1f", r.SampledReduceX)})
-	}
-	return writeRecords(w, []string{"system", "workload", "full_ipc", "full_ms",
-		"sampled_ipc", "sampled_err_pct", "sampled_speed_x", "sampled_reduce_x"}, rows)
 }

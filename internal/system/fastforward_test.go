@@ -117,7 +117,6 @@ func equivFaults(seed int64) config.Fault {
 // equivTrace turns memtrace recording on for an equivalence run.
 func equivTrace(cfg *config.Config) {
 	cfg.Trace.Enabled = true
-	cfg.Trace.MaxEvents = 4096
 }
 
 // TestFastLoopBitIdenticalComputeHeavy covers the opposite regime: cores

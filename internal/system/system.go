@@ -181,8 +181,6 @@ func New(cfg config.Config, benchmarks []string) (*System, error) {
 	ctrl := memctrl.New(&cfg.Mem)
 	if cfg.Trace.Enabled {
 		ctrl.SetRecorder(memtrace.New(memtrace.Config{
-			Epoch:     cfg.Trace.Epoch,
-			MaxEvents: cfg.Trace.MaxEvents,
 			Channels:  cfg.Mem.LogicalChannels,
 			DIMMBuses: cfg.Mem.LogicalChannels * cfg.Mem.DIMMsPerChannel,
 		}))

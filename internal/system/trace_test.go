@@ -14,7 +14,6 @@ func traceTestConfig(base config.Config, seed int64) config.Config {
 	base.WarmupInsts = 5_000
 	base.Seed = seed
 	base.Trace.Enabled = true
-	base.Trace.Epoch = 2 * clock.Microsecond
 	return base
 }
 
